@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import mpmath
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import bubbles, inequalities, solvers
 from .energy import ProblemParams
-from .grid import ball_volume, best_sobolev_constant, build_grid, principal_eigenpair, save_grid_function
+from .grid import ball_volume, best_sobolev_constant, build_grid, save_grid_function
 from .regions import region_membership
 
 EXIT_OK = 0
@@ -64,6 +63,13 @@ CONFIG_DEFAULTS = {
 }
 
 SWEEP_KEYS = ("sweep_lambda", "sweep_mu", "sweep_nu", "sweep_q", "sweep_theta")
+
+# sweep row status of each solve failure; other failures read error:<type>
+SOLVE_FAILURE_STATUS = (
+    (solvers.UsableRegionError, "usable-region"),
+    (solvers.PathCollapseError, "collapse"),
+    (solvers.ConcentrationStallError, "stall"),
+)
 
 
 class ConfigError(ValueError):
@@ -194,7 +200,7 @@ def cmd_regions(cfg, args):
     validate_numerics(cfg)
     g = build_grid(p.N, p.R, int(cfg["M"]))
     S = best_sobolev_constant(p.N)
-    lam1, _ = principal_eigenpair(g)
+    lam1, _ = g.eigenpair
     vol = ball_volume(p.N, p.R)
     rep = region_membership(p, S, lam1, vol)
     out = _outdir(cfg, args)
@@ -269,11 +275,13 @@ def cmd_solve(cfg, args):
     save_grid_function(os.path.join(out, "u0.csv"), g, report.u0)
     save_grid_function(os.path.join(out, "ump.csv"), g, report.u_mp)
     P = path.nodes.shape[0]
+    energies = [fmt_float(e) for e in path.energies]
+    if report.s0 != 0.0:
+        # the path starts at u0 = e^{s0} v0, whose level underflows in double
+        energies[0] = fmt_level(report.c_rho)
     lines = ["node_index,t,energy"]
     for k in range(P):
-        lines.append(
-            "%d,%s,%s" % (k, fmt_float(k / (P - 1.0)), fmt_float(path.energies[k]))
-        )
+        lines.append("%d,%s,%s" % (k, fmt_float(k / (P - 1.0)), energies[k]))
     write_text(os.path.join(out, "path.csv"), "\n".join(lines))
     return EXIT_OK if (verdict.ok and report.gap_ok) else EXIT_VERIFY
 
@@ -412,7 +420,8 @@ def cmd_verify(cfg, args):
     return EXIT_OK if (not bad and slope_ok) else EXIT_VERIFY
 
 
-def _sweep_instance(cfg, combo, keys, do_solve):
+def _sweep_params(cfg, combo, keys):
+    """The row's config, its output record, and its ProblemParams (None when invalid)."""
     sub = dict(cfg)
     for k, v in zip(keys, combo):
         sub[k.replace("sweep_", "")] = v
@@ -450,12 +459,13 @@ def _sweep_instance(cfg, combo, keys, do_solve):
         )
     except ValueError:
         out["status"] = "invalid-params"
-        return out
-    g = build_grid(p.N, p.R, int(sub["M"]))
-    S = best_sobolev_constant(p.N)
-    lam1, _ = principal_eigenpair(g)
-    vol = ball_volume(p.N, p.R)
-    rep = region_membership(p, S, lam1, vol)
+        return sub, out, None
+    return sub, out, p
+
+
+def _sweep_instance(p, sub, out, geometry, do_solve):
+    """Fill the row record out; geometry is (S, lambda1, volume) of the shared grid."""
+    rep = region_membership(p, *geometry)
     for name in ("in_M1", "in_M2", "in_M3", "in_M4"):
         out[name] = "true" if getattr(rep, name) else "false"
     if rep.alpha is not None:
@@ -463,7 +473,7 @@ def _sweep_instance(cfg, combo, keys, do_solve):
         out["rho"] = fmt_float(rep.rho)
     if not rep.any_membership():
         out["status"] = "no-membership"
-        return out
+        return
     if do_solve:
         try:
             report, _, _ = solvers.solve_problem(
@@ -472,15 +482,13 @@ def _sweep_instance(cfg, combo, keys, do_solve):
             out["c_rho"] = fmt_level(report.c_rho)
             out["c_M"] = fmt_float(report.c_M)
             out["gap_ok"] = "true" if report.gap_ok else "false"
-        except solvers.UsableRegionError:
-            out["status"] = "usable-region"
-        except solvers.PathCollapseError:
-            out["status"] = "collapse"
-        except solvers.ConcentrationStallError:
-            out["status"] = "stall"
         except (ValueError, RuntimeError) as e:
-            out["status"] = "error:%s" % type(e).__name__
-    return out
+            out["status"] = next(
+                (status for cls, status in SOLVE_FAILURE_STATUS if isinstance(e, cls)),
+                "error:%s" % type(e).__name__,
+            )
+            params = " ".join("%s=%s" % (k, fmt_float(v)) for k, v in out["params"].items())
+            print(f"sweep row {params}: {out['status']}: {e}", file=sys.stderr)
 
 
 def cmd_sweep(cfg, args):
@@ -493,10 +501,19 @@ def cmd_sweep(cfg, args):
     do_solve = bool(cfg["sweep_solve"])
     out = _outdir(cfg, args)
 
-    with ThreadPoolExecutor(max_workers=min(8, len(combos))) as ex:
-        results = list(
-            ex.map(lambda c: _sweep_instance(cfg, c, keys, do_solve), combos)
-        )
+    # N, R and M are not swept, so every row shares one grid; it is built
+    # at the first row whose parameters validate (a config with N < 3 or
+    # R <= 0 has none, and yields invalid-params rows only)
+    geometry = None
+    results = []
+    for combo in combos:
+        sub, row, p = _sweep_params(cfg, combo, keys)
+        if p is not None:
+            if geometry is None:
+                g = build_grid(p.N, p.R, int(sub["M"]))
+                geometry = (best_sobolev_constant(p.N), g.eigenpair[0], ball_volume(p.N, p.R))
+            _sweep_instance(p, sub, row, geometry, do_solve)
+        results.append(row)
 
     header = "lambda,mu,nu,q,theta,in_M1,in_M2,in_M3,in_M4,alpha,rho,c_rho,c_M,gap_ok,status"
     lines = [header]

@@ -5,9 +5,15 @@ h = R/M, for i = 0..M-1.  The boundary value u_M = 0 is implied and never
 stored.  All integrals over the ball reduce to weighted sums over nodes;
 the Dirichlet energy reduces to a weighted sum of squared differences at
 cell faces.
+
+Each grid builds its banded operator -Laplacian once (RadialGrid.band) and
+runs the principal eigen-iteration once (RadialGrid.eigenpair); both are
+cached on the instance, read-only, and shared by every solver stage that
+works on the grid.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gamma, pi
 
 import numpy as np
@@ -26,7 +32,7 @@ def ball_volume(N, R):
     return sphere_area(N) * R**N / N
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Nodes, quadrature weights and face weights for the radial mesh.
 
@@ -37,6 +43,9 @@ class RadialGrid:
     -2N(u_1 - u_0)/h^2 at the center.  fw[i] is the face weight
     sigma_{N-1} r_{i+1/2}^{N-1} h multiplying ((u_{i+1}-u_i)/h)^2 in the
     Dirichlet energy.
+
+    Grids compare by identity: two grids on the same (N, R, M) are equal
+    in content but each carries its own cached operator and eigenpair.
     """
 
     N: int
@@ -128,16 +137,29 @@ class RadialGrid:
         # interior flux balance: (fw_{i-1}(u_i-u_{i-1}) + fw_i(u_i-u_{i+1}))/(w_i h^2)
         diag[0] = fw[0] / (w[0] * h * h)
         upper[1:] = -fw[:-1] / (w[:-1] * h * h)
-        for i in range(1, M):
-            diag[i] = (fw[i - 1] + fw[i]) / (w[i] * h * h)
+        diag[1:] = (fw[:-1] + fw[1:]) / (w[1:] * h * h)
         lower[:-1] = -fw[:-1] / (w[1:] * h * h)
         return np.vstack([upper, diag, lower])
+
+    @cached_property
+    def band(self):
+        """The operator of neg_laplacian_banded, built once per grid; read-only."""
+        band = self.neg_laplacian_banded()
+        band.setflags(write=False)
+        return band
+
+    @cached_property
+    def eigenpair(self):
+        """(lambda1, phi1) of principal_eigenpair, computed once per grid; phi1 is read-only."""
+        lam1, phi1 = principal_eigenpair(self)
+        phi1.setflags(write=False)
+        return lam1, phi1
 
     def apply_neg_laplacian(self, u):
         """Matrix-vector product A u for the banded operator above."""
         u = np.asarray(u, dtype=float)
         self._check_shape(u)
-        band = self.neg_laplacian_banded()
+        band = self.band
         out = band[1] * u
         out[:-1] += band[0][1:] * u[1:]
         out[1:] += band[2][:-1] * u[:-1]
@@ -147,7 +169,7 @@ class RadialGrid:
         """Solve A x = rhs."""
         rhs = np.asarray(rhs, dtype=float)
         self._check_shape(rhs)
-        return solve_banded((1, 1), self.neg_laplacian_banded(), rhs)
+        return solve_banded((1, 1), self.band, rhs)
 
 
 def build_grid(N, R, M):
@@ -182,9 +204,10 @@ def principal_eigenpair(grid, tol=1e-10, itmax=200):
     """Smallest eigenvalue and positive unit-L^2 eigenfunction of -Laplacian.
 
     Inverse power iteration with the banded solver.  Converged when the
-    eigenvalue increment drops below tol.  Returns (lam1, phi1).
+    eigenvalue increment drops below tol.  Returns (lam1, phi1).  Solvers
+    read the grid's cached copy, grid.eigenpair.
     """
-    band = grid.neg_laplacian_banded()
+    band = grid.band
     x = np.ones(grid.M)
     x /= np.sqrt(grid.l2_norm_sq(x))
     lam_old = np.inf

@@ -33,7 +33,7 @@ from .energy import (
     gradient_field,
     source_derivative,
 )
-from .grid import ball_volume, best_sobolev_constant, principal_eigenpair
+from .grid import ball_volume, best_sobolev_constant
 from .regions import region_membership
 
 BALL_MARGIN = 1e-3  # constraint radius rho*(1 - BALL_MARGIN)
@@ -60,9 +60,9 @@ def _h1_norm(g, u):
     return np.sqrt(g.h1_seminorm_sq(u))
 
 
-def _dual_norm_sq(g, band, field):
+def _dual_norm_sq(g, field):
     """<field, A^{-1} field>_w, the squared dual norm of a gradient field."""
-    pre = solve_banded((1, 1), band, field)
+    pre = solve_banded((1, 1), g.band, field)
     return max(float(np.dot(g.w, field * pre)), 0.0), pre
 
 
@@ -126,11 +126,10 @@ def _scaled_level(c, s):
 
 def _descend_in_ball(p, g, u, radius, gtol=1e-3, itmax=5000):
     """Projected preconditioned descent; returns (u, iterations)."""
-    band = g.neg_laplacian_banded()
     e = energy_value(p, g, u)
     for it in range(itmax):
         grad = gradient_field(p, g, u)
-        gn2, pre = _dual_norm_sq(g, band, grad)
+        gn2, pre = _dual_norm_sq(g, grad)
         if np.sqrt(gn2) < gtol:
             return u, it
         s = 1.0
@@ -158,11 +157,10 @@ class NewtonResult:
 
 def _newton(p, g, u, tol=1e-10, itmax=50):
     """Damped Newton on A u = f(u); residual measured in the dual norm."""
-    band = g.neg_laplacian_banded()
 
     def res_norm(v):
         r = gradient_field(p, g, v)
-        rn2, _ = _dual_norm_sq(g, band, r)
+        rn2, _ = _dual_norm_sq(g, r)
         return np.sqrt(rn2), r
 
     rn, res = res_norm(u)
@@ -170,7 +168,7 @@ def _newton(p, g, u, tol=1e-10, itmax=50):
     for it in range(itmax):
         if rn < tol:
             return NewtonResult(u=u, converged=True, residual=rn, iterations=it)
-        J = band.copy()
+        J = g.band.copy()
         J[1] -= source_derivative(p, u)
         try:
             step = solve_banded((1, 1), J, res)
@@ -204,8 +202,7 @@ def newton_refine(p, g, u, tol=1e-10, itmax=50):
     u = np.asarray(u, dtype=float)
     if not np.any(u > 0):
         raise ValueError("not near-critical in the positive cone")
-    band = g.neg_laplacian_banded()
-    gn2, _ = _dual_norm_sq(g, band, gradient_field(p, g, u))
+    gn2, _ = _dual_norm_sq(g, gradient_field(p, g, u))
     if np.sqrt(gn2) >= 1e-3:
         raise ValueError("input is not near-critical (gradient norm >= 1e-3)")
     return _newton(p, g, u, tol=tol, itmax=itmax)
@@ -233,7 +230,7 @@ def _minimize_with_stats(p, g, rho, gtol=1e-8):
     residual refer to v; the norm check reads ln||v|| + s < ln(radius).
     """
     radius = rho * (1.0 - BALL_MARGIN)
-    lam1, phi1 = principal_eigenpair(g)
+    lam1, phi1 = g.eigenpair
     s, ps, radius_v = 0.0, p, radius
     try:
         t0 = _negative_start(p, g, phi1, lam1, radius)
@@ -266,7 +263,7 @@ def _minimize_with_stats(p, g, rho, gtol=1e-8):
 
 def _geometry(p, g):
     S = best_sobolev_constant(p.N)
-    lam1, _ = principal_eigenpair(g)
+    lam1, _ = g.eigenpair
     vol = ball_volume(p.N, p.R)
     rep = region_membership(p, S, lam1, vol)
     return S, rep
@@ -400,7 +397,6 @@ def mountain_pass(
     _, rep = _geometry(p, g)
     alpha = rep.alpha if rep.any_membership() else None
     bound = 2.0 * max(rep.rho or 0.0, _h1_norm(g, endpoint))
-    band = g.neg_laplacian_banded()
 
     ts_path = np.linspace(0.0, 1.0, P)
     Z = u0[None, :] + ts_path[:, None] * (endpoint - u0)[None, :]
@@ -417,7 +413,7 @@ def mountain_pass(
             )
         crest_hist.append(E[k])
         grad = gradient_field(p, g, Z[k])
-        gn2, pre = _dual_norm_sq(g, band, grad)
+        gn2, pre = _dual_norm_sq(g, grad)
         gn = np.sqrt(gn2)
         if gn < gtol:
             exit_reason = "gradient"
@@ -604,8 +600,7 @@ def solve_problem(p, M, n=16, P=33, r0=None):
     spec = BubbleSpec(N=p.N, n=n, r0=r0)
     _, endpoint = select_endpoint(p, g, u0, spec)
     u_mp, c_M, path = mountain_pass(p, g, u0, endpoint, P=P)
-    band = g.neg_laplacian_banded()
-    rn2, _ = _dual_norm_sq(g, band, gradient_field(p, g, u_mp))
+    rn2, _ = _dual_norm_sq(g, gradient_field(p, g, u_mp))
     prof = g_profile(dilated_params(p, s0), g, v0, t_max=2.0, samples=256)
     gap_bound = float(
         c_rho + (1.0 / p.N) * p.mu ** (-(p.N - 2.0) / 2.0) * S ** (p.N / 2.0)

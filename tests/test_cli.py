@@ -110,6 +110,10 @@ def test_weak_log_showcase_solve_misses_the_gap_bound(tmp_path):
     assert mpmath.mpf("-1e-639") < rep["c_rho"] < mpmath.mpf("-1e-641")
     assert rep["gap_ok"] is False and rep["c_M"] > rep["gap_bound"]
     assert rep["residual0"] < 1e-8
+    # the path starts at the underflowed u0; row 0 carries the scaled level
+    with open(os.path.join(tmp, "path.csv")) as f:
+        first = f.read().splitlines()[1].split(",")
+    assert first[0] == "0" and mpmath.mpf(first[2]) == rep["c_rho"]
 
 
 def test_solve_outputs_and_determinism(tmp_path):
@@ -181,7 +185,16 @@ def test_verify_certificates_and_slopes(tmp_path):
     assert float(fields[2]) == pytest.approx(-1.0, abs=0.05)
 
 
-def test_sweep_grid_rows_and_determinism(tmp_path):
+def test_sweep_grid_rows_and_determinism(tmp_path, monkeypatch):
+    # every row shares one grid, so a sweep runs the eigen-iteration once
+    eigen_calls = []
+    eigenpair = lc.grid.principal_eigenpair
+
+    def counting(g, *a, **kw):
+        eigen_calls.append(g)
+        return eigenpair(g, *a, **kw)
+
+    monkeypatch.setattr(lc.grid, "principal_eigenpair", counting)
     tmp = str(tmp_path)
     cfg = write_config(
         tmp,
@@ -195,7 +208,9 @@ def test_sweep_grid_rows_and_determinism(tmp_path):
     out1 = str(tmp_path / "s1")
     out2 = str(tmp_path / "s2")
     assert main(["sweep", "--config", cfg, "--out", out1]) == 0
+    assert len(eigen_calls) == 1
     assert main(["sweep", "--config", cfg, "--out", out2]) == 0
+    assert len(eigen_calls) == 2
     with open(os.path.join(out1, "sweep.csv")) as f:
         rows = f.read().splitlines()
     with open(os.path.join(out2, "sweep.csv")) as f:
@@ -213,6 +228,36 @@ def test_sweep_grid_rows_and_determinism(tmp_path):
     assert thetas == [-1.0, -0.5, -0.1, -1.0, -0.5, -0.1]
     statuses = {r.split(",")[-1] for r in rows[1:]}
     assert statuses <= {"ok", "no-membership"}
+
+
+def test_sweep_with_invalid_dimension_writes_invalid_rows(tmp_path):
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, N=2, M=64, sweep_theta=[-1.0, -0.5])
+    assert main(["sweep", "--config", cfg, "--out", tmp]) == 0
+    with open(os.path.join(tmp, "sweep.csv")) as f:
+        rows = f.read().splitlines()
+    assert len(rows) == 1 + 2
+    assert [r.split(",")[-1] for r in rows[1:]] == ["invalid-params"] * 2
+
+
+def test_sweep_names_the_cause_of_a_failed_row(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(lc.solvers, "solve_problem", boom)
+    tmp = str(tmp_path)
+    cfg = write_config(
+        tmp, **instance_a_config(M=64, sweep_theta=[-2.0, -1.0], sweep_solve=True)
+    )
+    assert main(["sweep", "--config", cfg, "--out", tmp]) == 0
+    with open(os.path.join(tmp, "sweep.csv")) as f:
+        rows = f.read().splitlines()
+    assert [r.split(",")[-1] for r in rows[1:]] == ["error:RuntimeError"] * 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line, theta in zip(err, ("-2", "-1")):
+        assert "theta=%s" % theta in line and "nu=-0.5" in line
+        assert line.endswith("error:RuntimeError: boom")
 
 
 def test_sweep_without_ranges_exits_one(tmp_path, capsys):

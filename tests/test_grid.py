@@ -180,3 +180,76 @@ def test_integrate_is_linear_in_radius_scaling(R):
     assert g.integrate(np.ones(g.M)) == pytest.approx(
         lc.ball_volume(3, R), rel=1e-3
     )
+
+
+def _loop_reference_band(g):
+    # the operator built node by node, as the diagonal loop over M wrote it
+    M, fw, w, h = g.M, g.fw, g.w, g.h
+    band = np.zeros((3, M))
+    band[1, 0] = fw[0] / (w[0] * h * h)
+    for i in range(1, M):
+        band[0, i] = -fw[i - 1] / (w[i - 1] * h * h)
+        band[1, i] = (fw[i - 1] + fw[i]) / (w[i] * h * h)
+        band[2, i - 1] = -fw[i - 1] / (w[i] * h * h)
+    return band
+
+
+@pytest.mark.parametrize("N, M", [(3, 64), (4, 257), (5, 1024)])
+def test_cached_band_matches_builder_and_loop_reference(N, M):
+    g = lc.build_grid(N, 1.0, M)
+    fresh = g.neg_laplacian_banded()
+    assert fresh.flags.writeable
+    assert np.array_equal(g.band, fresh)
+    assert np.array_equal(g.band, _loop_reference_band(g))
+    assert g.band is g.band
+
+
+def test_cached_band_and_eigenfunction_are_read_only():
+    g = lc.build_grid(3, 1.0, 64)
+    with pytest.raises(ValueError):
+        g.band[1, 0] = 0.0
+    with pytest.raises(ValueError):
+        g.band[1] *= 2.0
+    _, phi1 = g.eigenpair
+    with pytest.raises(ValueError):
+        phi1[0] = 0.0
+    with pytest.raises(ValueError):
+        g.eigenpair[1][:] = 1.0
+
+
+def test_cached_eigenpair_matches_module_function():
+    g = lc.build_grid(4, 1.0, 300)
+    lam, phi = lc.principal_eigenpair(g)
+    lam_c, phi_c = g.eigenpair
+    assert lam_c == lam
+    assert np.array_equal(phi_c, phi)
+    assert g.eigenpair is g.eigenpair
+
+
+def test_operator_is_built_once_per_grid(monkeypatch):
+    builds = []
+    build = lc.RadialGrid.neg_laplacian_banded
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(lc.RadialGrid, "neg_laplacian_banded", counting)
+    g = lc.build_grid(3, 1.0, 128)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        u = rng.standard_normal(g.M)
+        g.solve_neg_laplacian(g.apply_neg_laplacian(u))
+    g.eigenpair
+    assert len(builds) == 1
+    lc.build_grid(3, 1.0, 128).apply_neg_laplacian(np.ones(128))
+    assert len(builds) == 2
+
+
+def test_grids_compare_by_identity():
+    g = lc.build_grid(3, 1.0, 64)
+    h = lc.build_grid(3, 1.0, 64)
+    assert g == g
+    assert g != h
+    assert hash(g) == hash(g)
+    assert len({g, h}) == 2
