@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bubbles, inequalities, solvers
 from .energy import ProblemParams
-from .grid import ball_volume, best_sobolev_constant, build_grid, save_grid_function
+from .grid import ball_volume, build_grid, save_grid_function
 from .regions import region_membership
 
 EXIT_OK = 0
@@ -199,7 +199,7 @@ def cmd_regions(cfg, args):
     p = problem_from(cfg)
     validate_numerics(cfg)
     g = build_grid(p.N, p.R, int(cfg["M"]))
-    S = best_sobolev_constant(p.N)
+    S = g.sobolev
     lam1, _ = g.eigenpair
     vol = ball_volume(p.N, p.R)
     rep = region_membership(p, S, lam1, vol)
@@ -511,7 +511,7 @@ def cmd_sweep(cfg, args):
         if p is not None:
             if geometry is None:
                 g = build_grid(p.N, p.R, int(sub["M"]))
-                geometry = (best_sobolev_constant(p.N), g.eigenpair[0], ball_volume(p.N, p.R))
+                geometry = (g.sobolev, g.eigenpair[0], ball_volume(p.N, p.R))
             _sweep_instance(p, sub, row, geometry, do_solve)
         results.append(row)
 

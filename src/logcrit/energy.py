@@ -117,15 +117,21 @@ def energy_terms(p, g, u):
 
     Returns (kinetic, critical, subcritical, linear, logarithmic) such
     that the energy is kinetic - critical - subcritical - linear - log.
+    u is validated once, by h1_seminorm_sq; the four potential integrands
+    are not scanned, and a non-finite term (an integrand that overflowed,
+    e.g. u^{2*} of a huge u) raises the same ValueError instead.
     """
     up = _pos(np.asarray(u, dtype=float))
     kin = 0.5 * g.h1_seminorm_sq(u)
     ts = p.two_star
-    crit = (p.mu / ts) * g.integrate(up**ts)
-    sub = (p.nu / p.q) * g.integrate(up**p.q)
-    lin = (p.lam / 2.0) * g.integrate(up * up)
-    logt = (p.theta / 2.0) * g.integrate(safe_xlog(up) - up * up)
-    return kin, crit, sub, lin, logt
+    crit = (p.mu / ts) * float(np.dot(g.w, up**ts))
+    sub = (p.nu / p.q) * float(np.dot(g.w, up**p.q))
+    lin = (p.lam / 2.0) * float(np.dot(g.w, up * up))
+    logt = (p.theta / 2.0) * float(np.dot(g.w, safe_xlog(up) - up * up))
+    terms = (kin, crit, sub, lin, logt)
+    if not all(map(math.isfinite, terms)):
+        raise ValueError("non-finite values in grid function")
+    return terms
 
 
 def energy_value(p, g, u):

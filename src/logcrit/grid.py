@@ -6,10 +6,12 @@ stored.  All integrals over the ball reduce to weighted sums over nodes;
 the Dirichlet energy reduces to a weighted sum of squared differences at
 cell faces.
 
-Each grid builds its banded operator -Laplacian once (RadialGrid.band) and
-runs the principal eigen-iteration once (RadialGrid.eigenpair); both are
-cached on the instance, read-only, and shared by every solver stage that
-works on the grid.
+Each grid builds its banded operator -Laplacian once (RadialGrid.band),
+runs the principal eigen-iteration once (RadialGrid.eigenpair) and
+evaluates the sharp Sobolev constant S(N) once (RadialGrid.sobolev); all
+three are cached on the instance, read-only, and shared by every solver
+stage that works on the grid.  Every tridiagonal system goes through
+solve_tridiagonal, a direct call of LAPACK gtsv.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +19,8 @@ from functools import cached_property
 from math import gamma, pi
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.integrate import quad
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.special import jn_zeros, spherical_jn
 from scipy.optimize import brentq
 
@@ -45,7 +47,7 @@ class RadialGrid:
     Dirichlet energy.
 
     Grids compare by identity: two grids on the same (N, R, M) are equal
-    in content but each carries its own cached operator and eigenpair.
+    in content but each carries its own cached operator, eigenpair and S(N).
     """
 
     N: int
@@ -127,7 +129,8 @@ class RadialGrid:
 
         Row i of A u is (1/w_i) * sum of face fluxes, so A is self-adjoint
         with respect to the w-weighted inner product.  Returns the (3, M)
-        band matrix for scipy.linalg.solve_banded((1, 1), ...).
+        band matrix for scipy.linalg.solve_banded((1, 1), ...) and
+        solve_tridiagonal.
         """
         M = self.M
         fw, w, h = self.fw, self.w, self.h
@@ -143,8 +146,14 @@ class RadialGrid:
 
     @cached_property
     def band(self):
-        """The operator of neg_laplacian_banded, built once per grid; read-only."""
+        """The operator of neg_laplacian_banded, built once per grid; read-only.
+
+        Checked for finiteness here, once, so that solve_tridiagonal need
+        not scan it on every solve.
+        """
         band = self.neg_laplacian_banded()
+        if not np.all(np.isfinite(band)):
+            raise ValueError("non-finite entries in the grid operator")
         band.setflags(write=False)
         return band
 
@@ -154,6 +163,11 @@ class RadialGrid:
         lam1, phi1 = principal_eigenpair(self)
         phi1.setflags(write=False)
         return lam1, phi1
+
+    @cached_property
+    def sobolev(self):
+        """S(N) of best_sobolev_constant, evaluated once per grid."""
+        return best_sobolev_constant(self.N)
 
     def apply_neg_laplacian(self, u):
         """Matrix-vector product A u for the banded operator above."""
@@ -169,7 +183,31 @@ class RadialGrid:
         """Solve A x = rhs."""
         rhs = np.asarray(rhs, dtype=float)
         self._check_shape(rhs)
-        return solve_banded((1, 1), self.band, rhs)
+        return solve_tridiagonal(self.band, rhs)
+
+
+_GTSV = get_lapack_funcs("gtsv", (np.zeros(1),))
+
+
+def solve_tridiagonal(band, rhs):
+    """Solve the tridiagonal system with band in solve_banded((1, 1), ...) layout.
+
+    Calls LAPACK gtsv, the routine solve_banded((1, 1), band, rhs) calls,
+    on the same arguments, so the solution has the same bits.  Unlike
+    solve_banded it does not scan the band for NaN and inf: the caller
+    guarantees a finite band (RadialGrid.band is checked once, when it is
+    cached).  rhs is checked on every call and left unmodified.  Raises
+    ValueError on a non-finite rhs and LinAlgError on a singular matrix.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = _GTSV(band[2, :-1], band[1], band[0, 1:], rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
 
 
 def build_grid(N, R, M):
@@ -203,7 +241,7 @@ def bessel_lambda1(N, R):
 def principal_eigenpair(grid, tol=1e-10, itmax=200):
     """Smallest eigenvalue and positive unit-L^2 eigenfunction of -Laplacian.
 
-    Inverse power iteration with the banded solver.  Converged when the
+    Inverse power iteration with the tridiagonal solver.  Converged when the
     eigenvalue increment drops below tol.  Returns (lam1, phi1).  Solvers
     read the grid's cached copy, grid.eigenpair.
     """
@@ -212,7 +250,7 @@ def principal_eigenpair(grid, tol=1e-10, itmax=200):
     x /= np.sqrt(grid.l2_norm_sq(x))
     lam_old = np.inf
     for _ in range(itmax):
-        y = solve_banded((1, 1), band, x)
+        y = solve_tridiagonal(band, x)
         ny = np.sqrt(grid.l2_norm_sq(y))
         x = y / ny
         lam = grid.dot(x, grid.apply_neg_laplacian(x))

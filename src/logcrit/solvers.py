@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .bubbles import truncated_bubble
 from .energy import (
@@ -33,7 +32,7 @@ from .energy import (
     gradient_field,
     source_derivative,
 )
-from .grid import ball_volume, best_sobolev_constant
+from .grid import ball_volume, solve_tridiagonal
 from .regions import region_membership
 
 BALL_MARGIN = 1e-3  # constraint radius rho*(1 - BALL_MARGIN)
@@ -62,7 +61,7 @@ def _h1_norm(g, u):
 
 def _dual_norm_sq(g, field):
     """<field, A^{-1} field>_w, the squared dual norm of a gradient field."""
-    pre = solve_banded((1, 1), g.band, field)
+    pre = solve_tridiagonal(g.band, field)
     return max(float(np.dot(g.w, field * pre)), 0.0), pre
 
 
@@ -170,8 +169,10 @@ def _newton(p, g, u, tol=1e-10, itmax=50):
             return NewtonResult(u=u, converged=True, residual=rn, iterations=it)
         J = g.band.copy()
         J[1] -= source_derivative(p, u)
+        if not np.all(np.isfinite(J[1])):
+            raise ValueError("array must not contain infs or NaNs")
         try:
-            step = solve_banded((1, 1), J, res)
+            step = solve_tridiagonal(J, res)
         except np.linalg.LinAlgError:
             break
         s = 1.0
@@ -262,7 +263,7 @@ def _minimize_with_stats(p, g, rho, gtol=1e-8):
 
 
 def _geometry(p, g):
-    S = best_sobolev_constant(p.N)
+    S = g.sobolev
     lam1, _ = g.eigenpair
     vol = ball_volume(p.N, p.R)
     rep = region_membership(p, S, lam1, vol)
@@ -301,48 +302,74 @@ class PathState:
     exit_reason: str
 
 
+# The path kernels below run in place, and each gives the same bits as the
+# plain expression it replaces (tests/test_solvers.py keeps those as the
+# reference).  That holds only while every matmul keeps its (rows, M) @ (M,)
+# shape, since the bits of a gemv row depend on how many rows are in the
+# batch, and while every elementwise expression keeps its order: divide by
+# h rather than multiply by 1/h, and scale (c * f(Z+)) before the matmul.
+
+
 def _path_energies(p, g, Z):
     """Energies of every path node, batched over the (P, M) array."""
-    d = np.empty_like(Z)
-    d[:, :-1] = Z[:, 1:] - Z[:, :-1]
-    d[:, -1] = -Z[:, -1]
-    kin = 0.5 * ((d / g.h) ** 2) @ g.fw
+    buf = np.empty_like(Z)
+    np.subtract(Z[:, 1:], Z[:, :-1], out=buf[:, :-1])
+    np.negative(Z[:, -1], out=buf[:, -1])
+    buf /= g.h
+    np.square(buf, out=buf)
+    buf *= 0.5
+    kin = buf @ g.fw
     up = np.maximum(Z, 0.0)
+    up2 = up * up
     ts = p.two_star
-    pot = (p.mu / ts) * (up**ts) @ g.w
-    pot += (p.nu / p.q) * (up**p.q) @ g.w
-    pot += (p.lam / 2.0) * (up * up) @ g.w
+    np.power(up, ts, out=buf)
+    buf *= p.mu / ts
+    pot = buf @ g.w
+    np.power(up, p.q, out=buf)
+    buf *= p.nu / p.q
+    pot += buf @ g.w
+    np.multiply(up2, p.lam / 2.0, out=buf)
+    pot += buf @ g.w
+    # up^2 log up^2, extended by 0 at and below XLOG_CLAMP
     xl = np.zeros_like(up)
-    mask = up > XLOG_CLAMP
-    xl[mask] = up[mask] ** 2 * 2.0 * np.log(up[mask])
-    pot += (p.theta / 2.0) * (xl - up * up) @ g.w
+    np.log(up, out=xl, where=up > XLOG_CLAMP)
+    np.multiply(up2, 2.0, out=buf)
+    xl *= buf
+    xl -= up2
+    xl *= p.theta / 2.0
+    pot += xl @ g.w
     return kin - pot
 
 
 def _seg_lengths(g, Z):
     d = Z[1:] - Z[:-1]
     dd = np.empty_like(d)
-    dd[:, :-1] = d[:, 1:] - d[:, :-1]
-    dd[:, -1] = -d[:, -1]
-    return np.sqrt(((dd / g.h) ** 2) @ g.fw)
+    np.subtract(d[:, 1:], d[:, :-1], out=dd[:, :-1])
+    np.negative(d[:, -1], out=dd[:, -1])
+    dd /= g.h
+    np.square(dd, out=dd)
+    return np.sqrt(dd @ g.fw)
 
 
-def _resample_polyline(Z, lens, n_out):
-    """n_out nodes equidistributed by arc length along the polyline Z."""
+def _resample_polyline(Z, lens, out):
+    """Fill out with len(out) nodes equidistributed by arc length along Z."""
     cum = np.concatenate([[0.0], np.cumsum(lens)])
     total = cum[-1]
     if total == 0.0:
-        return np.repeat(Z[:1], n_out, axis=0)
-    targets = np.linspace(0.0, total, n_out)
-    out = np.empty((n_out, Z.shape[1]))
+        out[:] = Z[0]
+        return out
+    targets = np.linspace(0.0, total, out.shape[0])[1:-1]
+    k = np.searchsorted(cum, targets, side="right") - 1
+    np.minimum(k, len(lens) - 1, out=k)
+    seg = lens[k]
+    frac = np.zeros_like(targets)
+    np.divide(targets - cum[k], seg, out=frac, where=seg != 0.0)
+    lo = Z[k]
+    step = Z[k + 1] - lo
+    step *= frac[:, None]
     out[0] = Z[0]
     out[-1] = Z[-1]
-    for j in range(1, n_out - 1):
-        k = int(np.searchsorted(cum, targets[j], side="right")) - 1
-        k = min(k, len(lens) - 1)
-        seg = lens[k]
-        frac = 0.0 if seg == 0.0 else (targets[j] - cum[k]) / seg
-        out[j] = Z[k] + frac * (Z[k + 1] - Z[k])
+    np.add(lo, step, out=out[1:-1])
     return out
 
 
@@ -353,11 +380,10 @@ def _resample_anchored(g, Z, anchor):
     the descent step put it; a global resample would cut the corner it
     just created and undo the progress.
     """
-    P = Z.shape[0]
     lens = _seg_lengths(g, Z)
-    left = _resample_polyline(Z[: anchor + 1], lens[:anchor], anchor + 1)
-    right = _resample_polyline(Z[anchor:], lens[anchor:], P - anchor)
-    out = np.vstack([left, right[1:]])
+    out = np.empty_like(Z)
+    _resample_polyline(Z[: anchor + 1], lens[:anchor], out[: anchor + 1])
+    _resample_polyline(Z[anchor:], lens[anchor:], out[anchor:])
     out[0] = Z[0]
     out[-1] = Z[-1]
     out[anchor] = Z[anchor]
@@ -442,9 +468,10 @@ def mountain_pass(
                 f"path iterate norm exceeded the bounded-set limit {bound:.3e}"
             )
         Z = _resample_anchored(g, Z, k)
-
-    E = _path_energies(p, g, Z)
-    k = 1 + int(np.argmax(E[1:-1]))
+    else:
+        # the last sweep moved the path; a break leaves Z as E measured it
+        E = _path_energies(p, g, Z)
+        k = 1 + int(np.argmax(E[1:-1]))
     nres = _newton(p, g, Z[k])
     if not nres.converged:
         raise ConcentrationStallError(

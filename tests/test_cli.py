@@ -195,6 +195,11 @@ def test_sweep_grid_rows_and_determinism(tmp_path, monkeypatch):
         return eigenpair(g, *a, **kw)
 
     monkeypatch.setattr(lc.grid, "principal_eigenpair", counting)
+    sobolev_calls = []
+    sobolev = lc.grid.best_sobolev_constant
+    monkeypatch.setattr(
+        lc.grid, "best_sobolev_constant", lambda N: sobolev_calls.append(N) or sobolev(N)
+    )
     tmp = str(tmp_path)
     cfg = write_config(
         tmp,
@@ -208,9 +213,9 @@ def test_sweep_grid_rows_and_determinism(tmp_path, monkeypatch):
     out1 = str(tmp_path / "s1")
     out2 = str(tmp_path / "s2")
     assert main(["sweep", "--config", cfg, "--out", out1]) == 0
-    assert len(eigen_calls) == 1
+    assert len(eigen_calls) == 1 and sobolev_calls == [4]
     assert main(["sweep", "--config", cfg, "--out", out2]) == 0
-    assert len(eigen_calls) == 2
+    assert len(eigen_calls) == 2 and sobolev_calls == [4, 4]
     with open(os.path.join(out1, "sweep.csv")) as f:
         rows = f.read().splitlines()
     with open(os.path.join(out2, "sweep.csv")) as f:

@@ -232,3 +232,40 @@ def test_amplitude_dilation_identity(instance, s):
 def test_dilation_by_zero_is_the_identity():
     p = lc.ProblemParams(**INSTANCE_A)
     assert dilated_params(p, 0.0) is p
+
+
+def test_energy_terms_match_grid_integrals():
+    # the four potential integrals are plain weighted sums, as g.integrate
+    # computes them, and keep its bits
+    g = lc.build_grid(3, 1.0, 200)
+    rng = np.random.default_rng(3)
+    for params in PARAM_SETS[:3]:
+        p = lc.ProblemParams(**params)
+        u = 4.0 * random_dirichlet_profile(g, rng) - 0.5
+        up = np.maximum(u, 0.0)
+        ts = p.two_star
+        want = (
+            0.5 * g.h1_seminorm_sq(u),
+            (p.mu / ts) * g.integrate(up**ts),
+            (p.nu / p.q) * g.integrate(up**p.q),
+            (p.lam / 2.0) * g.integrate(up * up),
+            (p.theta / 2.0) * g.integrate(lc.safe_xlog(up) - up * up),
+        )
+        assert lc.energy_terms(p, g, u) == want
+
+
+def test_energy_rejects_nonfinite_input_and_overflow():
+    p = lc.ProblemParams(**INSTANCE_A)
+    g = lc.build_grid(3, 1.0, 64)
+    u = 1.0 - g.r**2
+    for bad in (np.nan, np.inf):
+        v = u.copy()
+        v[10] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lc.energy_value(p, g, v)
+    # u^{2*} = u^6 overflows at u = 1e60 although u itself is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            lc.energy_value(p, g, np.full(g.M, 1e60))
+        with pytest.raises(ValueError, match="non-finite"):
+            lc.energy_terms(p, g, 1e60 * u)

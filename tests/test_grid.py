@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 import logcrit as lc
+from conftest import INSTANCE_A, random_dirichlet_profile
 
 # first Dirichlet eigenvalues of the unit ball, from Bessel zeros
 LAMBDA1_REF = {3: np.pi**2, 4: 14.681970642123893, 5: 20.190728556426629}
@@ -253,3 +257,77 @@ def test_grids_compare_by_identity():
     assert g != h
     assert hash(g) == hash(g)
     assert len({g, h}) == 2
+
+
+def _newton_jacobian(g):
+    # the band of A - f'(u) that Newton solves with, at a positive profile
+    p = lc.ProblemParams(**INSTANCE_A)
+    u = 3.0 * random_dirichlet_profile(g, np.random.default_rng(11), floor=0.1)
+    J = g.band.copy()
+    J[1] -= lc.energy.source_derivative(p, u)
+    return J
+
+
+@pytest.mark.parametrize("N, M", [(3, 200), (4, 1024)])
+def test_solve_tridiagonal_matches_solve_banded(N, M):
+    g = lc.build_grid(N, 1.0, M)
+    rng = np.random.default_rng(5)
+    for band in (g.band, _newton_jacobian(g)):
+        for _ in range(5):
+            rhs = rng.standard_normal(M)
+            kept = rhs.copy()
+            x = lc.grid.solve_tridiagonal(band, rhs)
+            assert np.array_equal(x, solve_banded((1, 1), band, rhs))
+            assert np.array_equal(rhs, kept)
+    assert np.array_equal(
+        g.solve_neg_laplacian(kept), solve_banded((1, 1), g.band, kept)
+    )
+
+
+def test_solve_tridiagonal_rejects_nonfinite_and_singular_systems():
+    g = lc.build_grid(3, 1.0, 64)
+    for bad in (np.nan, np.inf, -np.inf):
+        rhs = np.ones(64)
+        rhs[17] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lc.grid.solve_tridiagonal(g.band, rhs)
+    singular = g.band.copy()
+    singular[1, 0] = 0.0  # first row of the matrix all zero
+    singular[0, 1] = 0.0
+    rhs = np.ones(64)
+    with pytest.raises(np.linalg.LinAlgError):
+        lc.grid.solve_tridiagonal(singular, rhs)
+    assert np.array_equal(rhs, np.ones(64))
+
+
+def test_nonfinite_operator_is_rejected_when_cached():
+    # h^2 underflows to 0 on this radius, so the band has inf and NaN entries
+    g = lc.build_grid(3, 1e-200, 8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(g.neg_laplacian_banded()))
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="non-finite"
+    ):
+        g.band
+
+
+def test_sobolev_constant_is_cached_once_per_grid(monkeypatch):
+    calls = []
+    sobolev = lc.grid.best_sobolev_constant
+
+    def counting(N):
+        calls.append(N)
+        return sobolev(N)
+
+    monkeypatch.setattr(lc.grid, "best_sobolev_constant", counting)
+    g = lc.build_grid(4, 1.0, 64)
+    assert g.sobolev == sobolev(4)
+    assert g.sobolev is g.sobolev
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.sobolev = 1.0
+    p = lc.ProblemParams(N=4, q=3.0, mu=1.0, nu=8.0, lam=-20.0, theta=-1.0)
+    for _ in range(3):
+        lc.solvers._geometry(p, g)
+    assert calls == [4]
+    lc.build_grid(4, 1.0, 64).sobolev
+    assert calls == [4, 4]

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import logcrit as lc
-from conftest import INSTANCE_A
+from conftest import INSTANCE_A, INSTANCE_B, SHOWCASE
+from logcrit import solvers
+from logcrit.energy import XLOG_CLAMP, dilated_params
 
 # frozen pipeline outputs at M = 1024, n = 64, P = 33
 FROZEN_A = dict(
@@ -69,10 +71,16 @@ class TestNegativeSubcriticalInstance:
         assert report.sign_changes <= 2
         assert abs(report.t_local_min - 1.0) <= 0.05
 
-    def test_path_state(self, solved_a):
+    def test_path_state(self, solved_a, params_a):
         report, path, g = solved_a
         assert path.nodes.shape == (33, g.M)
         assert path.energies.shape == (33,)
+        # the stalled exit reports the last sweep's energies, which must be
+        # those of the returned nodes
+        assert np.array_equal(
+            path.energies, solvers._path_energies(params_a, g, path.nodes)
+        )
+        assert path.max_index == 1 + int(np.argmax(path.energies[1:-1]))
         assert path.energies[0] == pytest.approx(report.c_rho, rel=1e-10)
         assert path.energies[-1] < report.c_rho
         assert 0 < path.max_index < 32
@@ -288,3 +296,175 @@ def test_levels_stable_under_refinement():
     r1600, _, _ = lc.solve_problem(p, M=1600, n=16)
     assert r1600.c_rho == pytest.approx(r800.c_rho, rel=0.02)
     assert r1600.c_M == pytest.approx(r800.c_M, rel=0.02)
+
+
+# -- path kernels against the plain expressions they replace ----------------
+#
+# The reference copies below are the straightforward forms of the in-place
+# kernels in solvers.py.  The kernels must give the same bits, so the tests
+# compare with np.array_equal.  M = 200 keeps h = 1/200 off a power of two,
+# where dividing by h and multiplying by 1/h round differently.
+
+
+def ref_path_energies(p, g, Z):
+    d = np.empty_like(Z)
+    d[:, :-1] = Z[:, 1:] - Z[:, :-1]
+    d[:, -1] = -Z[:, -1]
+    kin = 0.5 * ((d / g.h) ** 2) @ g.fw
+    up = np.maximum(Z, 0.0)
+    ts = p.two_star
+    pot = (p.mu / ts) * (up**ts) @ g.w
+    pot += (p.nu / p.q) * (up**p.q) @ g.w
+    pot += (p.lam / 2.0) * (up * up) @ g.w
+    xl = np.zeros_like(up)
+    mask = up > XLOG_CLAMP
+    xl[mask] = up[mask] ** 2 * 2.0 * np.log(up[mask])
+    pot += (p.theta / 2.0) * (xl - up * up) @ g.w
+    return kin - pot
+
+
+def ref_seg_lengths(g, Z):
+    d = Z[1:] - Z[:-1]
+    dd = np.empty_like(d)
+    dd[:, :-1] = d[:, 1:] - d[:, :-1]
+    dd[:, -1] = -d[:, -1]
+    return np.sqrt(((dd / g.h) ** 2) @ g.fw)
+
+
+def ref_resample_polyline(Z, lens, n_out):
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
+    total = cum[-1]
+    if total == 0.0:
+        return np.repeat(Z[:1], n_out, axis=0)
+    targets = np.linspace(0.0, total, n_out)
+    out = np.empty((n_out, Z.shape[1]))
+    out[0] = Z[0]
+    out[-1] = Z[-1]
+    for j in range(1, n_out - 1):
+        k = int(np.searchsorted(cum, targets[j], side="right")) - 1
+        k = min(k, len(lens) - 1)
+        seg = lens[k]
+        frac = 0.0 if seg == 0.0 else (targets[j] - cum[k]) / seg
+        out[j] = Z[k] + frac * (Z[k + 1] - Z[k])
+    return out
+
+
+def ref_resample_anchored(g, Z, anchor):
+    P = Z.shape[0]
+    lens = ref_seg_lengths(g, Z)
+    left = ref_resample_polyline(Z[: anchor + 1], lens[:anchor], anchor + 1)
+    right = ref_resample_polyline(Z[anchor:], lens[anchor:], P - anchor)
+    out = np.vstack([left, right[1:]])
+    out[0] = Z[0]
+    out[-1] = Z[-1]
+    out[anchor] = Z[anchor]
+    return out
+
+
+KERNEL_M = 200
+KERNEL_P = 33
+
+
+def kernel_paths():
+    """Seeded (P, M) paths: generic, with repeated nodes, all-equal, and
+    one whose segment lengths underflow to 0 although its nodes differ."""
+    g = lc.build_grid(3, 1.0, KERNEL_M)
+    rng = np.random.default_rng(20240605)
+    bump = 1.0 - g.r**2
+    ts = np.linspace(0.0, 1.0, KERNEL_P)[:, None]
+    # small noise, so that no single term dominates the energies and a
+    # last-bit change in any of them shows in the result
+    Z = ts * 6.0 * bump + 0.02 * rng.standard_normal((KERNEL_P, KERNEL_M)) * bump
+    Z[:, 150:170] -= 0.3  # a negative shell on every node
+    Z[:, 3::11] = 0.0
+    Z[:, 5::13] = -0.0
+    Z[:, 8::17] = 5e-301  # positive, below XLOG_CLAMP
+    Z[:, 9::19] = 4e-320  # subnormal
+    Z[:, 10::23] = 2e-300  # just above XLOG_CLAMP
+    repeated = Z.copy()
+    repeated[6] = repeated[5]  # a zero-length segment
+    repeated[20] = repeated[19]
+    flat = np.repeat(Z[12:13], KERNEL_P, axis=0)  # total length 0
+    tiny = flat.copy()
+    tiny[:, 40] = np.arange(KERNEL_P) * 5e-324  # steps whose squares underflow
+    return {"generic": Z, "repeated": repeated, "flat": flat, "tiny": tiny}
+
+
+KERNEL_PARAMS = {
+    "A": lc.ProblemParams(**INSTANCE_A),
+    "B": lc.ProblemParams(**INSTANCE_B),
+    "N5": lc.ProblemParams(N=5, q=2.8, mu=1.5, nu=-2.0, lam=5.0, theta=-0.1),
+    # the showcase dilated to its minimizer's scale: mu underflows to 0
+    "showcase-dilated": dilated_params(lc.ProblemParams(**SHOWCASE), -734.6),
+}
+
+
+def only_term(term, coef):
+    """Parameters with a single potential term, scaled to dominate the
+    kinetic term, so that a last-bit change in that term shows in every
+    energy."""
+    coefs = dict(mu=0.0, nu=0.0, lam=0.0, theta=0.0)
+    coefs[term] = coef
+    return lc.energy.DilatedParams(N=3, q=2.5, R=1.0, two_star=6.0, **coefs)
+
+
+for term, coef in (("mu", 1e6), ("nu", -1e6), ("lam", 1e6), ("theta", -1e6)):
+    KERNEL_PARAMS[f"only-{term}"] = only_term(term, coef)
+
+
+class TestPathKernelsBitExact:
+    @pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
+    def test_path_energies(self, name):
+        p = KERNEL_PARAMS[name]
+        g = lc.build_grid(p.N, 1.0, KERNEL_M)
+        for Z in kernel_paths().values():
+            got = solvers._path_energies(p, g, Z)
+            assert got.shape == (KERNEL_P,)
+            assert np.array_equal(got, ref_path_energies(p, g, Z))
+            # the (1, M) line-search candidate
+            for k in (1, 16, KERNEL_P - 2):
+                row = Z[k][None, :].copy()
+                assert np.array_equal(
+                    solvers._path_energies(p, g, row), ref_path_energies(p, g, row)
+                )
+
+    def test_path_energies_leave_the_path_unmodified(self):
+        p = KERNEL_PARAMS["A"]
+        g = lc.build_grid(3, 1.0, KERNEL_M)
+        Z = kernel_paths()["generic"]
+        before = Z.copy()
+        solvers._path_energies(p, g, Z)
+        solvers._seg_lengths(g, Z)
+        solvers._resample_anchored(g, Z, 16)
+        assert np.array_equal(Z, before)
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_seg_lengths(self, N):
+        g = lc.build_grid(N, 1.0, KERNEL_M)
+        for name, Z in kernel_paths().items():
+            got = solvers._seg_lengths(g, Z)
+            assert np.array_equal(got, ref_seg_lengths(g, Z))
+            if name == "repeated":
+                assert got[5] == 0.0 and got[19] == 0.0
+            if name in ("flat", "tiny"):
+                assert not np.any(got)
+
+    def test_resample_polyline(self):
+        g = lc.build_grid(3, 1.0, KERNEL_M)
+        for Z in kernel_paths().values():
+            lens = ref_seg_lengths(g, Z)
+            for lo, hi in ((0, KERNEL_P), (0, 2), (3, 9), (14, KERNEL_P)):
+                for n_out in (2, 3, hi - lo, 41):
+                    want = ref_resample_polyline(Z[lo:hi], lens[lo : hi - 1], n_out)
+                    out = np.full((n_out, KERNEL_M), np.nan)
+                    got = solvers._resample_polyline(Z[lo:hi], lens[lo : hi - 1], out)
+                    assert got is out
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("anchor", [1, 2, 16, KERNEL_P - 3, KERNEL_P - 2])
+    def test_resample_anchored(self, anchor):
+        g = lc.build_grid(4, 1.0, KERNEL_M)
+        for Z in kernel_paths().values():
+            got = solvers._resample_anchored(g, Z, anchor)
+            assert np.array_equal(got, ref_resample_anchored(g, Z, anchor))
+            assert np.array_equal(got[anchor], Z[anchor])
