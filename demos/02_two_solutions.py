@@ -4,8 +4,9 @@ Two positive solutions from one parameter set
 
 Runs the full pipeline on a negative-nu instance: minimize inside the
 geometric ball, select an endpoint past the crest, deform the connecting
-path, and polish the crest node with Newton.  The result is one solution
-at negative energy and a second one at positive energy.
+path, and hand its crest node to Newton at sweeps 0, 1, 2, 4, ... until a
+Newton limit has Morse index 1.  The result is one solution at negative
+energy and a second one, a mountain-pass point, at positive energy.
 """
 
 import mpmath
@@ -32,8 +33,10 @@ print(f"max u0   = {np.max(report.u0):.6f},  ||u0||_grad = {np.sqrt(g.h1_seminor
 print(f"max u_mp = {np.max(report.u_mp):.6f}")
 print()
 
-# deformation history
-print(f"path: {path.iterations} crest moves, exit '{path.exit_reason}',")
+# deformation history: exit 'newton' means the crest of the last sweep
+# went to Newton, whose limit has exactly one negative Hessian direction
+print(f"path: {path.iterations} sweeps, exit '{path.exit_reason}', "
+      f"{path.newton_iterations} Newton iterations over all hand-offs,")
 print(f"      crest node {path.max_index} of {len(path.energies) - 1}")
 print()
 

@@ -1,9 +1,13 @@
 """Batch front end: regions / solve / verify / sweep over flat JSON configs.
 
-Exit codes: 0 success, 1 config error, 2 hypothesis or region gate,
-3 verification failure.  All emitted files use fixed 17-significant-digit
-float formatting and fixed orderings, so identical configs produce
-byte-identical outputs.
+Exit codes: 0 success; 1 config error (including the N >= 6, nu <= 0
+hypothesis gate); 2 solve precondition failed at run time (no region
+membership, unusable region, path collapse); 3 verification failure
+(structure check, gap bound, certificate margin or slope fit) or no
+saddle (ConcentrationStallError: the crest stalled and Newton found no
+critical point of Morse index 1 near it).  All emitted files use fixed
+17-significant-digit float formatting and fixed orderings, so identical
+configs produce byte-identical outputs.
 """
 
 import argparse
@@ -41,8 +45,6 @@ CONFIG_DEFAULTS = {
     "n": 16,
     "r0": None,  # defaults to R/4
     "P": 33,
-    "gtol": 1e-8,
-    "path_gtol": 1e-6,
     # output
     "out": ".",
     # verify knobs
@@ -548,6 +550,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="logcrit",
         description="radial two-solution solver and verification suite",
+        epilog="exit codes: 0 ok, 1 config error, 2 solve gate, "
+        "3 verification failure or no saddle",
     )
     parser.add_argument("command", choices=["regions", "solve", "verify", "sweep"])
     parser.add_argument("--config", default=None, help="flat JSON config file")

@@ -7,9 +7,13 @@ polishes with damped Newton.  When that start lies below double range (a
 weak log term puts the minimizer near e^{-lambda1/(2|theta|)}), stage one
 solves for an O(1) profile v of the amplitude-dilated problem instead and
 reports u0 = e^s v in scaled form, with its level as an mpmath.mpf.  Stage
-two deforms the segment from u0 to a far endpoint u0 + T U_n downhill
-until its crest stops moving, then hands the crest node to Newton and
-validates the saddle.
+two deforms the segment from u0 to a far endpoint u0 + T U_n downhill at
+its crest, and hands the crest node to Newton at sweeps 0, 1, 2, 4, 8, ...
+It stops at the first Newton limit whose Hessian A - f'(u) has exactly one
+negative eigenvalue (Morse index 1, the index of a nondegenerate
+mountain-pass point), so the deformation runs only as long as Newton needs
+a warm start.  If the crest stalls first, its last node gets one more
+Newton call, whose limit must pass the same index check.
 
 Gradient and residual sizes are measured in the dual norm
 sqrt(<v, A^{-1} v>_w) of the discrete operator A = -Laplacian: it is the
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .bubbles import truncated_bubble
 from .energy import (
@@ -38,6 +43,13 @@ from .regions import region_membership
 BALL_MARGIN = 1e-3  # constraint radius rho*(1 - BALL_MARGIN)
 ARMIJO = 1e-4
 
+# path deformation: crest gradient exit, sweep cap, and the stall test
+# (crest level moved by less than STALL_EPS relative over STALL_WINDOW sweeps)
+PATH_GTOL = 1e-6
+PATH_ITMAX = 20000
+STALL_WINDOW = 100
+STALL_EPS = 1e-6
+
 
 class UsableRegionError(RuntimeError):
     """Raised when no negative-energy starting scale exists on this grid,
@@ -49,7 +61,8 @@ class PathCollapseError(RuntimeError):
 
 
 class ConcentrationStallError(RuntimeError):
-    """Raised when deformation stalls and Newton finds no nearby saddle."""
+    """Raised when deformation stalls and Newton finds no nearby saddle of
+    Morse index 1."""
 
 
 # -- norms and linear algebra -------------------------------------------
@@ -207,6 +220,23 @@ def newton_refine(p, g, u, tol=1e-10, itmax=50):
     if np.sqrt(gn2) >= 1e-3:
         raise ValueError("input is not near-critical (gradient norm >= 1e-3)")
     return _newton(p, g, u, tol=tol, itmax=itmax)
+
+
+def _morse_index(p, g, u):
+    """Number of negative eigenvalues of the Hessian A - f'(u) at u.
+
+    The Jacobian that _newton factors is self-adjoint in the w inner
+    product; the similar symmetric tridiagonal matrix keeps its diagonal
+    and has off-diagonal -sqrt(upper * lower).  Its eigenvalues in
+    (-inf, 0] are counted by bisection, in O(M).
+    """
+    J = g.band.copy()
+    J[1] -= source_derivative(p, u)
+    off = -np.sqrt(J[0, 1:] * J[2, :-1])
+    neg = eigvalsh_tridiagonal(
+        J[1], off, select="v", select_range=(-np.inf, 0.0)
+    )
+    return len(neg)
 
 
 def find_ball_minimizer(p, g, rho, gtol=1e-8):
@@ -390,26 +420,26 @@ def _resample_anchored(g, Z, anchor):
     return out
 
 
-def mountain_pass(
-    p,
-    g,
-    u0,
-    endpoint,
-    P=33,
-    gtol=1e-6,
-    itmax=20000,
-    stall_window=100,
-    stall_eps=1e-6,
-):
+def mountain_pass(p, g, u0, endpoint, P=33):
     """Deform the segment from u0 to endpoint downhill at its crest.
 
     Each sweep moves the maximal-energy interior node one backtracking
     preconditioned step (start step capped at half the mean segment
     length so the node cannot tunnel across the ridge), then re-spaces
-    the nodes by arc length on both sides of the moved node.  The loop
-    exits when the crest gradient passes gtol or when the crest level
-    stops moving; either way the crest node is handed to Newton, which
-    is the actual convergence arbiter.  Returns (u_mp, c_M, PathState).
+    the nodes by arc length on both sides of the moved node.  Newton is
+    the convergence arbiter: at sweep 0 and at every power of two the
+    crest node is handed to it, and the loop returns (exit "newton") at
+    the first Newton limit of Morse index 1.  A limit of another index is
+    a critical point off the mountain pass (on instance B the first crest
+    falls to one of index 2) and is passed over.  The doubling makes at
+    most log2(sweeps) Newton calls and runs fewer than twice the sweeps
+    that Newton first needs.  The loop also exits when the crest gradient
+    passes PATH_GTOL ("gradient"), when the crest level stalls ("stalled"),
+    when the crest node finds no descent step ("no-step") or after
+    PATH_ITMAX sweeps ("itmax"); the crest node then gets a last Newton
+    call, and ConcentrationStallError is raised unless that limit converges
+    with Morse index 1.  Returns (u_mp, c_M, PathState); newton_iterations
+    counts the iterations of every Newton call, failed ones included.
     """
     if P < 32:
         raise ValueError("need at least 32 path nodes")
@@ -428,8 +458,9 @@ def mountain_pass(
     Z = u0[None, :] + ts_path[:, None] * (endpoint - u0)[None, :]
     crest_hist = []
     exit_reason = "itmax"
+    newton_iterations = 0
     it = 0
-    for it in range(itmax):
+    for it in range(PATH_ITMAX):
         E = _path_energies(p, g, Z)
         k = 1 + int(np.argmax(E[1:-1]))  # ties: lowest index
         if E[k] <= max(E[0], E[-1]):
@@ -438,15 +469,22 @@ def mountain_pass(
                 "no minimax geometry along this path"
             )
         crest_hist.append(E[k])
+        nres = None  # the Newton limit of this sweep's crest, if tried
+        if it & (it - 1) == 0:  # sweep 0 and each power of two
+            nres = _newton(p, g, Z[k])
+            newton_iterations += nres.iterations
+            if nres.converged and _morse_index(p, g, nres.u) == 1:
+                exit_reason = "newton"
+                break
         grad = gradient_field(p, g, Z[k])
         gn2, pre = _dual_norm_sq(g, grad)
         gn = np.sqrt(gn2)
-        if gn < gtol:
+        if gn < PATH_GTOL:
             exit_reason = "gradient"
             break
-        if len(crest_hist) > stall_window and abs(
-            crest_hist[-stall_window - 1] - crest_hist[-1]
-        ) < stall_eps * max(1.0, abs(crest_hist[-1])):
+        if len(crest_hist) > STALL_WINDOW and abs(
+            crest_hist[-STALL_WINDOW - 1] - crest_hist[-1]
+        ) < STALL_EPS * max(1.0, abs(crest_hist[-1])):
             exit_reason = "stalled"
             break
         seg_mean = float(np.mean(_seg_lengths(g, Z)))
@@ -472,14 +510,26 @@ def mountain_pass(
         # the last sweep moved the path; a break leaves Z as E measured it
         E = _path_energies(p, g, Z)
         k = 1 + int(np.argmax(E[1:-1]))
-    nres = _newton(p, g, Z[k])
-    if not nres.converged:
-        raise ConcentrationStallError(
-            "deformation stalled (reason: %s, crest gradient not resolved) and "
-            "Newton found no saddle near the crest; energy may be concentrating "
-            "at scales below this grid. crest level %.6e, residual %.3e"
-            % (exit_reason, E[k], nres.residual)
-        )
+        nres = None
+    if exit_reason != "newton":
+        if nres is None:  # a break at a power of two reuses that sweep's call
+            nres = _newton(p, g, Z[k])
+            newton_iterations += nres.iterations
+        if not nres.converged:
+            raise ConcentrationStallError(
+                "deformation stalled (reason: %s, crest gradient not resolved) "
+                "and Newton found no saddle near the crest; energy may be "
+                "concentrating at scales below this grid. crest level %.6e, "
+                "residual %.3e" % (exit_reason, E[k], nres.residual)
+            )
+        index = _morse_index(p, g, nres.u)
+        if index != 1:
+            raise ConcentrationStallError(
+                "deformation stalled (reason: %s) and Newton converged near "
+                "the crest to a critical point of Morse index %d, not a "
+                "mountain-pass point of index 1. crest level %.6e, level %.6e"
+                % (exit_reason, index, E[k], energy_value(p, g, nres.u))
+            )
     u_mp = nres.u
     c_M = energy_value(p, g, u_mp)
     if not (c_M > 0.0):
@@ -495,7 +545,7 @@ def mountain_pass(
         energies=E,
         max_index=k,
         iterations=it + 1,
-        newton_iterations=nres.iterations,
+        newton_iterations=newton_iterations,
         exit_reason=exit_reason,
     )
     assert np.array_equal(Z[0], u0), "base node must never move"

@@ -61,6 +61,15 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     assert "qq" in capsys.readouterr().err
 
 
+def test_removed_solver_tolerance_key_exits_one(tmp_path, capsys):
+    # the solver's path tolerances are module constants, not config keys
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, path_gtol=1e-3)
+    assert main(["solve", "--config", cfg, "--out", tmp]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "path_gtol" in err
+
+
 def test_malformed_json_exits_one(tmp_path, capsys):
     tmp = str(tmp_path)
     cfg = os.path.join(tmp, "bad.json")
@@ -136,7 +145,7 @@ def test_solve_outputs_and_determinism(tmp_path):
     assert rep["gap_ok"] is True and rep["verified"] is True
     assert rep["failures"] == []
     assert rep["exploratory"] is False
-    assert rep["path_exit"] in ("stalled", "gtol")
+    assert rep["path_exit"] in ("newton", "gradient", "stalled", "no-step", "itmax")
 
     g = lc.build_grid(3, 1.0, 1024)
     u0 = lc.load_grid_function(os.path.join(out1, "u0.csv"), g)

@@ -52,9 +52,11 @@ class TestNegativeSubcriticalInstance:
     def test_saddle_is_positive_and_near_the_crest(self, solved_a, params_a):
         report, path, g = solved_a
         assert np.all(report.u_mp > 0.0)
-        # the stalled crest hands off to Newton, which may climb slightly
-        # back up to the exact critical level
-        assert np.max(path.energies) == pytest.approx(report.c_M, rel=0.01)
+        # the saddle is the Newton limit of the returned crest node, and a
+        # mountain-pass point: its Hessian has exactly one negative direction
+        res = solvers._newton(params_a, g, path.nodes[path.max_index])
+        assert np.array_equal(res.u, report.u_mp)
+        assert solvers._morse_index(params_a, g, report.u_mp) == 1
         # the crest of the straight start segment can only dominate the
         # deformed level
         ts = np.linspace(0.0, 1.0, 33)
@@ -75,8 +77,8 @@ class TestNegativeSubcriticalInstance:
         report, path, g = solved_a
         assert path.nodes.shape == (33, g.M)
         assert path.energies.shape == (33,)
-        # the stalled exit reports the last sweep's energies, which must be
-        # those of the returned nodes
+        # the path returns with the energies of the sweep whose crest Newton
+        # finished, which must be those of the returned nodes
         assert np.array_equal(
             path.energies, solvers._path_energies(params_a, g, path.nodes)
         )
@@ -84,7 +86,7 @@ class TestNegativeSubcriticalInstance:
         assert path.energies[0] == pytest.approx(report.c_rho, rel=1e-10)
         assert path.energies[-1] < report.c_rho
         assert 0 < path.max_index < 32
-        assert path.exit_reason == "stalled"
+        assert path.exit_reason == "newton"
 
     def test_path_iterates_stay_bounded(self, solved_a):
         report, path, g = solved_a
@@ -193,6 +195,66 @@ class TestPathDeformation:
         _, phi1 = lc.principal_eigenpair(g)
         with pytest.raises(lc.PathCollapseError):
             lc.mountain_pass(params_a, g, 20.0 * phi1, 20.5 * phi1)
+
+
+def dense_morse_index(p, g, u):
+    """Negative eigenvalues of the dense Jacobian A - f'(u), made symmetric
+    by the similarity W^{1/2} J W^{-1/2} with the quadrature weights W."""
+    band = g.band
+    J = np.diag(band[1] - lc.source_derivative(p, u))
+    J += np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
+    sw = np.sqrt(g.w)
+    S = sw[:, None] * J / sw[None, :]
+    assert np.allclose(S, S.T, rtol=1e-12, atol=0.0)
+    return int(np.sum(np.linalg.eigvalsh(0.5 * (S + S.T)) < 0.0))
+
+
+@pytest.fixture(scope="module")
+def solved_b_512(params_b):
+    return lc.solve_problem(params_b, M=512, n=32)
+
+
+def first_crest_newton_limit(p, g, u0, endpoint):
+    """Newton limit of the crest node of the undeformed segment (sweep 0)."""
+    ts = np.linspace(0.0, 1.0, 33)
+    Z = u0[None, :] + ts[:, None] * (endpoint - u0)[None, :]
+    E = solvers._path_energies(p, g, Z)
+    k = 1 + int(np.argmax(E[1:-1]))
+    return solvers._newton(p, g, Z[k])
+
+
+class TestMorseIndex:
+    def test_matches_dense_count_on_instance_a(self, params_a):
+        report, _, g = lc.solve_problem(params_a, M=64)
+        for u, want in ((report.v0, 0), (report.u_mp, 1)):
+            got = solvers._morse_index(params_a, g, u)
+            assert got == want
+            assert got == dense_morse_index(params_a, g, u)
+
+    def test_first_crest_of_b_falls_to_index_two(self, solved_b_512, params_b):
+        # on instance B, Newton from the crest of the straight segment
+        # converges to a critical point above the mountain pass
+        report, path, g = solved_b_512
+        res = first_crest_newton_limit(params_b, g, report.u0, path.nodes[-1])
+        assert res.converged
+        assert lc.energy_value(params_b, g, res.u) == pytest.approx(25.344, rel=1e-4)
+        assert solvers._morse_index(params_b, g, res.u) == 2
+        assert dense_morse_index(params_b, g, res.u) == 2
+
+    def test_index_two_limit_is_passed_over(self, solved_b_512, params_b):
+        report, path, g = solved_b_512
+        assert path.exit_reason == "newton"
+        assert report.c_M == pytest.approx(20.50556, rel=1e-6)
+        assert solvers._morse_index(params_b, g, report.u_mp) == 1
+        assert path.iterations > 1  # the sweep-0 limit was rejected
+
+    def test_stalled_fallback_checks_the_index(self, solved_a, params_a, monkeypatch):
+        # no Newton limit counts as index 1, so the crest deforms until it
+        # stalls; the fallback Newton converges, and its index is rejected
+        report, path, g = solved_a
+        monkeypatch.setattr(solvers, "_morse_index", lambda p, g, u: 2)
+        with pytest.raises(lc.ConcentrationStallError, match="Morse index 2"):
+            lc.mountain_pass(params_a, g, report.u0, path.nodes[-1])
 
 
 class TestStructureVerifierFailures:
