@@ -167,6 +167,15 @@ class NewtonResult:
     iterations: int
 
 
+def _jacobian(p, g, u):
+    """Band of the Hessian A - f'(u), in solve_banded((1, 1), ...) layout."""
+    J = g.band.copy()
+    J[1] -= source_derivative(p, u)
+    if not np.all(np.isfinite(J[1])):
+        raise ValueError("array must not contain infs or NaNs")
+    return J
+
+
 def _newton(p, g, u, tol=1e-10, itmax=50):
     """Damped Newton on A u = f(u); residual measured in the dual norm."""
 
@@ -180,10 +189,7 @@ def _newton(p, g, u, tol=1e-10, itmax=50):
     for it in range(itmax):
         if rn < tol:
             return NewtonResult(u=u, converged=True, residual=rn, iterations=it)
-        J = g.band.copy()
-        J[1] -= source_derivative(p, u)
-        if not np.all(np.isfinite(J[1])):
-            raise ValueError("array must not contain infs or NaNs")
+        J = _jacobian(p, g, u)
         try:
             step = solve_tridiagonal(J, res)
         except np.linalg.LinAlgError:
@@ -230,8 +236,7 @@ def _morse_index(p, g, u):
     and has off-diagonal -sqrt(upper * lower).  Its eigenvalues in
     (-inf, 0] are counted by bisection, in O(M).
     """
-    J = g.band.copy()
-    J[1] -= source_derivative(p, u)
+    J = _jacobian(p, g, u)
     off = -np.sqrt(J[0, 1:] * J[2, :-1])
     neg = eigvalsh_tridiagonal(
         J[1], off, select="v", select_range=(-np.inf, 0.0)
