@@ -3,10 +3,12 @@ Two positive solutions from one parameter set
 =============================================
 
 Runs the full pipeline on a negative-nu instance: minimize inside the
-geometric ball, select an endpoint past the crest, deform the connecting
-path, and hand its crest node to Newton at sweeps 0, 1, 2, 4, ... until a
-Newton limit has Morse index 1.  The result is one solution at negative
-energy and a second one, a mountain-pass point, at positive energy.
+geometric ball by descent that hands its first iterate of Morse index 0 to
+Newton, select an endpoint past the crest, deform the connecting path, and
+hand its crest node to Newton at sweeps 0, 1, 2, 4, ... until a Newton
+limit has Morse index 1.  The result is one solution at negative energy
+(a local minimizer, Morse index 0) and a second one, a mountain-pass
+point, at positive energy.
 """
 
 import mpmath

@@ -140,25 +140,6 @@ def energy_value(p, g, u):
     return kin - crit - sub - lin - logt
 
 
-def energy_value_shifted(p, g, u):
-    """Equivalent form absorbing the linear term into the log term.
-
-    I(u) = 1/2|grad u|^2 - mu/2s int u+^{2s} - nu/q int u+^q
-           - theta/2 int u+^2 (log u+^2 + lam/theta - 1).
-
-    Agrees with energy_value identically; kept as a cross-check view.
-    """
-    up = _pos(np.asarray(u, dtype=float))
-    ts = p.two_star
-    val = 0.5 * g.h1_seminorm_sq(u)
-    val -= (p.mu / ts) * g.integrate(up**ts)
-    val -= (p.nu / p.q) * g.integrate(up**p.q)
-    val -= (p.theta / 2.0) * g.integrate(
-        safe_xlog(up) + (p.lam / p.theta - 1.0) * up * up
-    )
-    return val
-
-
 def source_term(p, u):
     """f(u) = mu u+^{2s-1} + nu u+^{q-1} + lam u+ + theta u+ log u+^2, nodewise.
 

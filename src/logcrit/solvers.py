@@ -2,18 +2,24 @@
 
 The search runs in the gradient norm ||u||^2 = int |grad u|^2.  Stage one
 minimizes the energy over the ball {||u|| <= rho(1 - 1e-3)} by projected,
-preconditioned descent started at t0*phi1 with I(t0 phi1) < 0, then
-polishes with damped Newton.  When that start lies below double range (a
-weak log term puts the minimizer near e^{-lambda1/(2|theta|)}), stage one
-solves for an O(1) profile v of the amplitude-dilated problem instead and
-reports u0 = e^s v in scaled form, with its level as an mpmath.mpf.  Stage
-two deforms the segment from u0 to a far endpoint u0 + T U_n downhill at
-its crest, and hands the crest node to Newton at sweeps 0, 1, 2, 4, 8, ...
-It stops at the first Newton limit whose Hessian A - f'(u) has exactly one
-negative eigenvalue (Morse index 1, the index of a nondegenerate
+preconditioned descent started at t0*phi1 with I(t0 phi1) < 0.  When that
+start lies below double range (a weak log term puts the minimizer near
+e^{-lambda1/(2|theta|)}), stage one solves for an O(1) profile v of the
+amplitude-dilated problem instead and reports u0 = e^s v in scaled form,
+with its level as an mpmath.mpf.  Descent hands its first iterate whose
+Hessian A - f'(u) has Morse index 0 to damped Newton, once, and stage one
+ends there when Newton converges to a limit of Morse index 0 at negative
+energy strictly inside the ball.  Otherwise descent runs on to its
+gradient tolerance and Newton polishes the last iterate.
+
+Stage two deforms the segment from u0 to a far endpoint u0 + T U_n
+downhill at its crest, and hands the crest node to Newton at sweeps 0, 1,
+2, 4, 8, ...  It stops at the first Newton limit whose Hessian has exactly
+one negative eigenvalue (Morse index 1, the index of a nondegenerate
 mountain-pass point), so the deformation runs only as long as Newton needs
 a warm start.  If the crest stalls first, its last node gets one more
-Newton call, whose limit must pass the same index check.
+Newton call, whose limit must pass the same index check.  A minimizer is
+the index-0 case of the same rule.
 
 Gradient and residual sizes are measured in the dual norm
 sqrt(<v, A^{-1} v>_w) of the discrete operator A = -Laplacian: it is the
@@ -137,26 +143,52 @@ def _scaled_level(c, s):
 
 
 def _descend_in_ball(p, g, u, radius, gtol=1e-3, itmax=5000):
-    """Projected preconditioned descent; returns (u, iterations)."""
+    """Projected preconditioned descent, finished by Newton.
+
+    Returns (NewtonResult, descent iterations, Newton iterations).  The
+    first iterate whose Hessian A - f'(u) has Morse index 0 is handed to
+    Newton, once.  Its limit is accepted when Newton converged and the
+    limit has Morse index 0, negative energy and a norm strictly inside
+    radius.  Earlier iterates are not tried: on the weak-log showcase they
+    have index 1, and so do their Newton limits.  After a rejected limit
+    descent goes on to gtol, and Newton polishes the last iterate.  The
+    Newton iterations count both calls.
+    """
+    handoff = True
+    newton_its = 0
     e = energy_value(p, g, u)
     for it in range(itmax):
         grad = gradient_field(p, g, u)
         gn2, pre = _dual_norm_sq(g, grad)
         if np.sqrt(gn2) < gtol:
-            return u, it
+            break
+        if handoff and _morse_index(p, g, u) == 0:
+            handoff = False
+            nres = _newton(p, g, u)
+            newton_its = nres.iterations
+            if (
+                nres.converged
+                and _morse_index(p, g, nres.u) == 0
+                and energy_value(p, g, nres.u) < 0.0
+                and _h1_norm(g, nres.u) < radius
+            ):
+                return nres, it, newton_its
         s = 1.0
-        while True:
+        while s >= 1e-14:
             cand = _project_ball(g, u - s * pre, radius)
             ec = energy_value(p, g, cand)
             if ec <= e - ARMIJO * s * gn2:
                 break
             s *= 0.5
-            if s < 1e-14:
-                return u, it  # no descent step left at this resolution
+        else:
+            break  # no descent step left at this resolution
         u, e = cand, ec
         if _h1_norm(g, u) > 2.0 * radius / (1.0 - BALL_MARGIN):
             raise RuntimeError("descent iterate left the expected bounded set")
-    return u, itmax
+    else:
+        it = itmax
+    nres = _newton(p, g, u)
+    return nres, it, newton_its + nres.iterations
 
 
 @dataclass(frozen=True)
@@ -259,6 +291,11 @@ def find_ball_minimizer(p, g, rho, gtol=1e-8):
 def _minimize_with_stats(p, g, rho, gtol=1e-8):
     """Stage one in scaled form.  Returns (v, s, c_rho, stats), u0 = e^s v.
 
+    v is the Newton limit that _descend_in_ball returns: the hand-off from
+    the first descent iterate of Morse index 0 when its limit is accepted,
+    else the polish of the last descent iterate.  stats counts the descent
+    iterations up to that point and the Newton iterations of both calls.
+
     s = 0 whenever the principal-mode start is in double range, and the
     minimizer is computed directly.  Otherwise v minimizes the dilated
     problem dilated_params(p, s), which has the same critical points up to
@@ -277,8 +314,7 @@ def _minimize_with_stats(p, g, rho, gtol=1e-8):
         # cannot bind an O(1) profile
         radius_v = radius * math.exp(-s) if -s < 700.0 else math.inf
         t0 = _negative_start(ps, g, phi1, lam1, radius_v)
-    v, iters = _descend_in_ball(ps, g, t0 * phi1, radius_v)
-    nres = _newton(ps, g, v)
+    nres, iters, newton_iters = _descend_in_ball(ps, g, t0 * phi1, radius_v)
     v = nres.u
     c = energy_value(ps, g, v)
     if not (c < 0.0):
@@ -289,7 +325,7 @@ def _minimize_with_stats(p, g, rho, gtol=1e-8):
         raise RuntimeError(
             f"minimizer residual {nres.residual:.3e} above tolerance {gtol:.1e}"
         )
-    stats = {"iters_minimize": iters, "iters_newton0": nres.iterations,
+    stats = {"iters_minimize": iters, "iters_newton0": newton_iters,
              "residual0": nres.residual}
     return v, s, _scaled_level(c, s), stats
 

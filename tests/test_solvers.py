@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
@@ -255,6 +256,198 @@ class TestMorseIndex:
         monkeypatch.setattr(solvers, "_morse_index", lambda p, g, u: 2)
         with pytest.raises(lc.ConcentrationStallError, match="Morse index 2"):
             lc.mountain_pass(params_a, g, report.u0, path.nodes[-1])
+
+
+# -- stage one against the descend-to-gtol-then-Newton route ----------------
+#
+# ref_descend_in_ball and ref_minimize are stage one as it ran before the
+# Newton hand-off: descent to gtol, then one Newton polish.  visit, if
+# given, sees every descent iterate.
+
+
+def ref_descend_in_ball(p, g, u, radius, gtol=1e-3, itmax=5000, visit=None):
+    e = lc.energy_value(p, g, u)
+    for it in range(itmax):
+        if visit is not None:
+            visit(u)
+        grad = lc.gradient_field(p, g, u)
+        gn2, pre = solvers._dual_norm_sq(g, grad)
+        if np.sqrt(gn2) < gtol:
+            return u, it
+        s = 1.0
+        while True:
+            cand = solvers._project_ball(g, u - s * pre, radius)
+            ec = lc.energy_value(p, g, cand)
+            if ec <= e - solvers.ARMIJO * s * gn2:
+                break
+            s *= 0.5
+            if s < 1e-14:
+                return u, it
+        u, e = cand, ec
+        if solvers._h1_norm(g, u) > 2.0 * radius / (1.0 - solvers.BALL_MARGIN):
+            raise RuntimeError("descent iterate left the expected bounded set")
+    return u, itmax
+
+
+def ref_start(p, g, rho):
+    """(dilated params, s, descent start, ball radius for v) of stage one."""
+    radius = rho * (1.0 - solvers.BALL_MARGIN)
+    lam1, phi1 = g.eigenpair
+    try:
+        t0 = solvers._negative_start(p, g, phi1, lam1, radius)
+        return p, 0.0, t0 * phi1, radius
+    except lc.UsableRegionError:
+        s = solvers._dilation_exponent(p, lam1)
+        ps = dilated_params(p, s)
+        radius_v = radius * math.exp(-s) if -s < 700.0 else math.inf
+        t0 = solvers._negative_start(ps, g, phi1, lam1, radius_v)
+        return ps, s, t0 * phi1, radius_v
+
+
+def ref_minimize(p, g, rho):
+    """(Newton result, s, c_rho, descent iterations) of the old route."""
+    ps, s, start, radius_v = ref_start(p, g, rho)
+    v, iters = ref_descend_in_ball(ps, g, start, radius_v)
+    nres = solvers._newton(ps, g, v)
+    c = solvers._scaled_level(lc.energy_value(ps, g, nres.u), s)
+    return nres, s, c, iters
+
+
+STAGE_ONE_CASES = {
+    "A": (INSTANCE_A, 1024),
+    "B": (INSTANCE_B, 512),
+    "showcase": (SHOWCASE, 200),
+    "N5": (dict(N=5, q=2.8, mu=1.5, nu=-2.0, lam=5.0, theta=-0.1), 400),
+    "N5-strong-log": (dict(N=5, q=2.5, mu=1.0, nu=-1.0, lam=0.0, theta=-3.0), 400),
+}
+
+
+def stage_one_problem(name):
+    kw, M = STAGE_ONE_CASES[name]
+    p = lc.ProblemParams(**kw)
+    g = lc.build_grid(p.N, p.R, M)
+    _, rep = solvers._geometry(p, g)
+    return p, g, rep.rho
+
+
+@pytest.fixture(scope="module")
+def showcase_200():
+    p, g, rho = stage_one_problem("showcase")
+    return p, g, rho, ref_minimize(p, g, rho)
+
+
+def assert_matches_ref(result, ref):
+    v, s, c, stats = result
+    nres, s_ref, c_ref, iters = ref
+    assert np.array_equal(v, nres.u)
+    assert s == s_ref and c == c_ref
+    assert stats["iters_minimize"] == iters
+    assert stats["residual0"] == nres.residual
+
+
+class TestStageOneHandOff:
+    def test_showcase_hands_off_at_the_first_index_zero_iterate(self, showcase_200):
+        p, g, rho, _ = showcase_200
+        ps, _, start, radius_v = ref_start(p, g, rho)
+        indices = []
+        ref_descend_in_ball(
+            ps, g, start, radius_v,
+            visit=lambda u: indices.append(solvers._morse_index(ps, g, u)),
+        )
+        assert indices[0] == 1  # Newton from the start would find a saddle
+        assert indices.index(0) == 309
+        v, _, _, stats = solvers._minimize_with_stats(p, g, rho)
+        assert stats["iters_minimize"] == 309
+        assert stats["iters_newton0"] <= 5
+        assert solvers._morse_index(ps, g, v) == 0
+        assert dense_morse_index(ps, g, v) == 0
+
+    def test_without_a_hand_off_the_route_is_unchanged(self, showcase_200, monkeypatch):
+        p, g, rho, ref = showcase_200
+        monkeypatch.setattr(solvers, "_morse_index", lambda p, g, u: 1)
+        result = solvers._minimize_with_stats(p, g, rho)
+        assert_matches_ref(result, ref)
+        assert result[3]["iters_minimize"] == 2063
+        assert result[3]["iters_newton0"] == ref[0].iterations
+
+    def test_unconverged_hand_off_is_rejected(self, showcase_200, monkeypatch):
+        p, g, rho, ref = showcase_200
+        newton = solvers._newton
+        calls = []
+
+        def first_call_fails(*args, **kwargs):
+            res = newton(*args, **kwargs)
+            calls.append(res)
+            return dataclasses.replace(res, converged=len(calls) > 1 and res.converged)
+
+        monkeypatch.setattr(solvers, "_newton", first_call_fails)
+        result = solvers._minimize_with_stats(p, g, rho)
+        assert len(calls) == 2
+        assert_matches_ref(result, ref)
+        # iters_newton0 counts the rejected call too
+        want = calls[0].iterations + ref[0].iterations
+        assert result[3]["iters_newton0"] == want
+
+    def test_limit_of_index_one_is_rejected(self, showcase_200, monkeypatch):
+        # the start is reported as index 0, so Newton runs from it; it
+        # converges to a tiny critical point of index 1 at negative energy
+        # inside the ball, which only the index check rejects
+        p, g, rho, ref = showcase_200
+        morse = solvers._morse_index
+        seen = []
+
+        def start_reads_zero(p, g, u):
+            seen.append(morse(p, g, u))
+            return 0 if len(seen) == 1 else seen[-1]
+
+        monkeypatch.setattr(solvers, "_morse_index", start_reads_zero)
+        result = solvers._minimize_with_stats(p, g, rho)
+        assert seen == [1, 1]
+        assert_matches_ref(result, ref)
+
+    def test_limit_at_zero_energy_is_rejected(self, monkeypatch):
+        # u = 0 is a critical point of index 0 (f'(0) = lam = 0 on A), at
+        # energy 0 and inside the ball; only the energy check rejects it
+        p, g, rho = stage_one_problem("A")
+        ref = ref_minimize(p, g, rho)
+        newton = solvers._newton
+        calls = []
+
+        def first_call_is_zero(p, g, u, **kwargs):
+            calls.append(u)
+            if len(calls) == 1:
+                z = np.zeros_like(u)
+                assert solvers._morse_index(p, g, z) == 0
+                return solvers.NewtonResult(u=z, converged=True, residual=0.0,
+                                            iterations=0)
+            return newton(p, g, u, **kwargs)
+
+        monkeypatch.setattr(solvers, "_newton", first_call_is_zero)
+        result = solvers._minimize_with_stats(p, g, rho)
+        assert len(calls) == 2
+        assert_matches_ref(result, ref)
+        assert result[3]["iters_minimize"] == 4
+
+    def test_limit_outside_the_ball_is_rejected(self):
+        # on A the start has index 0 and its Newton limit is the minimizer;
+        # in a ball just too small to hold it the hand-off is rejected, and
+        # projected descent runs on to itmax
+        p, g, rho = stage_one_problem("A")
+        ps, _, start, radius = ref_start(p, g, rho)
+        nres, iters, _ = solvers._descend_in_ball(ps, g, start, radius)
+        assert iters == 0 and nres.converged
+        small = 0.99 * h1_norm(g, nres.u)
+        _, iters, _ = solvers._descend_in_ball(ps, g, start, small, itmax=3)
+        assert iters == 3
+
+    @pytest.mark.parametrize("name", sorted(STAGE_ONE_CASES))
+    def test_matches_the_descend_then_newton_route(self, name):
+        p, g, rho = stage_one_problem(name)
+        v, s, c, _ = solvers._minimize_with_stats(p, g, rho)
+        ref, s_ref, c_ref, _ = ref_minimize(p, g, rho)
+        assert s == s_ref
+        assert abs(float((c - c_ref) / c_ref)) <= 1e-10
+        assert h1_norm(g, v - ref.u) <= 1e-8 * h1_norm(g, ref.u)
 
 
 class TestStructureVerifierFailures:
