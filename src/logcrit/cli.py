@@ -1,17 +1,19 @@
 """Batch front end: regions / solve / verify / sweep over flat JSON configs.
 
-Exit codes: 0 success; 1 config error (including the N >= 6, nu <= 0
-hypothesis gate); 2 solve precondition failed at run time (no region
-membership, unusable region, path collapse); 3 verification failure
-(structure check, gap bound, certificate margin or slope fit) or no
-saddle (ConcentrationStallError: the crest stalled and Newton found no
-critical point of Morse index 1 near it).  All emitted files use fixed
-17-significant-digit float formatting and fixed orderings, so identical
-configs produce byte-identical outputs.
+Exit codes: 0 success; 1 config error (including a bad certificate box
+and the N >= 6, nu <= 0 hypothesis gate); 2 solve precondition failed at
+run time (no region membership, unusable region, path collapse); 3
+verification failure (structure check, gap bound, certificate margin, a
+non-finite scan supremum or slope fit) or no saddle
+(ConcentrationStallError: the crest stalled and Newton found no critical
+point of Morse index 1 near it).
+All emitted files use fixed 17-significant-digit float formatting and
+fixed orderings, so identical configs produce byte-identical outputs.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import product
@@ -98,7 +100,11 @@ def fmt_level(x):
 
 
 def canonical_json(obj, indent=0):
-    """JSON text with %.17g floats, sorted keys, stable layout."""
+    """JSON text with %.17g floats, sorted keys, stable layout.
+
+    JSON has no literal for nan or infinity, so a non-finite float is
+    written as null.
+    """
     pad = " " * indent
     if isinstance(obj, dict):
         items = [
@@ -116,7 +122,7 @@ def canonical_json(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
     if isinstance(obj, (float, np.floating, mpmath.mpf)):
-        return pad + fmt_level(obj)
+        return pad + (fmt_level(obj) if mpmath.isfinite(obj) else "null")
     if isinstance(obj, str):
         return pad + json.dumps(obj)
     raise TypeError(f"not serializable: {obj!r}")
@@ -163,7 +169,19 @@ def problem_from(cfg):
         raise ConfigError(str(e)) from e
 
 
-def validate_numerics(cfg):
+def _config_number(cfg, key):
+    try:
+        return float(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: need a number") from None
+
+
+def validate_numerics(cfg, p=None):
+    """Reject bad numeric keys; returns the certificate scan box.
+
+    With the problem p, also reject a box whose f_abs constant
+    (2*^2/2) C2^(2*-2) overflows a double.
+    """
     if int(cfg["M"]) < 8:
         raise ConfigError("M: need at least 8 mesh cells")
     if int(cfg["n"]) < 1:
@@ -173,10 +191,29 @@ def validate_numerics(cfg):
     r0 = cfg["r0"]
     if r0 is not None and 4.0 * float(r0) > float(cfg["R"]):
         raise ConfigError("r0: need 4*r0 <= R")
-    if not (0 < float(cfg["C1"]) < float(cfg["C2"])):
-        raise ConfigError("C1: need 0 < C1 < C2")
     if len(cfg["n_list"]) < 5:
         raise ConfigError("n_list: need at least 5 scales")
+    for key in ("t_samples", "y_samples"):
+        n = cfg[key]
+        if (
+            isinstance(n, bool)
+            or not isinstance(n, (int, float))
+            or (isinstance(n, float) and not n.is_integer())
+        ):
+            raise ConfigError(f"{key}: need a positive integer")
+    try:
+        box = inequalities.BoxSpec(
+            C1=_config_number(cfg, "C1"),
+            C2=_config_number(cfg, "C2"),
+            y_max=_config_number(cfg, "y_max"),
+            t_samples=int(cfg["t_samples"]),
+            y_samples=int(cfg["y_samples"]),
+        )
+        if p is not None:
+            box.abs_scale(p.two_star)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    return box
 
 
 def hypothesis_gate(p, explore):
@@ -288,14 +325,8 @@ def cmd_solve(cfg, args):
     return EXIT_OK if (verdict.ok and report.gap_ok) else EXIT_VERIFY
 
 
-def _inequality_certificates(p, cfg):
-    box = inequalities.BoxSpec(
-        C1=float(cfg["C1"]),
-        C2=float(cfg["C2"]),
-        y_max=float(cfg["y_max"]),
-        t_samples=int(cfg["t_samples"]),
-        y_samples=int(cfg["y_samples"]),
-    )
+def _inequality_certificates(p, box):
+    """The scan certificates on box, and each lemma's scan supremum."""
     box_payload = {
         "C1": box.C1,
         "C2": box.C2,
@@ -304,55 +335,25 @@ def _inequality_certificates(p, cfg):
         "y_samples": box.y_samples,
     }
     grid_sizes = [box.t_samples, box.y_samples]
-    eps = p.q - 2.0
-    ts = p.two_star
-    certs = []
-
-    sup = inequalities.scan_sup_A1(box, eps)
-    A1 = inequalities.HEADROOM * max(sup, 0.0)
-    certs.append(
-        {
-            "lemma": "g_upper",
-            "box": box_payload,
-            "constant": A1,
-            "margin": A1 - sup,
-            "grid_sizes": grid_sizes,
-        }
-    )
-    sup_low, sup_hat = inequalities.scan_sup_f(ts, box)
+    sups = {"g_upper": inequalities.scan_sup_A1(box, p.q - 2.0)}
+    sup_low, sup_hat = inequalities.scan_sup_f(p.two_star, box)
     if sup_low is not None:
-        A2 = inequalities.HEADROOM * max(sup_low, 0.0)
+        sups["f_lower"] = sup_low
+    sups["f_abs"] = sup_hat
+    sups["f1_sandwich"] = inequalities.scan_sup_A3(p.q, box)
+    certs = []
+    for lemma, sup in sups.items():
+        constant = inequalities.HEADROOM * max(sup, 0.0)
         certs.append(
             {
-                "lemma": "f_lower",
+                "lemma": lemma,
                 "box": box_payload,
-                "constant": A2,
-                "margin": A2 - sup_low,
+                "constant": constant,
+                "margin": constant - sup,
                 "grid_sizes": grid_sizes,
             }
         )
-    A2h = inequalities.HEADROOM * max(sup_hat, 0.0)
-    certs.append(
-        {
-            "lemma": "f_abs",
-            "box": box_payload,
-            "constant": A2h,
-            "margin": A2h - sup_hat,
-            "grid_sizes": grid_sizes,
-        }
-    )
-    sup3 = inequalities.scan_sup_A3(p.q, box)
-    A3 = inequalities.HEADROOM * max(sup3, 0.0)
-    certs.append(
-        {
-            "lemma": "f1_sandwich",
-            "box": box_payload,
-            "constant": A3,
-            "margin": A3 - sup3,
-            "grid_sizes": grid_sizes,
-        }
-    )
-    return certs
+    return certs, sups
 
 
 def _decay_certificates(p, cfg):
@@ -387,10 +388,11 @@ def _decay_certificates(p, cfg):
 
 def cmd_verify(cfg, args):
     p = problem_from(cfg)
-    validate_numerics(cfg)
+    box = validate_numerics(cfg, p)
     out = _outdir(cfg, args)
 
-    certs = _inequality_certificates(p, cfg) + _decay_certificates(p, cfg)
+    certs, sups = _inequality_certificates(p, box)
+    certs += _decay_certificates(p, cfg)
     write_text(os.path.join(out, "certificates.json"), canonical_json(certs))
 
     n_list = [int(n) for n in cfg["n_list"]]
@@ -416,9 +418,19 @@ def cmd_verify(cfg, args):
             )
     write_text(os.path.join(out, "slopes.csv"), "\n".join(rows))
 
-    bad = [c["lemma"] for c in certs if not (c["margin"] > 0)]
-    for lemma in bad:
-        print(f"certificate margin not positive: {lemma}", file=sys.stderr)
+    bad = False
+    for c in certs:
+        lemma = c["lemma"]
+        if lemma in sups and not math.isfinite(sups[lemma]):
+            bad = True
+            print(
+                f"certificate {lemma}: scan supremum {sups[lemma]} is not finite "
+                "(the scan left double range on this box)",
+                file=sys.stderr,
+            )
+        elif not (c["margin"] > 0):
+            bad = True
+            print(f"certificate margin not positive: {lemma}", file=sys.stderr)
     return EXIT_OK if (not bad and slope_ok) else EXIT_VERIFY
 
 

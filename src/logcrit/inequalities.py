@@ -9,17 +9,28 @@ splits into the energy of u0, the bubble terms, and remainders:
 
 for t in [C1, C2] and y > 0.  The finders scan a box and return the
 smallest constants certifying the bounds there, with 10% headroom so a
-re-scan at finer resolution still passes.  All three functions are
-evaluated in cancellation-stable forms (log1p/expm1) because the
-interesting margins sit at y several orders below t.
+re-scan at finer resolution still passes.  A certificate is therefore a
+grid scan with headroom, not a rigorous enclosure: nothing bounds the
+functions between the grid nodes.  All three functions are evaluated in
+cancellation-stable forms (log1p/expm1) because the interesting margins
+sit at y several orders below t.
+
+The scans evaluate the box in blocks of t-grid rows of about BLOCK
+elements each, so their temporaries stay in cache instead of streaming
+full t_samples x y_samples arrays through memory.  Every element goes
+through the same ufunc sequence as in a full-array evaluation, and the
+block maxima are reduced with np.max (which propagates NaN), so the
+suprema are bit-identical to the full-array ones.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 HEADROOM = 1.1
 Y_GRID_FLOOR = 1e-6
+BLOCK = 1 << 14  # grid points per scan block: 128 kB per float64 temporary
 
 
 @dataclass(frozen=True)
@@ -33,12 +44,19 @@ class BoxSpec:
     y_samples: int = 1000
 
     def __post_init__(self):
+        for key in ("C1", "C2", "y_max"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key}: need a finite number")
         if not (0 < self.C1 < self.C2):
-            raise ValueError("need 0 < C1 < C2")
+            raise ValueError("C1: need 0 < C1 < C2")
         if not (self.y_max > 0):
-            raise ValueError("y_max must be positive")
+            raise ValueError("y_max: need a positive number")
+        for key in ("t_samples", "y_samples"):
+            n = getattr(self, key)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"{key}: need a positive integer")
         if self.t_samples * self.y_samples < 1000:
-            raise ValueError("need at least 1000 grid points in total")
+            raise ValueError("t_samples, y_samples: need at least 1000 grid points in total")
 
     def t_grid(self):
         return np.linspace(self.C1, self.C2, self.t_samples)
@@ -46,6 +64,32 @@ class BoxSpec:
     def y_grid(self):
         lo = min(Y_GRID_FLOOR, self.y_max / 10.0)
         return np.geomspace(lo, self.y_max, self.y_samples)
+
+    def abs_scale(self, p):
+        """(p^2/2) C2^{p-2}, the y^2 coefficient of the |f| bound.
+
+        Raises ValueError naming C2 when it overflows a double.
+        """
+        try:
+            scale = 0.5 * p * p * self.C2 ** (p - 2.0)
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ValueError(f"C2: (p^2/2) C2^(p-2) overflows at p = {p:g}")
+        return scale
+
+
+def _row_blocks(box):
+    """(t, y) slices of the box grid, a (rows, 1) column against the (1, y_samples) row.
+
+    Consecutive blocks of max(1, BLOCK // y_samples) t-grid rows cover
+    every row once, the last block holding what remains.
+    """
+    t = box.t_grid()[:, None]
+    y = box.y_grid()[None, :]
+    rows = max(1, BLOCK // box.y_samples)
+    for start in range(0, box.t_samples, rows):
+        yield t[start : start + rows], y
 
 
 # -- stable scalar forms ------------------------------------------------
@@ -91,13 +135,11 @@ def pointwise_log_bound_margin(s, C1):
 
 
 def scan_sup_A1(box, eps):
-    """Supremum of (g - y^{2+eps}) / y^2 over the box grid."""
+    """Supremum of (g - y^{2+eps}) / y^2 over the box grid, block by block."""
     if not (eps > 0):
         raise ValueError("eps must be positive")
-    t = box.t_grid()[:, None]
-    y = box.y_grid()[None, :]
-    ratio = (g_term(t, y) - y ** (2.0 + eps)) / (y * y)
-    return float(np.max(ratio))
+    sups = [np.max((g_term(t, y) - y ** (2.0 + eps)) / (y * y)) for t, y in _row_blocks(box)]
+    return float(np.max(sups))
 
 
 def find_A1(box, eps):
@@ -110,24 +152,26 @@ def find_A1(box, eps):
 
 
 def scan_sup_f(p, box, lower=None):
-    """Suprema behind the two f bounds: (lower-bound sup or None, |f| sup)."""
+    """Suprema behind the two f bounds: (lower-bound sup or None, |f| sup).
+
+    Evaluated block by block; raises ValueError naming C2 when the |f|
+    bound's coefficient (p^2/2) C2^{p-2} overflows.
+    """
     if not (p > 2):
         raise ValueError("exponent p must exceed 2")
     if lower is None:
         lower = p > 3
     if lower and not (p > 3):
         raise ValueError("lower bound certificate requires p > 3")
-    t = box.t_grid()[:, None]
-    y = box.y_grid()[None, :]
-    f = f_term(p, t, y)
-    sup_low = None
-    if lower:
-        ratio = (0.5 * p * box.C1 * y ** (p - 1.0) - f) / (y * y)
-        sup_low = float(np.max(ratio))
-    ratio_hat = (np.abs(f) - 0.5 * p * p * box.C2 ** (p - 2.0) * y * y) / (
-        box.C2 * y ** (p - 1.0)
-    )
-    return sup_low, float(np.max(ratio_hat))
+    scale = box.abs_scale(p)
+    sups_low, sups_hat = [], []
+    for t, y in _row_blocks(box):
+        f = f_term(p, t, y)
+        if lower:
+            sups_low.append(np.max((0.5 * p * box.C1 * y ** (p - 1.0) - f) / (y * y)))
+        sups_hat.append(np.max((np.abs(f) - scale * y * y) / (box.C2 * y ** (p - 1.0))))
+    sup_low = float(np.max(sups_low)) if lower else None
+    return sup_low, float(np.max(sups_hat))
 
 
 def find_f_constants(p, box, lower=None):
@@ -146,15 +190,19 @@ def find_f_constants(p, box, lower=None):
 
 
 def scan_sup_A3(m, box):
-    """Supremum of both sandwich defects for f1, normalized by y^2."""
+    """Supremum of both sandwich defects for f1, normalized by y^2, block by block.
+
+    As in a full-array scan, a NaN in the upper defect propagates while a
+    NaN only in the lower one does not: max(sup_upper, sup_low).
+    """
     if not (m > 2):
         raise ValueError("exponent m must exceed 2")
-    t = box.t_grid()[:, None]
-    y = box.y_grid()[None, :]
-    f1 = f1_term(m, t, y)
-    upper = (f1 - 2.0 * y**m) / (y * y)
-    low = (0.5 * y**m - f1) / (y * y)
-    return float(max(np.max(upper), np.max(low)))
+    sups_upper, sups_low = [], []
+    for t, y in _row_blocks(box):
+        f1 = f1_term(m, t, y)
+        sups_upper.append(np.max((f1 - 2.0 * y**m) / (y * y)))
+        sups_low.append(np.max((0.5 * y**m - f1) / (y * y)))
+    return float(max(np.max(sups_upper), np.max(sups_low)))
 
 
 def find_A3(m, box):

@@ -194,6 +194,63 @@ def test_verify_certificates_and_slopes(tmp_path):
     assert float(fields[2]) == pytest.approx(-1.0, abs=0.05)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON literal {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_overflowing_box_writes_valid_json(tmp_path, capsys):
+    # at y_max = 1e200 every scan overflows to a nan supremum
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, N=4, q=3.0, y_max=1e200, t_samples=100, y_samples=100)
+    assert main(["verify", "--config", cfg, "--out", tmp]) == 3
+    with open(os.path.join(tmp, "certificates.json")) as f:
+        certs = json.load(f, parse_constant=_reject_constant)
+    scans = {"g_upper", "f_lower", "f_abs", "f1_sandwich"}
+    assert scans <= {c["lemma"] for c in certs}
+    for c in certs:
+        if c["lemma"] in scans:
+            assert c["constant"] is None and c["margin"] is None
+    err = capsys.readouterr().err
+    for lemma in scans:
+        assert f"certificate {lemma}: scan supremum nan is not finite" in err
+
+
+def test_canonical_json_writes_non_finite_as_null():
+    from logcrit.cli import canonical_json
+
+    text = canonical_json(
+        {"a": float("nan"), "b": -np.inf, "c": mpmath.mpf("inf"), "d": 1.5}
+    )
+    assert json.loads(text, parse_constant=_reject_constant) == {
+        "a": None,
+        "b": None,
+        "c": None,
+        "d": 1.5,
+    }
+
+
+@pytest.mark.parametrize(
+    "box, key",
+    [
+        (dict(t_samples=-1000, y_samples=-1000), "t_samples"),
+        (dict(y_samples=0), "y_samples"),
+        (dict(t_samples=1000.5), "t_samples"),
+        (dict(y_samples="1000"), "y_samples"),
+        (dict(C1=float("nan")), "C1"),
+        (dict(C2=float("inf")), "C2"),
+        (dict(y_max=float("inf")), "y_max"),
+        (dict(C2=1e300), "C2"),
+    ],
+)
+def test_verify_rejects_bad_box_keys(tmp_path, capsys, box, key):
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, N=4, q=3.0, **box)
+    assert main(["verify", "--config", cfg, "--out", tmp]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
+    assert not os.path.exists(os.path.join(tmp, "certificates.json"))
+
+
 def test_sweep_grid_rows_and_determinism(tmp_path, monkeypatch):
     # every row shares one grid, so a sweep runs the eigen-iteration once
     eigen_calls = []

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import logcrit as lc
+from logcrit import inequalities
 
 BOX = lc.BoxSpec(0.5, 2.0)
 
@@ -120,6 +123,36 @@ def test_finder_rejections():
         lc.BoxSpec(0.5, 2.0, t_samples=10, y_samples=10)
 
 
+@pytest.mark.parametrize(
+    "kw, key",
+    [
+        (dict(t_samples=-1000, y_samples=-1000), "t_samples"),
+        (dict(t_samples=0, y_samples=1000), "t_samples"),
+        (dict(y_samples=1000.5), "y_samples"),
+        (dict(t_samples=True), "t_samples"),
+        (dict(C1=float("nan")), "C1"),
+        (dict(C2=float("inf")), "C2"),
+        (dict(y_max=float("inf")), "y_max"),
+    ],
+)
+def test_box_rejects_bad_keys(kw, key):
+    args = dict(C1=0.5, C2=2.0)
+    args.update(kw)
+    with pytest.raises(ValueError, match=f"^{key}:"):
+        lc.BoxSpec(**args)
+
+
+def test_box_constant_overflow_names_C2():
+    # (p^2/2) C2^{p-2} overflows a double; the float power alone raises
+    # OverflowError, which the scan turns into a ValueError naming C2
+    box = lc.BoxSpec(0.5, 1e300)
+    with pytest.raises(ValueError, match="^C2:"):
+        box.abs_scale(6.0)
+    with pytest.raises(ValueError, match="^C2:"):
+        lc.find_f_constants(6.0, box)
+    assert lc.BoxSpec(0.5, 2.0).abs_scale(6.0) == 0.5 * 6.0 * 6.0 * 2.0**4
+
+
 def test_log_bound_margin_nonnegative_everywhere():
     # 1e6 samples of s^2 log s^2 + C1 s^2 + e^{-1-C1} >= 0
     rng = np.random.default_rng(33)
@@ -190,3 +223,157 @@ def test_corollary_high_dimension_drops_f_lower():
     v = lc.check_corollary(p, u0, [b], [0.1])
     assert "f_lower" not in v.margins
     assert v.ok
+
+
+# -- block evaluation of the scans ----------------------------------------
+# Reference copies of the full-array scans that evaluate the whole
+# t_samples x y_samples grid at once.
+
+
+def ref_scan_sup_A1(box, eps):
+    t = box.t_grid()[:, None]
+    y = box.y_grid()[None, :]
+    ratio = (lc.g_term(t, y) - y ** (2.0 + eps)) / (y * y)
+    return float(np.max(ratio))
+
+
+def ref_scan_sup_f(p, box, lower=None):
+    if lower is None:
+        lower = p > 3
+    t = box.t_grid()[:, None]
+    y = box.y_grid()[None, :]
+    f = lc.f_term(p, t, y)
+    sup_low = None
+    if lower:
+        ratio = (0.5 * p * box.C1 * y ** (p - 1.0) - f) / (y * y)
+        sup_low = float(np.max(ratio))
+    ratio_hat = (np.abs(f) - 0.5 * p * p * box.C2 ** (p - 2.0) * y * y) / (
+        box.C2 * y ** (p - 1.0)
+    )
+    return sup_low, float(np.max(ratio_hat))
+
+
+def ref_scan_sup_A3(m, box):
+    t = box.t_grid()[:, None]
+    y = box.y_grid()[None, :]
+    f1 = lc.f1_term(m, t, y)
+    upper = (f1 - 2.0 * y**m) / (y * y)
+    low = (0.5 * y**m - f1) / (y * y)
+    return float(max(np.max(upper), np.max(low)))
+
+
+def all_sups(scan_A1, scan_f, scan_A3, box, p, q):
+    """The four suprema of one certify run: g, f lower, |f|, f1."""
+    return (scan_A1(box, q - 2.0), *scan_f(p, box), scan_A3(q, box))
+
+
+def same_or_both_nan(a, b):
+    return a == b or (a is not None and b is not None and np.isnan(a) and np.isnan(b))
+
+
+# (2*, q) of the certify runs (N, q) = (3, 2.5), (4, 3), (5, 2.8)
+CERTIFY_EXPONENTS = [(6.0, 2.5), (4.0, 3.0), (10.0 / 3.0, 2.8)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestScanBlocksBitExact:
+    def check(self, box, p, q):
+        ineq = inequalities
+        got = all_sups(ineq.scan_sup_A1, ineq.scan_sup_f, ineq.scan_sup_A3, box, p, q)
+        want = all_sups(ref_scan_sup_A1, ref_scan_sup_f, ref_scan_sup_A3, box, p, q)
+        return got, want
+
+    @pytest.mark.parametrize("p, q", CERTIFY_EXPONENTS)
+    def test_certify_exponents_on_default_box(self, p, q):
+        got, want = self.check(BOX, p, q)
+        assert got == want
+        assert all(np.isfinite(v) for v in got)
+
+    @pytest.mark.parametrize("shape", [(999, 1001), (1, 1000), (1000, 1), (7, 200)])
+    def test_shapes_the_block_does_not_divide(self, shape):
+        t_samples, y_samples = shape
+        assert t_samples % max(1, inequalities.BLOCK // y_samples) != 0
+        box = lc.BoxSpec(0.5, 2.0, t_samples=t_samples, y_samples=y_samples)
+        for p, q in CERTIFY_EXPONENTS:
+            got, want = self.check(box, p, q)
+            assert got == want
+
+    def test_lower_bound_absent_for_p_at_most_3(self):
+        for p in (2.5, 3.0):
+            got, want = self.check(BOX, p, 2.2)
+            assert got == want
+            assert got[1] is None
+        with pytest.raises(ValueError, match="p > 3"):
+            inequalities.scan_sup_f(3.0, BOX, lower=True)
+
+    def test_corollary_box(self, monkeypatch):
+        # the 400 x 400 box check_corollary builds from a solution and bubbles
+        boxes = []
+        scan = inequalities.scan_sup_A1
+        monkeypatch.setattr(
+            inequalities, "scan_sup_A1", lambda box, eps: boxes.append(box) or scan(box, eps)
+        )
+        p = lc.ProblemParams(N=3, q=2.5, mu=1.0, nu=-0.5, lam=0.0, theta=-2.0)
+        g = lc.build_grid(3, 1.0, 256)
+        u0 = 1.0 - 0.9 * g.r**2
+        b = lc.truncated_bubble(lc.BubbleSpec(N=3, n=8, r0=0.25), g)
+        lc.check_corollary(p, u0, [b], [0.3])
+        (box,) = boxes
+        assert (box.t_samples, box.y_samples) == (400, 400)
+        for p, q in CERTIFY_EXPONENTS:
+            got, want = self.check(box, p, q)
+            assert got == want
+
+    def test_overflowing_box_keeps_nan(self):
+        box = lc.BoxSpec(0.5, 2.0, y_max=1e200)
+        got, want = self.check(box, 6.0, 3.0)
+        assert all(np.isnan(v) for v in want)
+        assert all(same_or_both_nan(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "scan, ref, box",
+        [
+            # (t+y)^2 overflows and log1p(y/t) underflows to 0 at t = 1e300
+            (
+                lambda box: inequalities.scan_sup_A1(box, 0.5),
+                lambda box: ref_scan_sup_A1(box, 0.5),
+                dict(C1=1.0, C2=1e300, y_max=1e-30),
+            ),
+            # t^6 and 6 t^5 y both overflow at t = 1e60, y > 3e7
+            (
+                lambda box: inequalities.scan_sup_f(6.0, box),
+                lambda box: ref_scan_sup_f(6.0, box),
+                dict(C1=1.0, C2=1e60, y_max=1e9),
+            ),
+            # t^3 and 3 t^2 y both overflow at t = 1e103, y > 6e101
+            (
+                lambda box: inequalities.scan_sup_A3(3.0, box),
+                lambda box: ref_scan_sup_A3(3.0, box),
+                dict(C1=1.0, C2=1e103, y_max=1e102),
+            ),
+        ],
+        ids=["A1", "f", "A3"],
+    )
+    def test_nan_only_in_the_last_block(self, scan, ref, box):
+        # one t row per block: the t = C1 row is finite, the t = C2 row is
+        # the last block and holds every NaN
+        head = lc.BoxSpec(**box, t_samples=1, y_samples=inequalities.BLOCK)
+        full = lc.BoxSpec(**box, t_samples=2, y_samples=inequalities.BLOCK)
+        assert np.all(np.isfinite(ref(head)))
+        want = np.atleast_1d(ref(full))
+        assert np.any(np.isnan(want))
+        got = np.atleast_1d(scan(full))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_scan_memory_stays_below_one_full_grid():
+    # the full-array scan peaked at about 32 MB (four 8 MB grids alive at
+    # once); a block scan holds a few block-sized temporaries
+    tracemalloc.start()
+    try:
+        inequalities.scan_sup_f(6.0, BOX)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < BOX.t_samples * BOX.y_samples * 8
