@@ -176,38 +176,42 @@ def _config_number(cfg, key):
         raise ConfigError(f"{key}: need a number") from None
 
 
+def _config_int(cfg, key):
+    """cfg[key] as an int; a bool, a non-number or a non-integral float is a ConfigError."""
+    n = cfg[key]
+    if (
+        isinstance(n, bool)
+        or not isinstance(n, (int, float))
+        or (isinstance(n, float) and not n.is_integer())
+    ):
+        raise ConfigError(f"{key}: need an integer")
+    return int(n)
+
+
 def validate_numerics(cfg, p=None):
     """Reject bad numeric keys; returns the certificate scan box.
 
     With the problem p, also reject a box whose f_abs constant
     (2*^2/2) C2^(2*-2) overflows a double.
     """
-    if int(cfg["M"]) < 8:
+    if _config_int(cfg, "M") < 8:
         raise ConfigError("M: need at least 8 mesh cells")
-    if int(cfg["n"]) < 1:
+    if _config_int(cfg, "n") < 1:
         raise ConfigError("n: bubble scale must be a positive integer")
-    if int(cfg["P"]) < 32:
+    if _config_int(cfg, "P") < 32:
         raise ConfigError("P: need at least 32 path nodes")
     r0 = cfg["r0"]
     if r0 is not None and 4.0 * float(r0) > float(cfg["R"]):
         raise ConfigError("r0: need 4*r0 <= R")
     if len(cfg["n_list"]) < 5:
         raise ConfigError("n_list: need at least 5 scales")
-    for key in ("t_samples", "y_samples"):
-        n = cfg[key]
-        if (
-            isinstance(n, bool)
-            or not isinstance(n, (int, float))
-            or (isinstance(n, float) and not n.is_integer())
-        ):
-            raise ConfigError(f"{key}: need a positive integer")
     try:
         box = inequalities.BoxSpec(
             C1=_config_number(cfg, "C1"),
             C2=_config_number(cfg, "C2"),
             y_max=_config_number(cfg, "y_max"),
-            t_samples=int(cfg["t_samples"]),
-            y_samples=int(cfg["y_samples"]),
+            t_samples=_config_int(cfg, "t_samples"),
+            y_samples=_config_int(cfg, "y_samples"),
         )
         if p is not None:
             box.abs_scale(p.two_star)

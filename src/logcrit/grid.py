@@ -108,13 +108,21 @@ class RadialGrid:
         return float(np.dot(self.w, np.abs(u) ** p))
 
     def h1_seminorm_sq(self, u):
-        """Integral of |grad u|^2, with the zero boundary value included."""
+        """Integral of |grad u|^2, with the zero boundary value included.
+
+        u is one grid function of shape (M,), or a (P, M) stack of them,
+        which gives an array with one value per row.
+        """
         u = np.asarray(u, dtype=float)
-        self._check_shape(u)
+        if u.ndim != 2 or u.shape[1] != self.M:
+            self._check_shape(u)
+        elif not np.all(np.isfinite(u)):
+            raise ValueError("non-finite values in grid function")
         d = np.empty_like(u)
-        d[:-1] = u[1:] - u[:-1]
-        d[-1] = -u[-1]  # u_M = 0
-        return float(np.dot(self.fw, (d / self.h) ** 2))
+        d[..., :-1] = u[..., 1:] - u[..., :-1]
+        d[..., -1] = -u[..., -1]  # u_M = 0
+        out = (d / self.h) ** 2 @ self.fw
+        return float(out) if u.ndim == 1 else out
 
     def _check_shape(self, u):
         if u.shape != (self.M,):

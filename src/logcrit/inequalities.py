@@ -31,6 +31,9 @@ import numpy as np
 HEADROOM = 1.1
 Y_GRID_FLOOR = 1e-6
 BLOCK = 1 << 14  # grid points per scan block: 128 kB per float64 temporary
+# box size cap, 100 times the default box: three scans of it take seconds,
+# where an unbounded box (1e6 x 1e6) would run for hours
+_MAX_POINTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,14 @@ class BoxSpec:
             n = getattr(self, key)
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
                 raise ValueError(f"{key}: need a positive integer")
-        if self.t_samples * self.y_samples < 1000:
+        points = int(self.t_samples) * int(self.y_samples)
+        if points < 1000:
             raise ValueError("t_samples, y_samples: need at least 1000 grid points in total")
+        if points > _MAX_POINTS:
+            raise ValueError(
+                f"t_samples, y_samples: need at most {_MAX_POINTS:.0e} grid points "
+                f"in total, got {points}"
+            )
 
     def t_grid(self):
         return np.linspace(self.C1, self.C2, self.t_samples)

@@ -13,9 +13,11 @@ energy strictly inside the ball.  Otherwise descent runs on to its
 gradient tolerance and Newton polishes the last iterate.
 
 Stage two deforms the segment from u0 to a far endpoint u0 + T U_n
-downhill at its crest, and hands the crest node to Newton at sweeps 0, 1,
-2, 4, 8, ...  It stops at the first Newton limit whose Hessian has exactly
-one negative eigenvalue (Morse index 1, the index of a nondegenerate
+downhill at its crest.  Its path energies come from energy_value, batched
+over the (P, M) array of path nodes, so every level of the pipeline has
+one kernel.  It hands the crest node to Newton at sweeps 0, 1, 2, 4,
+8, ...  It stops at the first Newton limit whose Hessian has exactly one
+negative eigenvalue (Morse index 1, the index of a nondegenerate
 mountain-pass point), so the deformation runs only as long as Newton needs
 a warm start.  If the crest stalls first, its last node gets one more
 Newton call, whose limit must pass the same index check.  A minimizer is
@@ -333,27 +335,16 @@ def _minimize_with_stats(p, g, rho, gtol=1e-8):
 # -- stage two: endpoint, path deformation, saddle ------------------------
 
 
-def _geometry(p, g):
-    S = g.sobolev
-    lam1, _ = g.eigenpair
-    vol = ball_volume(p.N, p.R)
-    rep = region_membership(p, S, lam1, vol)
-    return S, rep
-
-
-def select_endpoint(p, g, u0, spec):
+def select_endpoint(p, g, u0, spec, rho):
     """Smallest doubling T past 4 rho / S^{N/4} with I(u0 + T U_n) < I(u0).
 
-    Returns (T, endpoint).  The critical term dominates at large scale,
-    so the doubling always terminates for mu > 0.
+    rho is the ball radius of the region membership that solve_problem
+    found.  Returns (T, endpoint).  The critical term dominates at large
+    scale, so the doubling always terminates for mu > 0.
     """
-    S, rep = _geometry(p, g)
-    if not rep.any_membership():
-        raise ValueError("no region membership holds; no minimax geometry")
-    rho = rep.rho
     Un = truncated_bubble(spec, g)
     e0 = energy_value(p, g, u0)
-    T = 4.0 * rho / S ** (p.N / 4.0) * (1.0 + 1e-6)
+    T = 4.0 * rho / g.sobolev ** (p.N / 4.0) * (1.0 + 1e-6)
     for _ in range(60):
         if energy_value(p, g, u0 + T * Un) < e0:
             return T, u0 + T * Un
@@ -373,53 +364,8 @@ class PathState:
     exit_reason: str
 
 
-# The path kernels below run in place, and each gives the same bits as the
-# plain expression it replaces (tests/test_solvers.py keeps those as the
-# reference).  That holds only while every matmul keeps its (rows, M) @ (M,)
-# shape, since the bits of a gemv row depend on how many rows are in the
-# batch, and while every elementwise expression keeps its order: divide by
-# h rather than multiply by 1/h, and scale (c * f(Z+)) before the matmul.
-
-
-def _path_energies(p, g, Z):
-    """Energies of every path node, batched over the (P, M) array."""
-    buf = np.empty_like(Z)
-    np.subtract(Z[:, 1:], Z[:, :-1], out=buf[:, :-1])
-    np.negative(Z[:, -1], out=buf[:, -1])
-    buf /= g.h
-    np.square(buf, out=buf)
-    buf *= 0.5
-    kin = buf @ g.fw
-    up = np.maximum(Z, 0.0)
-    up2 = up * up
-    ts = p.two_star
-    np.power(up, ts, out=buf)
-    buf *= p.mu / ts
-    pot = buf @ g.w
-    np.power(up, p.q, out=buf)
-    buf *= p.nu / p.q
-    pot += buf @ g.w
-    np.multiply(up2, p.lam / 2.0, out=buf)
-    pot += buf @ g.w
-    # up^2 log up^2, extended by 0 at and below XLOG_CLAMP
-    xl = np.zeros_like(up)
-    np.log(up, out=xl, where=up > XLOG_CLAMP)
-    np.multiply(up2, 2.0, out=buf)
-    xl *= buf
-    xl -= up2
-    xl *= p.theta / 2.0
-    pot += xl @ g.w
-    return kin - pot
-
-
 def _seg_lengths(g, Z):
-    d = Z[1:] - Z[:-1]
-    dd = np.empty_like(d)
-    np.subtract(d[:, 1:], d[:, :-1], out=dd[:, :-1])
-    np.negative(d[:, -1], out=dd[:, -1])
-    dd /= g.h
-    np.square(dd, out=dd)
-    return np.sqrt(dd @ g.fw)
+    return np.sqrt(g.h1_seminorm_sq(Z[1:] - Z[:-1]))
 
 
 def _resample_polyline(Z, lens, out):
@@ -461,8 +407,12 @@ def _resample_anchored(g, Z, anchor):
     return out
 
 
-def mountain_pass(p, g, u0, endpoint, P=33):
+def mountain_pass(p, g, u0, endpoint, rep, P=33):
     """Deform the segment from u0 to endpoint downhill at its crest.
+
+    rep is the RegionReport of the parameters: its rho bounds the path
+    iterates and its alpha, when a membership holds, floors the saddle
+    level.  Path energies come from energy_value, batched over the nodes.
 
     Each sweep moves the maximal-energy interior node one backtracking
     preconditioned step (start step capped at half the mean segment
@@ -491,8 +441,6 @@ def mountain_pass(p, g, u0, endpoint, P=33):
     if not (e_end < e0):
         raise ValueError("endpoint energy must fall below the base energy")
 
-    _, rep = _geometry(p, g)
-    alpha = rep.alpha if rep.any_membership() else None
     bound = 2.0 * max(rep.rho or 0.0, _h1_norm(g, endpoint))
 
     ts_path = np.linspace(0.0, 1.0, P)
@@ -502,7 +450,7 @@ def mountain_pass(p, g, u0, endpoint, P=33):
     newton_iterations = 0
     it = 0
     for it in range(PATH_ITMAX):
-        E = _path_energies(p, g, Z)
+        E = energy_value(p, g, Z)
         k = 1 + int(np.argmax(E[1:-1]))  # ties: lowest index
         if E[k] <= max(E[0], E[-1]):
             raise PathCollapseError(
@@ -534,7 +482,7 @@ def mountain_pass(p, g, u0, endpoint, P=33):
         moved = False
         while s >= 1e-14:
             cand = Z[k] - s * pre
-            if _path_energies(p, g, cand[None, :])[0] <= E[k] - ARMIJO * s * gn2:
+            if energy_value(p, g, cand) <= E[k] - ARMIJO * s * gn2:
                 Z[k] = cand
                 moved = True
                 break
@@ -549,7 +497,7 @@ def mountain_pass(p, g, u0, endpoint, P=33):
         Z = _resample_anchored(g, Z, k)
     else:
         # the last sweep moved the path; a break leaves Z as E measured it
-        E = _path_energies(p, g, Z)
+        E = energy_value(p, g, Z)
         k = 1 + int(np.argmax(E[1:-1]))
         nres = None
     if exit_reason != "newton":
@@ -575,9 +523,9 @@ def mountain_pass(p, g, u0, endpoint, P=33):
     c_M = energy_value(p, g, u_mp)
     if not (c_M > 0.0):
         raise RuntimeError(f"saddle level is not positive: {c_M:.6e}")
-    if alpha is not None and c_M < alpha * (1.0 - 1e-9):
+    if rep.alpha is not None and c_M < rep.alpha * (1.0 - 1e-9):
         raise RuntimeError(
-            f"saddle level {c_M:.6e} fell below the geometry floor {alpha:.6e}"
+            f"saddle level {c_M:.6e} fell below the geometry floor {rep.alpha:.6e}"
         )
     if _h1_norm(g, u_mp - u0) < 1e-6 * max(1.0, _h1_norm(g, u0)):
         raise RuntimeError("saddle coincides with the base minimizer")
@@ -681,7 +629,8 @@ def verify_two_level_structure(p, g, u0, u_mp, report, s0=0.0):
     t_min = _profile_local_min_near_one(prof)
     if not (abs(t_min - 1.0) <= 0.05):
         failures.append(f"fiber: local minimum at t={t_min:.4f}, not near 1")
-    _, rep = _geometry(p, g)
+    # evaluated here, not taken from the report, so the check can fail alone
+    rep = region_membership(p, g.sobolev, g.eigenpair[0], ball_volume(p.N, p.R))
     if rep.rho is not None and not (
         math.log(_h1_norm(g, u0)) + s0 < math.log(rep.rho)
     ):
@@ -702,13 +651,14 @@ def solve_problem(p, M, n=16, P=33, r0=None):
     the underflowed u0 = e^{s0} v0.  Raises UsableRegionError when no
     negative-energy start exists even after dilation (the dilation
     exponent is not a finite double), ValueError when no region membership
-    holds.
+    holds.  The membership is evaluated once, here: stage one and
+    select_endpoint get its rho, mountain_pass the whole RegionReport.
     """
     from .bubbles import BubbleSpec
     from .grid import build_grid
 
     g = build_grid(p.N, p.R, M)
-    S, rep = _geometry(p, g)
+    rep = region_membership(p, g.sobolev, g.eigenpair[0], ball_volume(p.N, p.R))
     if not rep.any_membership():
         raise ValueError("no region membership holds for these parameters")
     if r0 is None:
@@ -716,12 +666,12 @@ def solve_problem(p, M, n=16, P=33, r0=None):
     v0, s0, c_rho, stats = _minimize_with_stats(p, g, rep.rho)
     u0 = np.exp(s0) * v0
     spec = BubbleSpec(N=p.N, n=n, r0=r0)
-    _, endpoint = select_endpoint(p, g, u0, spec)
-    u_mp, c_M, path = mountain_pass(p, g, u0, endpoint, P=P)
+    _, endpoint = select_endpoint(p, g, u0, spec, rep.rho)
+    u_mp, c_M, path = mountain_pass(p, g, u0, endpoint, rep, P=P)
     rn2, _ = _dual_norm_sq(g, gradient_field(p, g, u_mp))
     prof = g_profile(dilated_params(p, s0), g, v0, t_max=2.0, samples=256)
     gap_bound = float(
-        c_rho + (1.0 / p.N) * p.mu ** (-(p.N - 2.0) / 2.0) * S ** (p.N / 2.0)
+        c_rho + (1.0 / p.N) * p.mu ** (-(p.N - 2.0) / 2.0) * rep.S ** (p.N / 2.0)
     )
     report = SolveReport(
         u0=u0,

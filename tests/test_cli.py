@@ -251,6 +251,31 @@ def test_verify_rejects_bad_box_keys(tmp_path, capsys, box, key):
     assert not os.path.exists(os.path.join(tmp, "certificates.json"))
 
 
+@pytest.mark.parametrize("key", ["M", "n", "P", "t_samples", "y_samples"])
+@pytest.mark.parametrize("value", [True, "abc", 8.7, None])
+def test_integer_keys_reject_non_integers(tmp_path, capsys, key, value):
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, **{key: value})
+    assert main(["regions", "--config", cfg, "--out", tmp]) == 1
+    assert capsys.readouterr().err == f"config error: {key}: need an integer\n"
+    assert not os.path.exists(os.path.join(tmp, "regions.json"))
+
+
+def test_integral_float_keys_are_accepted(tmp_path):
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, M=64.0, n=4.0, P=32.0, t_samples=1000.0, y_samples=1e3)
+    assert main(["regions", "--config", cfg, "--out", tmp]) == 0
+
+
+def test_verify_rejects_an_oversized_box(tmp_path, capsys):
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, N=4, q=3.0, t_samples=10**6, y_samples=10**6)
+    assert main(["verify", "--config", cfg, "--out", tmp]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_samples, y_samples: need at most")
+    assert os.listdir(tmp) == ["cfg.json"]
+
+
 def test_sweep_grid_rows_and_determinism(tmp_path, monkeypatch):
     # every row shares one grid, so a sweep runs the eigen-iteration once
     eigen_calls = []

@@ -325,9 +325,11 @@ def test_sobolev_constant_is_cached_once_per_grid(monkeypatch):
     assert g.sobolev is g.sobolev
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.sobolev = 1.0
+    # solve_problem, select_endpoint and the verifier each read S(N) of
+    # the solve's grid, which evaluates it once
     p = lc.ProblemParams(N=4, q=3.0, mu=1.0, nu=8.0, lam=-20.0, theta=-1.0)
-    for _ in range(3):
-        lc.solvers._geometry(p, g)
-    assert calls == [4]
-    lc.build_grid(4, 1.0, 64).sobolev
+    report, _, g2 = lc.solve_problem(p, M=64)
+    lc.verify_two_level_structure(p, g2, report.u0, report.u_mp, report)
     assert calls == [4, 4]
+    lc.build_grid(4, 1.0, 64).sobolev
+    assert calls == [4, 4, 4]

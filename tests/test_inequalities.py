@@ -142,6 +142,17 @@ def test_box_rejects_bad_keys(kw, key):
         lc.BoxSpec(**args)
 
 
+def test_box_size_is_bounded():
+    # 1e12 points would scan for hours; the bound is 1e8, 100 default boxes
+    for t_samples, y_samples in ((10**6, 10**6), (10**4, 10**4 + 1), (1, 10**8 + 1)):
+        with pytest.raises(ValueError, match="^t_samples, y_samples: need at most"):
+            lc.BoxSpec(0.5, 2.0, t_samples=t_samples, y_samples=y_samples)
+    # int64 counts whose product wraps around are still rejected
+    with pytest.raises(ValueError, match="at most"):
+        lc.BoxSpec(0.5, 2.0, t_samples=np.int64(2**32), y_samples=np.int64(2**32))
+    assert lc.BoxSpec(0.5, 2.0, t_samples=10**4, y_samples=10**4).t_samples == 10**4
+
+
 def test_box_constant_overflow_names_C2():
     # (p^2/2) C2^{p-2} overflows a double; the float power alone raises
     # OverflowError, which the scan turns into a ValueError naming C2

@@ -26,6 +26,13 @@ def h1_norm(g, u):
     return float(np.sqrt(g.h1_seminorm_sq(u)))
 
 
+def region_report(p, g):
+    """The RegionReport that solve_problem passes to the later stages."""
+    return lc.region_membership(
+        p, g.sobolev, g.eigenpair[0], lc.ball_volume(p.N, p.R)
+    )
+
+
 class TestNegativeSubcriticalInstance:
     def test_level_values(self, solved_a):
         report, _, _ = solved_a
@@ -81,7 +88,7 @@ class TestNegativeSubcriticalInstance:
         # the path returns with the energies of the sweep whose crest Newton
         # finished, which must be those of the returned nodes
         assert np.array_equal(
-            path.energies, solvers._path_energies(params_a, g, path.nodes)
+            path.energies, lc.energy_value(params_a, g, path.nodes)
         )
         assert path.max_index == 1 + int(np.argmax(path.energies[1:-1]))
         assert path.energies[0] == pytest.approx(report.c_rho, rel=1e-10)
@@ -149,7 +156,7 @@ class TestEndpointSelection:
     def test_scale_and_energy_drop(self, solved_a, params_a):
         report, _, g = solved_a
         spec = lc.BubbleSpec(N=3, n=16, r0=0.25)
-        T, endpoint = lc.select_endpoint(params_a, g, report.u0, spec)
+        T, endpoint = lc.select_endpoint(params_a, g, report.u0, spec, report.rho)
         S = lc.best_sobolev_constant(3)
         assert T > 4.0 * report.rho / S ** (3.0 / 4.0)
         e0 = lc.energy_value(params_a, g, report.u0)
@@ -166,7 +173,7 @@ class TestEndpointSelection:
         # so its energy maximum sits at or above alpha
         report, _, g = solved_a
         spec = lc.BubbleSpec(N=3, n=16, r0=0.25)
-        _, endpoint = lc.select_endpoint(params_a, g, report.u0, spec)
+        _, endpoint = lc.select_endpoint(params_a, g, report.u0, spec, report.rho)
         ts = np.linspace(0.0, 1.0, 200)
         vals = [
             lc.energy_value(params_a, g, (1 - t) * report.u0 + t * endpoint)
@@ -174,20 +181,29 @@ class TestEndpointSelection:
         ]
         assert max(vals) >= report.alpha - 1e-9
 
-    def test_requires_region_membership(self):
+    def test_requires_region_membership(self, monkeypatch):
+        # the membership gate is solve_problem's; it fires before any stage
+        # that reads rho, endpoint selection included
+        def reached(*args):
+            raise AssertionError("select_endpoint reached without membership")
+
+        monkeypatch.setattr(solvers, "select_endpoint", reached)
         p = lc.ProblemParams(N=4, q=3.0, mu=1.0, nu=0.0, lam=0.0, theta=-1e6)
-        g = lc.build_grid(4, 1.0, 128)
         with pytest.raises(ValueError, match="membership"):
-            lc.select_endpoint(p, g, np.zeros(128), lc.BubbleSpec(4, 4, 0.25))
+            lc.solve_problem(p, M=128)
 
 
 class TestPathDeformation:
     def test_rejects_short_paths_and_bad_endpoints(self, solved_a, params_a):
         report, _, g = solved_a
         with pytest.raises(ValueError, match="32 path nodes"):
-            lc.mountain_pass(params_a, g, report.u0, 2.0 * report.u0, P=8)
+            lc.mountain_pass(
+                params_a, g, report.u0, 2.0 * report.u0, region_report(params_a, g), P=8
+            )
         with pytest.raises(ValueError, match="endpoint energy"):
-            lc.mountain_pass(params_a, g, report.u0, report.u0.copy())
+            lc.mountain_pass(
+                params_a, g, report.u0, report.u0.copy(), region_report(params_a, g)
+            )
 
     def test_segment_on_a_descending_ray_collapses(self, params_a):
         # both ends on the decreasing tail of the principal-mode ray leave
@@ -195,7 +211,9 @@ class TestPathDeformation:
         g = lc.build_grid(3, 1.0, 256)
         _, phi1 = lc.principal_eigenpair(g)
         with pytest.raises(lc.PathCollapseError):
-            lc.mountain_pass(params_a, g, 20.0 * phi1, 20.5 * phi1)
+            lc.mountain_pass(
+                params_a, g, 20.0 * phi1, 20.5 * phi1, region_report(params_a, g)
+            )
 
 
 def dense_morse_index(p, g, u):
@@ -219,7 +237,7 @@ def first_crest_newton_limit(p, g, u0, endpoint):
     """Newton limit of the crest node of the undeformed segment (sweep 0)."""
     ts = np.linspace(0.0, 1.0, 33)
     Z = u0[None, :] + ts[:, None] * (endpoint - u0)[None, :]
-    E = solvers._path_energies(p, g, Z)
+    E = lc.energy_value(p, g, Z)
     k = 1 + int(np.argmax(E[1:-1]))
     return solvers._newton(p, g, Z[k])
 
@@ -255,7 +273,9 @@ class TestMorseIndex:
         report, path, g = solved_a
         monkeypatch.setattr(solvers, "_morse_index", lambda p, g, u: 2)
         with pytest.raises(lc.ConcentrationStallError, match="Morse index 2"):
-            lc.mountain_pass(params_a, g, report.u0, path.nodes[-1])
+            lc.mountain_pass(
+                params_a, g, report.u0, path.nodes[-1], region_report(params_a, g)
+            )
 
 
 # -- stage one against the descend-to-gtol-then-Newton route ----------------
@@ -326,8 +346,7 @@ def stage_one_problem(name):
     kw, M = STAGE_ONE_CASES[name]
     p = lc.ProblemParams(**kw)
     g = lc.build_grid(p.N, p.R, M)
-    _, rep = solvers._geometry(p, g)
-    return p, g, rep.rho
+    return p, g, region_report(p, g).rho
 
 
 @pytest.fixture(scope="module")
@@ -471,7 +490,7 @@ class TestStructureVerifierFailures:
     def test_endpoint_fails_ball_and_ray(self, solved_a, params_a):
         report, _, g = solved_a
         spec = lc.BubbleSpec(N=3, n=16, r0=0.25)
-        _, endpoint = lc.select_endpoint(params_a, g, report.u0, spec)
+        _, endpoint = lc.select_endpoint(params_a, g, report.u0, spec, report.rho)
         verdict = lc.verify_two_level_structure(
             params_a, g, endpoint, report.u_mp, None
         )
@@ -488,6 +507,21 @@ class TestStructureVerifierFailures:
 
 
 class TestPipelineGates:
+    def test_region_membership_runs_once_per_solve(self, params_a, monkeypatch):
+        calls = []
+        membership = solvers.region_membership
+
+        def counting(*args):
+            calls.append(args)
+            return membership(*args)
+
+        monkeypatch.setattr(solvers, "region_membership", counting)
+        report, _, g = lc.solve_problem(params_a, M=64)
+        assert len(calls) == 1
+        # the verifier evaluates the membership itself, so it can fail alone
+        lc.verify_two_level_structure(params_a, g, report.u0, report.u_mp, report)
+        assert len(calls) == 2
+
     def test_no_membership_is_a_value_error(self):
         p = lc.ProblemParams(N=4, q=3.0, mu=1.0, nu=0.0, lam=0.0, theta=-1e6)
         with pytest.raises(ValueError, match="membership"):
@@ -557,8 +591,27 @@ def test_levels_stable_under_refinement():
 #
 # The reference copies below are the straightforward forms of the in-place
 # kernels in solvers.py.  The kernels must give the same bits, so the tests
-# compare with np.array_equal.  M = 200 keeps h = 1/200 off a power of two,
-# where dividing by h and multiplying by 1/h round differently.
+# compare with np.array_equal.  Path energies are energy_value of the
+# (P, M) node array; a gemv row rounds unlike a dot of one profile, so they
+# are compared with ref_path_energies to 1e-14 relative, and the
+# one-profile energy bit for bit with ref_energy_terms.  M = 200 keeps
+# h = 1/200 off a power of two, where dividing by h and multiplying by 1/h
+# round differently.
+
+
+def ref_energy_terms(p, g, u):
+    """energy_terms of one profile as computed before it took stacks."""
+    d = np.empty_like(u)
+    d[:-1] = u[1:] - u[:-1]
+    d[-1] = -u[-1]
+    kin = 0.5 * float(np.dot(g.fw, (d / g.h) ** 2))
+    up = np.maximum(u, 0.0)
+    ts = p.two_star
+    crit = (p.mu / ts) * float(np.dot(g.w, up**ts))
+    sub = (p.nu / p.q) * float(np.dot(g.w, up**p.q))
+    lin = (p.lam / 2.0) * float(np.dot(g.w, up * up))
+    logt = (p.theta / 2.0) * float(np.dot(g.w, lc.safe_xlog(up) - up * up))
+    return kin, crit, sub, lin, logt
 
 
 def ref_path_energies(p, g, Z):
@@ -670,28 +723,70 @@ for term, coef in (("mu", 1e6), ("nu", -1e6), ("lam", 1e6), ("theta", -1e6)):
 class TestPathKernelsBitExact:
     @pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
     def test_path_energies(self, name):
+        # one energy per node, as each node alone and the plain batched
+        # expression give it
         p = KERNEL_PARAMS[name]
         g = lc.build_grid(p.N, 1.0, KERNEL_M)
         for Z in kernel_paths().values():
-            got = solvers._path_energies(p, g, Z)
+            got = lc.energy_value(p, g, Z)
             assert got.shape == (KERNEL_P,)
-            assert np.array_equal(got, ref_path_energies(p, g, Z))
-            # the (1, M) line-search candidate
-            for k in (1, 16, KERNEL_P - 2):
-                row = Z[k][None, :].copy()
-                assert np.array_equal(
-                    solvers._path_energies(p, g, row), ref_path_energies(p, g, row)
-                )
+            rows = [lc.energy_value(p, g, z) for z in Z]
+            np.testing.assert_allclose(got, rows, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(
+                got, ref_path_energies(p, g, Z), rtol=1e-14, atol=0.0
+            )
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_PARAMS))
+    def test_one_profile_energy_keeps_its_bits(self, name):
+        # every line-search candidate and level goes through this form
+        p = KERNEL_PARAMS[name]
+        g = lc.build_grid(p.N, 1.0, KERNEL_M)
+        for Z in kernel_paths().values():
+            for z in Z:
+                terms = lc.energy_terms(p, g, z)
+                assert all(type(t) is float for t in terms)
+                assert terms == ref_energy_terms(p, g, z)
+                kin, crit, sub, lin, logt = terms
+                assert lc.energy_value(p, g, z) == kin - crit - sub - lin - logt
 
     def test_path_energies_leave_the_path_unmodified(self):
         p = KERNEL_PARAMS["A"]
         g = lc.build_grid(3, 1.0, KERNEL_M)
         Z = kernel_paths()["generic"]
         before = Z.copy()
-        solvers._path_energies(p, g, Z)
+        lc.energy_value(p, g, Z)
+        lc.energy_value(p, g, Z[16])
         solvers._seg_lengths(g, Z)
         solvers._resample_anchored(g, Z, 16)
         assert np.array_equal(Z, before)
+
+    def test_stacks_are_checked(self):
+        p = KERNEL_PARAMS["A"]
+        g = lc.build_grid(3, 1.0, KERNEL_M)
+        Z = kernel_paths()["generic"]
+        for bad in (np.nan, np.inf, -np.inf):
+            Zb = Z.copy()
+            Zb[KERNEL_P - 1, 7] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                g.h1_seminorm_sq(Zb)
+            with pytest.raises(ValueError, match="non-finite"):
+                lc.energy_value(p, g, Zb)
+        # u^{2*} of one row overflows although the row is finite
+        Zb = Z.copy()
+        Zb[3] = 1e60
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                lc.energy_value(p, g, Zb)
+        for shape in (
+            (KERNEL_P, KERNEL_M - 1),
+            (KERNEL_P, KERNEL_M + 1),
+            (KERNEL_M, KERNEL_P),
+            (2, KERNEL_P, KERNEL_M),
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                g.h1_seminorm_sq(np.ones(shape))
+            with pytest.raises(ValueError, match="shape"):
+                lc.energy_value(p, g, np.ones(shape))
 
     @pytest.mark.parametrize("N", [3, 4])
     def test_seg_lengths(self, N):
