@@ -4,11 +4,14 @@ Two positive solutions from one parameter set
 
 Runs the full pipeline on a negative-nu instance: minimize inside the
 geometric ball by descent that hands its first iterate of Morse index 0 to
-Newton, select an endpoint past the crest, deform the connecting path, and
-hand its crest node to Newton at sweeps 0, 1, 2, 4, ... until a Newton
-limit has Morse index 1.  The result is one solution at negative energy
-(a local minimizer, Morse index 0) and a second one, a mountain-pass
-point, at positive energy.
+Newton, select an endpoint past the crest, shoot radially over a window of
+amplitudes set by that endpoint, and refine each sign change of the
+shooting map with Newton until a limit is positive with Morse index 1.  A
+ridge check on the ray from the minimizer through that limit shows it
+crowns an admissible straight path.  The result is one solution at
+negative energy (a local minimizer, Morse index 0) and a second one, a
+critical point of Morse index 1 at positive energy whose level bounds the
+mountain-pass level from above.
 """
 
 import mpmath
@@ -35,11 +38,14 @@ print(f"max u0   = {np.max(report.u0):.6f},  ||u0||_grad = {np.sqrt(g.h1_seminor
 print(f"max u_mp = {np.max(report.u_mp):.6f}")
 print()
 
-# deformation history: exit 'newton' means the crest of the last sweep
-# went to Newton, whose limit has exactly one negative Hessian direction
-print(f"path: {path.iterations} sweeps, exit '{path.exit_reason}', "
-      f"{path.newton_iterations} Newton iterations over all hand-offs,")
-print(f"      crest node {path.max_index} of {len(path.energies) - 1}")
+# shooting: each bracket of the shooting map went to Newton until a limit
+# had exactly one negative Hessian direction
+print(f"shooting: {report.iters_path} brackets to Newton, "
+      f"{report.iters_newton_path} Newton iterations over all of them")
+# ridge check: the ray u0 + t (u_mp - u0), t in [0, 2], crests at t = 1
+k = int(np.argmax(path.energies))
+print(f"ridge: crest at t = {path.t[k]:.4f} of {len(path.t)} samples, "
+      f"level at t = 2: {path.energies[-1]:.6f}")
 print()
 
 verdict = verify_two_level_structure(p, g, report.u0, report.u_mp, report)

@@ -2,11 +2,11 @@
 
 Exit codes: 0 success; 1 config error (including a bad certificate box
 and the N >= 6, nu <= 0 hypothesis gate); 2 solve precondition failed at
-run time (no region membership, unusable region, path collapse); 3
-verification failure (structure check, gap bound, certificate margin, a
-non-finite scan supremum or slope fit) or no saddle
-(ConcentrationStallError: the crest stalled and Newton found no critical
-point of Morse index 1 near it).
+run time (no region membership, unusable region, a failed ridge check
+of the saddle); 3 verification failure (structure check, gap bound,
+certificate margin, a non-finite scan supremum or slope fit) or no saddle
+(ConcentrationStallError: no sign change of the shooting map led Newton
+to a positive critical point of Morse index 1).
 All emitted files use fixed 17-significant-digit float formatting and
 fixed orderings, so identical configs produce byte-identical outputs.
 """
@@ -157,7 +157,7 @@ def load_config(path):
 def problem_from(cfg):
     try:
         return ProblemParams(
-            N=int(cfg["N"]),
+            N=_config_int(cfg, "N"),
             q=float(cfg["q"]),
             mu=float(cfg["mu"]),
             nu=float(cfg["nu"]),
@@ -285,7 +285,7 @@ def cmd_solve(cfg, args):
         print(f"solve stage minimize: {e}", file=sys.stderr)
         return EXIT_GATE
     except solvers.PathCollapseError as e:
-        print(f"solve stage deform: {e}", file=sys.stderr)
+        print(f"solve stage ridge: {e}", file=sys.stderr)
         return EXIT_GATE
     except solvers.ConcentrationStallError as e:
         print(f"solve stage saddle: {e}", file=sys.stderr)
@@ -309,7 +309,6 @@ def cmd_solve(cfg, args):
         "iters_newton0": report.iters_newton0,
         "iters_path": report.iters_path,
         "iters_newton_path": report.iters_newton_path,
-        "path_exit": report.path_exit,
         "verified": verdict.ok,
         "failures": list(verdict.failures),
         "exploratory": bool(args.explore_open_problem),
@@ -317,14 +316,13 @@ def cmd_solve(cfg, args):
     write_text(os.path.join(out, "solve.json"), canonical_json(payload))
     save_grid_function(os.path.join(out, "u0.csv"), g, report.u0)
     save_grid_function(os.path.join(out, "ump.csv"), g, report.u_mp)
-    P = path.nodes.shape[0]
     energies = [fmt_float(e) for e in path.energies]
     if report.s0 != 0.0:
         # the path starts at u0 = e^{s0} v0, whose level underflows in double
         energies[0] = fmt_level(report.c_rho)
     lines = ["node_index,t,energy"]
-    for k in range(P):
-        lines.append("%d,%s,%s" % (k, fmt_float(k / (P - 1.0)), energies[k]))
+    for k, (t, e) in enumerate(zip(path.t, energies)):
+        lines.append("%d,%s,%s" % (k, fmt_float(t), e))
     write_text(os.path.join(out, "path.csv"), "\n".join(lines))
     return EXIT_OK if (verdict.ok and report.gap_ok) else EXIT_VERIFY
 
@@ -465,9 +463,10 @@ def _sweep_params(cfg, combo, keys):
         "gap_ok": "",
         "status": "ok",
     }
+    N = _config_int(sub, "N")  # not swept: a config error, not a row status
     try:
         p = ProblemParams(
-            N=int(sub["N"]),
+            N=N,
             q=base["q"],
             mu=base["mu"],
             nu=base["nu"],

@@ -15,12 +15,14 @@ functions between the grid nodes.  All three functions are evaluated in
 cancellation-stable forms (log1p/expm1) because the interesting margins
 sit at y several orders below t.
 
-The scans evaluate the box in blocks of t-grid rows of about BLOCK
-elements each, so their temporaries stay in cache instead of streaming
-full t_samples x y_samples arrays through memory.  Every element goes
-through the same ufunc sequence as in a full-array evaluation, and the
-block maxima are reduced with np.max (which propagates NaN), so the
-suprema are bit-identical to the full-array ones.
+The scans evaluate the box in blocks of at most BLOCK elements (whole
+t-grid rows, or pieces of one row when a row is longer), and build the
+grid points of each block as they go, so their temporaries stay in cache
+instead of streaming full t_samples x y_samples arrays through memory,
+and a long axis is never held whole.  Every element goes through the same
+ufunc sequence as in a full-array evaluation, and the block maxima are
+reduced with np.max (which propagates NaN), so the suprema are
+bit-identical to the full-array ones.
 """
 
 import math
@@ -71,8 +73,11 @@ class BoxSpec:
         return np.linspace(self.C1, self.C2, self.t_samples)
 
     def y_grid(self):
-        lo = min(Y_GRID_FLOOR, self.y_max / 10.0)
-        return np.geomspace(lo, self.y_max, self.y_samples)
+        return np.geomspace(self._y_min(), self.y_max, self.y_samples)
+
+    def _y_min(self):
+        """First point of the y grid: Y_GRID_FLOOR, or y_max/10 if that is lower."""
+        return min(Y_GRID_FLOOR, self.y_max / 10.0)
 
     def abs_scale(self, p):
         """(p^2/2) C2^{p-2}, the y^2 coefficient of the |f| bound.
@@ -88,17 +93,40 @@ class BoxSpec:
         return scale
 
 
-def _row_blocks(box):
-    """(t, y) slices of the box grid, a (rows, 1) column against the (1, y_samples) row.
+def _linspace_part(start, stop, num, lo, hi):
+    """np.linspace(start, stop, num)[lo:hi], computed without the other points.
 
-    Consecutive blocks of max(1, BLOCK // y_samples) t-grid rows cover
-    every row once, the last block holding what remains.
+    numpy's arithmetic, k * step + start with step = (stop - start)/(num - 1)
+    and the last point set to stop, so the values are bit-identical.
     """
-    t = box.t_grid()[:, None]
-    y = box.y_grid()[None, :]
-    rows = max(1, BLOCK // box.y_samples)
-    for start in range(0, box.t_samples, rows):
-        yield t[start : start + rows], y
+    part = np.arange(lo, min(hi, num), dtype=float)
+    part = part * ((stop - start) / max(num - 1, 1)) + start
+    if hi >= num > 1:
+        part[-1] = stop
+    return part
+
+
+def _row_blocks(box):
+    """(t, y) blocks of the box grid, a (rows, 1) column against a (1, cols) row.
+
+    Blocks of max(1, BLOCK // y_samples) t-grid rows by at most BLOCK
+    y-grid columns cover every grid point once.  Both axes are built one
+    block at a time, bit for bit as box.t_grid() and box.y_grid() (a
+    geomspace: 10 to the power of a linspace of exponents, with exact end
+    points) give them, so no array holds more than BLOCK points of an axis.
+    """
+    y_lo, n_y = box._y_min(), box.y_samples
+    log_lo, log_hi = np.log10(y_lo), np.log10(box.y_max)
+    rows = max(1, BLOCK // n_y)
+    for col in range(0, n_y, BLOCK):
+        y = 10.0 ** _linspace_part(log_lo, log_hi, n_y, col, col + BLOCK)
+        if col == 0:
+            y[0] = y_lo
+        if col + BLOCK >= n_y > 1:
+            y[-1] = box.y_max
+        for row in range(0, box.t_samples, rows):
+            t = _linspace_part(box.C1, box.C2, box.t_samples, row, row + rows)
+            yield t[:, None], y[None, :]
 
 
 # -- stable scalar forms ------------------------------------------------

@@ -1,4 +1,4 @@
-"""Two-solution pipeline: ball-constrained minimization and path deformation.
+"""Two-solution pipeline: ball-constrained minimization and radial shooting.
 
 The search runs in the gradient norm ||u||^2 = int |grad u|^2.  Stage one
 minimizes the energy over the ball {||u|| <= rho(1 - 1e-3)} by projected,
@@ -12,16 +12,17 @@ ends there when Newton converges to a limit of Morse index 0 at negative
 energy strictly inside the ball.  Otherwise descent runs on to its
 gradient tolerance and Newton polishes the last iterate.
 
-Stage two deforms the segment from u0 to a far endpoint u0 + T U_n
-downhill at its crest.  Its path energies come from energy_value, batched
-over the (P, M) array of path nodes, so every level of the pipeline has
-one kernel.  It hands the crest node to Newton at sweeps 0, 1, 2, 4,
-8, ...  It stops at the first Newton limit whose Hessian has exactly one
-negative eigenvalue (Morse index 1, the index of a nondegenerate
-mountain-pass point), so the deformation runs only as long as Newton needs
-a warm start.  If the crest stalls first, its last node gets one more
-Newton call, whose limit must pass the same index check.  A minimizer is
-the index-0 case of the same rule.
+Stage two finds the mountain-pass point by discrete radial shooting.
+Positive solutions on a ball are radial, so each is a root of the map
+that marches the three-term recurrence A u = f(u) out from u_0 = a and
+reads the boundary residual.  One vectorized march scans a window of
+amplitudes set by the endpoint of select_endpoint; Newton refines each
+sign change in ascending amplitude, and the first limit that is positive
+with exactly one negative Hessian eigenvalue (Morse index 1, the index
+of a nondegenerate mountain-pass point) is the saddle.  A minimizer is
+the index-0 case of the same rule.  A ridge check on the straight ray
+from u0 through the saddle then shows that it crowns an admissible
+path, so its level c_M bounds the minimax level from above.
 
 Gradient and residual sizes are measured in the dual norm
 sqrt(<v, A^{-1} v>_w) of the discrete operator A = -Laplacian: it is the
@@ -44,6 +45,7 @@ from .energy import (
     g_profile,
     gradient_field,
     source_derivative,
+    source_term,
 )
 from .grid import ball_volume, solve_tridiagonal
 from .regions import region_membership
@@ -51,12 +53,10 @@ from .regions import region_membership
 BALL_MARGIN = 1e-3  # constraint radius rho*(1 - BALL_MARGIN)
 ARMIJO = 1e-4
 
-# path deformation: crest gradient exit, sweep cap, and the stall test
-# (crest level moved by less than STALL_EPS relative over STALL_WINDOW sweeps)
-PATH_GTOL = 1e-6
-PATH_ITMAX = 20000
-STALL_WINDOW = 100
-STALL_EPS = 1e-6
+# stage two shoots from SHOOT_AMPS log-spaced amplitudes spanning a factor
+# SHOOT_SPAN either side of the endpoint's peak
+SHOOT_AMPS = 128
+SHOOT_SPAN = 64.0
 
 
 class UsableRegionError(RuntimeError):
@@ -65,12 +65,16 @@ class UsableRegionError(RuntimeError):
 
 
 class PathCollapseError(RuntimeError):
-    """Raised when the path crest falls to the endpoint levels."""
+    """Raised when the ridge check fails: a sample of the ray from u0
+    through the saddle rises above c_M, or its far end (t = 2) does not
+    fall below I(u0), so the straight path is no admissible minimax path
+    crowned by the saddle."""
 
 
 class ConcentrationStallError(RuntimeError):
-    """Raised when deformation stalls and Newton finds no nearby saddle of
-    Morse index 1."""
+    """Raised when no sign change of the shooting map in the scanned
+    amplitude range leads Newton to a positive critical point of Morse
+    index 1; the message names the range."""
 
 
 # -- norms and linear algebra -------------------------------------------
@@ -332,7 +336,7 @@ def _minimize_with_stats(p, g, rho, gtol=1e-8):
     return v, s, _scaled_level(c, s), stats
 
 
-# -- stage two: endpoint, path deformation, saddle ------------------------
+# -- stage two: endpoint, discrete shooting, ridge check --------------------
 
 
 def select_endpoint(p, g, u0, spec, rho):
@@ -354,171 +358,100 @@ def select_endpoint(p, g, u0, spec, rho):
 
 @dataclass(frozen=True)
 class PathState:
-    """Snapshot of the deformed path: node functions and their energies."""
+    """The straight path u0 + t (u_mp - u0) sampled at P nodes for t in [0, 2]."""
 
+    t: np.ndarray  # (P,)
     nodes: np.ndarray  # (P, M)
     energies: np.ndarray  # (P,)
-    max_index: int
-    iterations: int
-    newton_iterations: int
-    exit_reason: str
 
 
-def _seg_lengths(g, Z):
-    return np.sqrt(g.h1_seminorm_sq(Z[1:] - Z[:-1]))
+def _shoot(p, g, amps):
+    """March A u = f(u) out from u_0 = a for each amplitude a in amps.
 
-
-def _resample_polyline(Z, lens, out):
-    """Fill out with len(out) nodes equidistributed by arc length along Z."""
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    total = cum[-1]
-    if total == 0.0:
-        out[:] = Z[0]
-        return out
-    targets = np.linspace(0.0, total, out.shape[0])[1:-1]
-    k = np.searchsorted(cum, targets, side="right") - 1
-    np.minimum(k, len(lens) - 1, out=k)
-    seg = lens[k]
-    frac = np.zeros_like(targets)
-    np.divide(targets - cum[k], seg, out=frac, where=seg != 0.0)
-    lo = Z[k]
-    step = Z[k + 1] - lo
-    step *= frac[:, None]
-    out[0] = Z[0]
-    out[-1] = Z[-1]
-    np.add(lo, step, out=out[1:-1])
-    return out
-
-
-def _resample_anchored(g, Z, anchor):
-    """Equidistribute nodes by arc length separately on each side of anchor.
-
-    The anchored split keeps the freshly moved crest node exactly where
-    the descent step put it; a global resample would cut the corner it
-    just created and undo the progress.
+    Row i of the tridiagonal system fixes u_{i+1} from u_i and u_{i-1},
+    so one pass over the nodes, vectorized over the amplitudes, gives the
+    (M, K) profiles U.  F(a) is the residual of the last row with u_M = 0,
+    a positive multiple of the boundary value the march would give u_M,
+    so a root of F is a radial critical point.  Large amplitudes overflow
+    on purpose; their F is inf or nan.
     """
-    lens = _seg_lengths(g, Z)
-    out = np.empty_like(Z)
-    _resample_polyline(Z[: anchor + 1], lens[:anchor], out[: anchor + 1])
-    _resample_polyline(Z[anchor:], lens[anchor:], out[anchor:])
-    out[0] = Z[0]
-    out[-1] = Z[-1]
-    out[anchor] = Z[anchor]
-    return out
+    upper, diag, lower = g.band
+    M = g.M
+    U = np.empty((M, len(amps)))
+    U[0] = amps
+    with np.errstate(over="ignore", invalid="ignore"):
+        U[1] = (source_term(p, U[0]) - diag[0] * U[0]) / upper[1]
+        for i in range(1, M - 1):
+            U[i + 1] = (
+                source_term(p, U[i]) - diag[i] * U[i] - lower[i - 1] * U[i - 1]
+            ) / upper[i + 1]
+        F = diag[-1] * U[-1] + lower[-2] * U[-2] - source_term(p, U[-1])
+    return U, F
 
 
 def mountain_pass(p, g, u0, endpoint, rep, P=33):
-    """Deform the segment from u0 to endpoint downhill at its crest.
+    """Mountain-pass point by discrete radial shooting, with a ridge check.
 
-    rep is the RegionReport of the parameters: its rho bounds the path
-    iterates and its alpha, when a membership holds, floors the saddle
-    level.  Path energies come from energy_value, batched over the nodes.
+    Positive solutions on a ball are radial, so on the grid each one is a
+    root of the shooting map F of _shoot.  One march covers SHOOT_AMPS
+    log-spaced amplitudes in [m / SHOOT_SPAN, m SHOOT_SPAN], m = max(endpoint).
+    At each sign change of F between finite values, in ascending
+    amplitude, Newton starts from the regula-falsi blend of the two
+    bracketing profiles, clipped at 0.  The first limit that converges,
+    is positive at every node and whose Hessian has exactly one negative
+    eigenvalue (Morse index 1) is the saddle u_mp; a minimizer (index 0)
+    or a higher critical point is passed over.  ConcentrationStallError
+    names the amplitude range when no bracket qualifies.
 
-    Each sweep moves the maximal-energy interior node one backtracking
-    preconditioned step (start step capped at half the mean segment
-    length so the node cannot tunnel across the ridge), then re-spaces
-    the nodes by arc length on both sides of the moved node.  Newton is
-    the convergence arbiter: at sweep 0 and at every power of two the
-    crest node is handed to it, and the loop returns (exit "newton") at
-    the first Newton limit of Morse index 1.  A limit of another index is
-    a critical point off the mountain pass (on instance B the first crest
-    falls to one of index 2) and is passed over.  The doubling makes at
-    most log2(sweeps) Newton calls and runs fewer than twice the sweeps
-    that Newton first needs.  The loop also exits when the crest gradient
-    passes PATH_GTOL ("gradient"), when the crest level stalls ("stalled"),
-    when the crest node finds no descent step ("no-step") or after
-    PATH_ITMAX sweeps ("itmax"); the crest node then gets a last Newton
-    call, and ConcentrationStallError is raised unless that limit converges
-    with Morse index 1.  Returns (u_mp, c_M, PathState); newton_iterations
-    counts the iterations of every Newton call, failed ones included.
+    rep is the RegionReport of the parameters: its alpha, when a
+    membership holds, floors the saddle level.  The ridge check then
+    samples the ray u0 + t (u_mp - u0) at P nodes for t in [0, 2].  Every
+    sample must lie at or below c_M (to roundoff) and the last below
+    I(u0), so the straight path from u0 through u_mp to the last sample
+    is admissible for the minimax and crests at c_M: c_M bounds the
+    mountain-pass level from above.  PathCollapseError is raised when
+    the check fails.
+
+    Returns (u_mp, c_M, PathState of the ray samples, stats); stats
+    counts the brackets handed to Newton ("iters_path") and the
+    iterations of every Newton call, rejected ones included
+    ("iters_newton_path").
     """
     if P < 32:
         raise ValueError("need at least 32 path nodes")
     u0 = np.asarray(u0, dtype=float)
     endpoint = np.asarray(endpoint, dtype=float)
-    e0 = energy_value(p, g, u0)
-    e_end = energy_value(p, g, endpoint)
-    if not (e_end < e0):
+    if not (energy_value(p, g, endpoint) < energy_value(p, g, u0)):
         raise ValueError("endpoint energy must fall below the base energy")
 
-    bound = 2.0 * max(rep.rho or 0.0, _h1_norm(g, endpoint))
-
-    ts_path = np.linspace(0.0, 1.0, P)
-    Z = u0[None, :] + ts_path[:, None] * (endpoint - u0)[None, :]
-    crest_hist = []
-    exit_reason = "itmax"
+    top = float(np.max(endpoint))
+    amps = np.geomspace(top / SHOOT_SPAN, top * SHOOT_SPAN, SHOOT_AMPS)
+    U, F = _shoot(p, g, amps)
+    finite = np.isfinite(F)
+    positive = F > 0.0
+    brackets = np.flatnonzero(
+        finite[:-1] & finite[1:] & (positive[:-1] != positive[1:])
+    )
     newton_iterations = 0
-    it = 0
-    for it in range(PATH_ITMAX):
-        E = energy_value(p, g, Z)
-        k = 1 + int(np.argmax(E[1:-1]))  # ties: lowest index
-        if E[k] <= max(E[0], E[-1]):
-            raise PathCollapseError(
-                "interior crest fell below the endpoint levels; "
-                "no minimax geometry along this path"
-            )
-        crest_hist.append(E[k])
-        nres = None  # the Newton limit of this sweep's crest, if tried
-        if it & (it - 1) == 0:  # sweep 0 and each power of two
-            nres = _newton(p, g, Z[k])
-            newton_iterations += nres.iterations
-            if nres.converged and _morse_index(p, g, nres.u) == 1:
-                exit_reason = "newton"
-                break
-        grad = gradient_field(p, g, Z[k])
-        gn2, pre = _dual_norm_sq(g, grad)
-        gn = np.sqrt(gn2)
-        if gn < PATH_GTOL:
-            exit_reason = "gradient"
+    for count, j in enumerate(brackets, start=1):
+        w = F[j + 1] / (F[j + 1] - F[j])
+        start = np.maximum(w * U[:, j] + (1.0 - w) * U[:, j + 1], 0.0)
+        nres = _newton(p, g, start)
+        newton_iterations += nres.iterations
+        if (
+            nres.converged
+            and np.all(nres.u > 0.0)
+            and _morse_index(p, g, nres.u) == 1
+        ):
             break
-        if len(crest_hist) > STALL_WINDOW and abs(
-            crest_hist[-STALL_WINDOW - 1] - crest_hist[-1]
-        ) < STALL_EPS * max(1.0, abs(crest_hist[-1])):
-            exit_reason = "stalled"
-            break
-        seg_mean = float(np.mean(_seg_lengths(g, Z)))
-        pre_n = _h1_norm(g, pre)
-        s = min(1.0, 0.5 * seg_mean / pre_n) if pre_n > 0 else 1.0
-        moved = False
-        while s >= 1e-14:
-            cand = Z[k] - s * pre
-            if energy_value(p, g, cand) <= E[k] - ARMIJO * s * gn2:
-                Z[k] = cand
-                moved = True
-                break
-            s *= 0.5
-        if not moved:
-            exit_reason = "no-step"
-            break
-        if _h1_norm(g, Z[k]) > bound:
-            raise RuntimeError(
-                f"path iterate norm exceeded the bounded-set limit {bound:.3e}"
-            )
-        Z = _resample_anchored(g, Z, k)
     else:
-        # the last sweep moved the path; a break leaves Z as E measured it
-        E = energy_value(p, g, Z)
-        k = 1 + int(np.argmax(E[1:-1]))
-        nres = None
-    if exit_reason != "newton":
-        if nres is None:  # a break at a power of two reuses that sweep's call
-            nres = _newton(p, g, Z[k])
-            newton_iterations += nres.iterations
-        if not nres.converged:
-            raise ConcentrationStallError(
-                "deformation stalled (reason: %s, crest gradient not resolved) "
-                "and Newton found no saddle near the crest; energy may be "
-                "concentrating at scales below this grid. crest level %.6e, "
-                "residual %.3e" % (exit_reason, E[k], nres.residual)
-            )
-        index = _morse_index(p, g, nres.u)
-        if index != 1:
-            raise ConcentrationStallError(
-                "deformation stalled (reason: %s) and Newton converged near "
-                "the crest to a critical point of Morse index %d, not a "
-                "mountain-pass point of index 1. crest level %.6e, level %.6e"
-                % (exit_reason, index, E[k], energy_value(p, g, nres.u))
-            )
+        raise ConcentrationStallError(
+            "no sign change of the shooting map over amplitudes "
+            f"[{amps[0]:.6e}, {amps[-1]:.6e}] led Newton to a positive critical "
+            f"point of Morse index 1 ({len(brackets)} brackets tried); the "
+            "window may miss the saddle's amplitude, or its energy may "
+            "concentrate below the grid scale"
+        )
     u_mp = nres.u
     c_M = energy_value(p, g, u_mp)
     if not (c_M > 0.0):
@@ -529,16 +462,23 @@ def mountain_pass(p, g, u0, endpoint, rep, P=33):
         )
     if _h1_norm(g, u_mp - u0) < 1e-6 * max(1.0, _h1_norm(g, u0)):
         raise RuntimeError("saddle coincides with the base minimizer")
-    state = PathState(
-        nodes=Z,
-        energies=E,
-        max_index=k,
-        iterations=it + 1,
-        newton_iterations=newton_iterations,
-        exit_reason=exit_reason,
-    )
-    assert np.array_equal(Z[0], u0), "base node must never move"
-    return u_mp, c_M, state
+
+    t = np.linspace(0.0, 2.0, P)
+    Z = u0 + t[:, None] * (u_mp - u0)
+    E = energy_value(p, g, Z)
+    # the sample at t = 1 is u_mp, whose stacked energy may round above c_M
+    if np.any(E > c_M * (1.0 + 1e-12)):
+        raise PathCollapseError(
+            f"the ray from u0 through the saddle rises to {np.max(E):.6e} at "
+            f"t = {t[np.argmax(E)]:.4f}, above c_M = {c_M:.6e}"
+        )
+    if not (E[-1] < E[0]):
+        raise PathCollapseError(
+            f"the ray from u0 through the saddle ends at level {E[-1]:.6e}, "
+            f"not below I(u0) = {E[0]:.6e}"
+        )
+    stats = {"iters_path": count, "iters_newton_path": newton_iterations}
+    return u_mp, c_M, PathState(t=t, nodes=Z, energies=E), stats
 
 
 # -- report and verification ----------------------------------------------
@@ -549,7 +489,8 @@ class SolveReport:
     """Pipeline result.  The minimizer is u0 = e^{s0} v0 (s0 = 0 unless it
     lies below double range, where u0 underflows); c_rho = e^{2 s0} I(v0; p_s0)
     is an mpmath.mpf and residual0 is the dual-norm residual of v0 in the
-    dilated problem."""
+    dilated problem.  iters_path counts the shooting brackets handed to
+    Newton and iters_newton_path the Newton iterations over all of them."""
 
     u0: np.ndarray
     v0: np.ndarray
@@ -569,7 +510,6 @@ class SolveReport:
     iters_newton0: int
     iters_path: int
     iters_newton_path: int
-    path_exit: str
 
 
 @dataclass(frozen=True)
@@ -667,7 +607,7 @@ def solve_problem(p, M, n=16, P=33, r0=None):
     u0 = np.exp(s0) * v0
     spec = BubbleSpec(N=p.N, n=n, r0=r0)
     _, endpoint = select_endpoint(p, g, u0, spec, rep.rho)
-    u_mp, c_M, path = mountain_pass(p, g, u0, endpoint, rep, P=P)
+    u_mp, c_M, path, path_stats = mountain_pass(p, g, u0, endpoint, rep, P=P)
     rn2, _ = _dual_norm_sq(g, gradient_field(p, g, u_mp))
     prof = g_profile(dilated_params(p, s0), g, v0, t_max=2.0, samples=256)
     gap_bound = float(
@@ -690,8 +630,7 @@ def solve_problem(p, M, n=16, P=33, r0=None):
         alpha=rep.alpha,
         iters_minimize=stats["iters_minimize"],
         iters_newton0=stats["iters_newton0"],
-        iters_path=path.iterations,
-        iters_newton_path=path.newton_iterations,
-        path_exit=path.exit_reason,
+        iters_path=path_stats["iters_path"],
+        iters_newton_path=path_stats["iters_newton_path"],
     )
     return report, path, g

@@ -145,7 +145,7 @@ def test_solve_outputs_and_determinism(tmp_path):
     assert rep["gap_ok"] is True and rep["verified"] is True
     assert rep["failures"] == []
     assert rep["exploratory"] is False
-    assert rep["path_exit"] in ("newton", "gradient", "stalled", "no-step", "itmax")
+    assert rep["iters_path"] >= 1 and "path_exit" not in rep
 
     g = lc.build_grid(3, 1.0, 1024)
     u0 = lc.load_grid_function(os.path.join(out1, "u0.csv"), g)
@@ -162,6 +162,11 @@ def test_solve_outputs_and_determinism(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
     assert float(first[2]) == pytest.approx(rep["c_rho"], rel=1e-12)
+    # the ridge samples run over t in [0, 2] and crest at t = 1, the saddle
+    rows = [line.split(",") for line in lines[1:]]
+    assert float(rows[-1][1]) == 2.0 and float(rows[16][1]) == 1.0
+    assert max(float(r[2]) for r in rows) == pytest.approx(rep["c_M"], rel=1e-12)
+    assert float(rows[-1][2]) < rep["c_rho"]
 
 
 def test_verify_certificates_and_slopes(tmp_path):
@@ -251,7 +256,7 @@ def test_verify_rejects_bad_box_keys(tmp_path, capsys, box, key):
     assert not os.path.exists(os.path.join(tmp, "certificates.json"))
 
 
-@pytest.mark.parametrize("key", ["M", "n", "P", "t_samples", "y_samples"])
+@pytest.mark.parametrize("key", ["N", "M", "n", "P", "t_samples", "y_samples"])
 @pytest.mark.parametrize("value", [True, "abc", 8.7, None])
 def test_integer_keys_reject_non_integers(tmp_path, capsys, key, value):
     tmp = str(tmp_path)
@@ -263,7 +268,7 @@ def test_integer_keys_reject_non_integers(tmp_path, capsys, key, value):
 
 def test_integral_float_keys_are_accepted(tmp_path):
     tmp = str(tmp_path)
-    cfg = write_config(tmp, M=64.0, n=4.0, P=32.0, t_samples=1000.0, y_samples=1e3)
+    cfg = write_config(tmp, N=4.0, M=64.0, n=4.0, P=32.0, t_samples=1000.0, y_samples=1e3)
     assert main(["regions", "--config", cfg, "--out", tmp]) == 0
 
 
@@ -334,6 +339,15 @@ def test_sweep_with_invalid_dimension_writes_invalid_rows(tmp_path):
         rows = f.read().splitlines()
     assert len(rows) == 1 + 2
     assert [r.split(",")[-1] for r in rows[1:]] == ["invalid-params"] * 2
+
+
+def test_sweep_rejects_a_non_integral_dimension(tmp_path, capsys):
+    # N is not swept, so N = 3.7 is a config error rather than rows of N = 3
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, N=3.7, q=2.5, M=64, sweep_theta=[-1.0])
+    assert main(["sweep", "--config", cfg, "--out", tmp]) == 1
+    assert capsys.readouterr().err == "config error: N: need an integer\n"
+    assert not os.path.exists(os.path.join(tmp, "sweep.csv"))
 
 
 def test_sweep_names_the_cause_of_a_failed_row(tmp_path, capsys, monkeypatch):

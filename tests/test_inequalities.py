@@ -309,6 +309,20 @@ class TestScanBlocksBitExact:
             got, want = self.check(box, p, q)
             assert got == want
 
+    def test_rows_longer_than_a_block(self):
+        # a row splits into pieces of BLOCK columns; the blocks' points are
+        # those of t_grid and y_grid, bit for bit
+        box = lc.BoxSpec(0.5, 2.0, t_samples=3, y_samples=2 * inequalities.BLOCK + 5)
+        blocks = list(inequalities._row_blocks(box))
+        assert len(blocks) == 9
+        assert max(t.size * y.size for t, y in blocks) == inequalities.BLOCK
+        ts = np.concatenate([t[:, 0] for t, _ in blocks[:3]])
+        ys = np.concatenate([y[0] for _, y in blocks[::3]])
+        assert np.array_equal(ts, box.t_grid()) and np.array_equal(ys, box.y_grid())
+        for p, q in CERTIFY_EXPONENTS:
+            got, want = self.check(box, p, q)
+            assert got == want
+
     def test_lower_bound_absent_for_p_at_most_3(self):
         for p in (2.5, 3.0):
             got, want = self.check(BOX, p, 2.2)
@@ -380,11 +394,13 @@ class TestScanBlocksBitExact:
 
 def test_scan_memory_stays_below_one_full_grid():
     # the full-array scan peaked at about 32 MB (four 8 MB grids alive at
-    # once); a block scan holds a few block-sized temporaries
-    tracemalloc.start()
-    try:
-        inequalities.scan_sup_f(6.0, BOX)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < BOX.t_samples * BOX.y_samples * 8
+    # once); a block scan holds a few block-sized temporaries.  A box of
+    # one t row splits the row, and builds its y axis block by block too
+    for box in (BOX, lc.BoxSpec(0.5, 2.0, t_samples=1, y_samples=10**6)):
+        tracemalloc.start()
+        try:
+            inequalities.scan_sup_f(6.0, box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < box.t_samples * box.y_samples * 8

@@ -20,6 +20,12 @@ FROZEN_A = dict(
 )
 FROZEN_B_C_M = 20.504307100
 FROZEN_B_GAP_BOUND = 26.318945
+# c_M of the path-deformation minimax that discrete shooting replaced
+DEFORMATION_C_M = {
+    "A1024": 4.1108000340697375,
+    "B512": 20.505557968649164,
+    "showcase200": 26.504846624932487,
+}
 
 
 def h1_norm(g, u):
@@ -60,13 +66,14 @@ class TestNegativeSubcriticalInstance:
     def test_saddle_is_positive_and_near_the_crest(self, solved_a, params_a):
         report, path, g = solved_a
         assert np.all(report.u_mp > 0.0)
-        # the saddle is the Newton limit of the returned crest node, and a
-        # mountain-pass point: its Hessian has exactly one negative direction
-        res = solvers._newton(params_a, g, path.nodes[path.max_index])
-        assert np.array_equal(res.u, report.u_mp)
+        # a mountain-pass point: its Hessian has exactly one negative direction
         assert solvers._morse_index(params_a, g, report.u_mp) == 1
-        # the crest of the straight start segment can only dominate the
-        # deformed level
+        # the crest of the ridge samples is the t = 1 node, the saddle itself
+        k = int(np.argmax(path.energies))
+        assert path.t[k] == 1.0
+        assert h1_norm(g, path.nodes[k] - report.u_mp) <= 1e-14 * h1_norm(g, report.u_mp)
+        assert path.energies[k] == pytest.approx(report.c_M, rel=1e-12)
+        # the straight path from u0 through the saddle crests at c_M
         ts = np.linspace(0.0, 1.0, 33)
         chord = [
             lc.energy_value(
@@ -74,7 +81,7 @@ class TestNegativeSubcriticalInstance:
             )
             for t in ts
         ]
-        assert max(chord) >= report.c_M - 1e-9
+        assert max(chord) == pytest.approx(report.c_M, rel=1e-12)
 
     def test_fiber_profile_shape(self, solved_a):
         report, _, _ = solved_a
@@ -82,19 +89,18 @@ class TestNegativeSubcriticalInstance:
         assert abs(report.t_local_min - 1.0) <= 0.05
 
     def test_path_state(self, solved_a, params_a):
+        # the ridge samples of the ray u0 + t (u_mp - u0), t in [0, 2]
         report, path, g = solved_a
         assert path.nodes.shape == (33, g.M)
         assert path.energies.shape == (33,)
-        # the path returns with the energies of the sweep whose crest Newton
-        # finished, which must be those of the returned nodes
+        assert np.array_equal(path.t, np.linspace(0.0, 2.0, 33))
         assert np.array_equal(
             path.energies, lc.energy_value(params_a, g, path.nodes)
         )
-        assert path.max_index == 1 + int(np.argmax(path.energies[1:-1]))
         assert path.energies[0] == pytest.approx(report.c_rho, rel=1e-10)
         assert path.energies[-1] < report.c_rho
-        assert 0 < path.max_index < 32
-        assert path.exit_reason == "newton"
+        assert int(np.argmax(path.energies)) == 16
+        assert report.iters_path == 1
 
     def test_path_iterates_stay_bounded(self, solved_a):
         report, path, g = solved_a
@@ -206,11 +212,12 @@ class TestPathDeformation:
             )
 
     def test_segment_on_a_descending_ray_collapses(self, params_a):
-        # both ends on the decreasing tail of the principal-mode ray leave
-        # no crest between them; the deformation detects the collapse
+        # a base point on the decreasing tail of the principal-mode ray is
+        # no minimizer: the ray from it through the saddle that shooting
+        # finds rises far above c_M, and the ridge check rejects it
         g = lc.build_grid(3, 1.0, 256)
         _, phi1 = lc.principal_eigenpair(g)
-        with pytest.raises(lc.PathCollapseError):
+        with pytest.raises(lc.PathCollapseError, match="above c_M"):
             lc.mountain_pass(
                 params_a, g, 20.0 * phi1, 20.5 * phi1, region_report(params_a, g)
             )
@@ -233,6 +240,30 @@ def solved_b_512(params_b):
     return lc.solve_problem(params_b, M=512, n=32)
 
 
+def endpoint_of(p, g, report, n):
+    """The endpoint solve_problem computes for bubble scale n."""
+    spec = lc.BubbleSpec(N=p.N, n=n, r0=p.R / 4.0)
+    return lc.select_endpoint(p, g, report.u0, spec, report.rho)[1]
+
+
+def bracket_limits(p, g, endpoint):
+    """(Morse index, level) of the Newton limit from each bracket of the
+    scan, (None, None) where Newton does not converge."""
+    top = float(np.max(endpoint))
+    amps = np.geomspace(top / solvers.SHOOT_SPAN, top * solvers.SHOOT_SPAN, solvers.SHOOT_AMPS)
+    U, F = solvers._shoot(p, g, amps)
+    out = []
+    for j in range(len(amps) - 1):
+        if np.isfinite(F[j]) and np.isfinite(F[j + 1]) and (F[j] > 0) != (F[j + 1] > 0):
+            w = F[j + 1] / (F[j + 1] - F[j])
+            res = solvers._newton(p, g, np.maximum(w * U[:, j] + (1 - w) * U[:, j + 1], 0.0))
+            if not res.converged:
+                out.append((None, None))
+                continue
+            out.append((solvers._morse_index(p, g, res.u), lc.energy_value(p, g, res.u)))
+    return out
+
+
 def first_crest_newton_limit(p, g, u0, endpoint):
     """Newton limit of the crest node of the undeformed segment (sweep 0)."""
     ts = np.linspace(0.0, 1.0, 33)
@@ -252,30 +283,125 @@ class TestMorseIndex:
 
     def test_first_crest_of_b_falls_to_index_two(self, solved_b_512, params_b):
         # on instance B, Newton from the crest of the straight segment
-        # converges to a critical point above the mountain pass
-        report, path, g = solved_b_512
-        res = first_crest_newton_limit(params_b, g, report.u0, path.nodes[-1])
+        # converges to a critical point above the mountain pass.  Shooting
+        # meets the same point at its second bracket, after the index-1
+        # root it accepts, and an index-3 point at its third
+        report, _, g = solved_b_512
+        endpoint = endpoint_of(params_b, g, report, 32)
+        res = first_crest_newton_limit(params_b, g, report.u0, endpoint)
         assert res.converged
         assert lc.energy_value(params_b, g, res.u) == pytest.approx(25.344, rel=1e-4)
         assert solvers._morse_index(params_b, g, res.u) == 2
         assert dense_morse_index(params_b, g, res.u) == 2
+        limits = bracket_limits(params_b, g, endpoint)
+        assert [index for index, _ in limits] == [1, 2, 3]
+        assert limits[0][1] == pytest.approx(report.c_M, rel=1e-12)
+        assert limits[1][1] == pytest.approx(lc.energy_value(params_b, g, res.u), rel=1e-9)
+        assert report.iters_path == 1
 
-    def test_index_two_limit_is_passed_over(self, solved_b_512, params_b):
-        report, path, g = solved_b_512
-        assert path.exit_reason == "newton"
-        assert report.c_M == pytest.approx(20.50556, rel=1e-6)
-        assert solvers._morse_index(params_b, g, report.u_mp) == 1
-        assert path.iterations > 1  # the sweep-0 limit was rejected
+    def test_index_two_limit_is_passed_over(self, solved_a, params_a):
+        # a window that starts past A's mountain-pass root meets a limit of
+        # index 2 (level 4.133) first and the grid-scale root of index 1
+        # (level 1.840) next; only the index-1 limit is accepted
+        report, _, g = solved_a
+        endpoint = endpoint_of(params_a, g, report, 64)
+        endpoint = endpoint * (1000.0 / np.max(endpoint))
+        limits = bracket_limits(params_a, g, endpoint)
+        assert [index for index, _ in limits[:2]] == [2, 1]
+        u_mp, c_M, _, stats = lc.mountain_pass(
+            params_a, g, report.u0, endpoint, region_report(params_a, g)
+        )
+        assert stats["iters_path"] == 2
+        assert c_M == pytest.approx(limits[1][1], rel=1e-12)
+        assert c_M == pytest.approx(1.8402, rel=1e-4)
+        assert solvers._morse_index(params_a, g, u_mp) == 1
+        assert dense_morse_index(params_a, g, u_mp) == 1
 
-    def test_stalled_fallback_checks_the_index(self, solved_a, params_a, monkeypatch):
-        # no Newton limit counts as index 1, so the crest deforms until it
-        # stalls; the fallback Newton converges, and its index is rejected
-        report, path, g = solved_a
+    def test_no_qualifying_bracket_names_the_range(self, solved_a, params_a, monkeypatch):
+        # no Newton limit counts as index 1, so every bracket is rejected
+        report, _, g = solved_a
+        endpoint = endpoint_of(params_a, g, report, 64)
+        top = float(np.max(endpoint))
         monkeypatch.setattr(solvers, "_morse_index", lambda p, g, u: 2)
-        with pytest.raises(lc.ConcentrationStallError, match="Morse index 2"):
-            lc.mountain_pass(
-                params_a, g, report.u0, path.nodes[-1], region_report(params_a, g)
-            )
+        with pytest.raises(lc.ConcentrationStallError) as err:
+            lc.mountain_pass(params_a, g, report.u0, endpoint, region_report(params_a, g))
+        assert f"[{top / 64.0:.6e}, {top * 64.0:.6e}]" in str(err.value)
+        assert "(3 brackets tried)" in str(err.value)
+
+
+class TestShooting:
+    @pytest.mark.parametrize("name", sorted(DEFORMATION_C_M))
+    def test_levels_match_the_deformation_minimax(
+        self, name, solved_a, solved_b_512, params_showcase
+    ):
+        if name == "A1024":
+            report = solved_a[0]
+        elif name == "B512":
+            report = solved_b_512[0]
+        else:
+            report = lc.solve_problem(params_showcase, M=200)[0]
+        assert report.c_M == pytest.approx(DEFORMATION_C_M[name], rel=1e-12)
+        assert np.all(report.u_mp > 0.0)
+
+    def test_index_zero_limit_is_passed_over(self, solved_a, params_a, monkeypatch):
+        # a window reaching a factor 1024 either side of the endpoint's peak
+        # holds the minimizer's root (amplitude 0.1345) below the saddle's;
+        # its Newton limit has index 0 and is passed over
+        report, _, g = solved_a
+        endpoint = endpoint_of(params_a, g, report, 64)
+        monkeypatch.setattr(solvers, "SHOOT_SPAN", 1024.0)
+        limits = bracket_limits(params_a, g, endpoint)
+        assert [index for index, _ in limits[:2]] == [0, 1]
+        assert limits[0][1] == pytest.approx(float(report.c_rho), rel=1e-9)
+        u_mp, c_M, _, stats = lc.mountain_pass(
+            params_a, g, report.u0, endpoint, region_report(params_a, g)
+        )
+        assert stats["iters_path"] == 2
+        assert c_M == pytest.approx(report.c_M, rel=1e-12)
+
+    def test_sign_changing_limit_is_passed_over(self, solved_a, params_a, monkeypatch):
+        # the first limit, A's saddle, is made negative at its last node; it
+        # still converges with index 1, so only the positivity test rejects
+        # it.  The index-2 limit follows, then the grid-scale index-1 root
+        report, _, g = solved_a
+        endpoint = endpoint_of(params_a, g, report, 64)
+        newton = solvers._newton
+        calls = []
+
+        def first_limit_dips(p, g, u, **kwargs):
+            res = newton(p, g, u, **kwargs)
+            calls.append(res)
+            if len(calls) == 1:
+                u = res.u.copy()
+                u[-1] = -1e-9
+                assert solvers._morse_index(p, g, u) == 1
+                res = dataclasses.replace(res, u=u)
+            return res
+
+        monkeypatch.setattr(solvers, "_newton", first_limit_dips)
+        u_mp, c_M, _, stats = lc.mountain_pass(
+            params_a, g, report.u0, endpoint, region_report(params_a, g)
+        )
+        assert stats["iters_path"] == 3
+        assert np.all(u_mp > 0.0)
+        assert c_M == pytest.approx(1.8402, rel=1e-4)
+
+    def test_ridge_check_alone_raises(self, solved_a, params_a):
+        # shooting finds A's saddle in both calls; only the ray from the
+        # given base point through it fails
+        report, _, g = solved_a
+        rep = region_report(params_a, g)
+        u_mp = report.u_mp
+        endpoint = endpoint_of(params_a, g, report, 64)
+        # an oscillation raises the energy: the ray starts above c_M
+        bump = 0.01 * (-1.0) ** np.arange(g.M) * (1.0 - g.r**2)
+        with pytest.raises(lc.PathCollapseError, match="above c_M"):
+            lc.mountain_pass(params_a, g, u_mp + bump, endpoint, rep)
+        # from 2 u_mp the ray ends at 0, above I(2 u_mp) < 0; the endpoint
+        # 3 u_mp falls below the new base level and keeps a window that
+        # holds the same root
+        with pytest.raises(lc.PathCollapseError, match="not below I\\(u0\\)"):
+            lc.mountain_pass(params_a, g, 2.0 * u_mp, 3.0 * u_mp, rep)
 
 
 # -- stage one against the descend-to-gtol-then-Newton route ----------------
@@ -587,16 +713,13 @@ def test_levels_stable_under_refinement():
     assert r1600.c_M == pytest.approx(r800.c_M, rel=0.02)
 
 
-# -- path kernels against the plain expressions they replace ----------------
+# -- energy stacks against the plain expressions they replace ---------------
 #
-# The reference copies below are the straightforward forms of the in-place
-# kernels in solvers.py.  The kernels must give the same bits, so the tests
-# compare with np.array_equal.  Path energies are energy_value of the
-# (P, M) node array; a gemv row rounds unlike a dot of one profile, so they
-# are compared with ref_path_energies to 1e-14 relative, and the
-# one-profile energy bit for bit with ref_energy_terms.  M = 200 keeps
-# h = 1/200 off a power of two, where dividing by h and multiplying by 1/h
-# round differently.
+# Path energies are energy_value of a (P, M) node array; a gemv row rounds
+# unlike a dot of one profile, so they are compared with ref_path_energies
+# to 1e-14 relative, and the one-profile energy bit for bit with
+# ref_energy_terms.  M = 200 keeps h = 1/200 off a power of two, where
+# dividing by h and multiplying by 1/h round differently.
 
 
 def ref_energy_terms(p, g, u):
@@ -631,51 +754,13 @@ def ref_path_energies(p, g, Z):
     return kin - pot
 
 
-def ref_seg_lengths(g, Z):
-    d = Z[1:] - Z[:-1]
-    dd = np.empty_like(d)
-    dd[:, :-1] = d[:, 1:] - d[:, :-1]
-    dd[:, -1] = -d[:, -1]
-    return np.sqrt(((dd / g.h) ** 2) @ g.fw)
-
-
-def ref_resample_polyline(Z, lens, n_out):
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    total = cum[-1]
-    if total == 0.0:
-        return np.repeat(Z[:1], n_out, axis=0)
-    targets = np.linspace(0.0, total, n_out)
-    out = np.empty((n_out, Z.shape[1]))
-    out[0] = Z[0]
-    out[-1] = Z[-1]
-    for j in range(1, n_out - 1):
-        k = int(np.searchsorted(cum, targets[j], side="right")) - 1
-        k = min(k, len(lens) - 1)
-        seg = lens[k]
-        frac = 0.0 if seg == 0.0 else (targets[j] - cum[k]) / seg
-        out[j] = Z[k] + frac * (Z[k + 1] - Z[k])
-    return out
-
-
-def ref_resample_anchored(g, Z, anchor):
-    P = Z.shape[0]
-    lens = ref_seg_lengths(g, Z)
-    left = ref_resample_polyline(Z[: anchor + 1], lens[:anchor], anchor + 1)
-    right = ref_resample_polyline(Z[anchor:], lens[anchor:], P - anchor)
-    out = np.vstack([left, right[1:]])
-    out[0] = Z[0]
-    out[-1] = Z[-1]
-    out[anchor] = Z[anchor]
-    return out
-
-
 KERNEL_M = 200
 KERNEL_P = 33
 
 
 def kernel_paths():
     """Seeded (P, M) paths: generic, with repeated nodes, all-equal, and
-    one whose segment lengths underflow to 0 although its nodes differ."""
+    one whose node differences are subnormal."""
     g = lc.build_grid(3, 1.0, KERNEL_M)
     rng = np.random.default_rng(20240605)
     bump = 1.0 - g.r**2
@@ -756,8 +841,6 @@ class TestPathKernelsBitExact:
         before = Z.copy()
         lc.energy_value(p, g, Z)
         lc.energy_value(p, g, Z[16])
-        solvers._seg_lengths(g, Z)
-        solvers._resample_anchored(g, Z, 16)
         assert np.array_equal(Z, before)
 
     def test_stacks_are_checked(self):
@@ -787,34 +870,3 @@ class TestPathKernelsBitExact:
                 g.h1_seminorm_sq(np.ones(shape))
             with pytest.raises(ValueError, match="shape"):
                 lc.energy_value(p, g, np.ones(shape))
-
-    @pytest.mark.parametrize("N", [3, 4])
-    def test_seg_lengths(self, N):
-        g = lc.build_grid(N, 1.0, KERNEL_M)
-        for name, Z in kernel_paths().items():
-            got = solvers._seg_lengths(g, Z)
-            assert np.array_equal(got, ref_seg_lengths(g, Z))
-            if name == "repeated":
-                assert got[5] == 0.0 and got[19] == 0.0
-            if name in ("flat", "tiny"):
-                assert not np.any(got)
-
-    def test_resample_polyline(self):
-        g = lc.build_grid(3, 1.0, KERNEL_M)
-        for Z in kernel_paths().values():
-            lens = ref_seg_lengths(g, Z)
-            for lo, hi in ((0, KERNEL_P), (0, 2), (3, 9), (14, KERNEL_P)):
-                for n_out in (2, 3, hi - lo, 41):
-                    want = ref_resample_polyline(Z[lo:hi], lens[lo : hi - 1], n_out)
-                    out = np.full((n_out, KERNEL_M), np.nan)
-                    got = solvers._resample_polyline(Z[lo:hi], lens[lo : hi - 1], out)
-                    assert got is out
-                    assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("anchor", [1, 2, 16, KERNEL_P - 3, KERNEL_P - 2])
-    def test_resample_anchored(self, anchor):
-        g = lc.build_grid(4, 1.0, KERNEL_M)
-        for Z in kernel_paths().values():
-            got = solvers._resample_anchored(g, Z, anchor)
-            assert np.array_equal(got, ref_resample_anchored(g, Z, anchor))
-            assert np.array_equal(got[anchor], Z[anchor])
