@@ -3,8 +3,10 @@ Two positive solutions from one parameter set
 =============================================
 
 Runs the full pipeline on a negative-nu instance: minimize inside the
-geometric ball by descent that hands its first iterate of Morse index 0 to
-Newton, select an endpoint past the crest, shoot radially over a window of
+geometric ball from the minimum of the principal mode's fiber
+t -> I(t phi1), which has a closed form in t, by descent that hands its
+first iterate of Morse index 0 (here the start itself) to Newton, select
+an endpoint past the crest, shoot radially over a window of
 amplitudes set by that endpoint, and refine each sign change of the
 shooting map with Newton until a limit is positive with Morse index 1.  A
 ridge check on the ray from the minimizer through that limit shows it

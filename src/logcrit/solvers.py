@@ -1,16 +1,20 @@
 """Two-solution pipeline: ball-constrained minimization and radial shooting.
 
 The search runs in the gradient norm ||u||^2 = int |grad u|^2.  Stage one
-minimizes the energy over the ball {||u|| <= rho(1 - 1e-3)} by projected,
-preconditioned descent started at t0*phi1 with I(t0 phi1) < 0.  When that
-start lies below double range (a weak log term puts the minimizer near
-e^{-lambda1/(2|theta|)}), stage one solves for an O(1) profile v of the
-amplitude-dilated problem instead and reports u0 = e^s v in scaled form,
-with its level as an mpmath.mpf.  Descent hands its first iterate whose
-Hessian A - f'(u) has Morse index 0 to damped Newton, once, and stage one
-ends there when Newton converges to a limit of Morse index 0 at negative
-energy strictly inside the ball.  Otherwise descent runs on to its
-gradient tolerance and Newton polishes the last iterate.
+minimizes the energy over the ball {||u|| <= rho(1 - 1e-3)}.  It first
+computes the dilation exponent s = (lam - lambda1)/(2|theta|) - 1/2, the
+log-amplitude of the minimizer.  When e^{2s} is not a normal double (a
+weak log term puts the minimizer near e^{-lambda1/(2|theta|)}), stage one
+solves for an O(1) profile v of the amplitude-dilated problem instead and
+reports u0 = e^s v in scaled form, with its level as an mpmath.mpf.  It
+starts at t* phi1, the first minimum of the fiber t -> I(t phi1), which
+the closed form of fiber_map gives without a grid pass per t.  Projected,
+preconditioned descent hands its first iterate whose Hessian A - f'(u)
+has Morse index 0 to damped Newton, once; on every instance measured that
+is the start itself.  Stage one ends there when Newton converges to a
+limit of Morse index 0 at negative energy strictly inside the ball.
+Otherwise descent runs on to its gradient tolerance and Newton polishes
+the last iterate.
 
 Stage two finds the mountain-pass point by discrete radial shooting.
 Positive solutions on a ball are radial, so each is a root of the map
@@ -39,9 +43,9 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .bubbles import truncated_bubble
 from .energy import (
-    XLOG_CLAMP,
     dilated_params,
     energy_value,
+    fiber_map,
     g_profile,
     gradient_field,
     source_derivative,
@@ -52,6 +56,12 @@ from .regions import region_membership
 
 BALL_MARGIN = 1e-3  # constraint radius rho*(1 - BALL_MARGIN)
 ARMIJO = 1e-4
+LOG_TINY = math.log(np.finfo(float).tiny)  # log of the smallest normal double
+
+# stage one starts at the fiber minimum of phi1, searched over FIBER_SAMPLES
+# values of log t in a window of half-width FIBER_WINDOW
+FIBER_SAMPLES = 257
+FIBER_WINDOW = 64.0
 
 # stage two shoots from SHOOT_AMPS log-spaced amplitudes spanning a factor
 # SHOOT_SPAN either side of the endpoint's peak
@@ -60,8 +70,9 @@ SHOOT_SPAN = 64.0
 
 
 class UsableRegionError(RuntimeError):
-    """Raised when no negative-energy starting scale exists on this grid,
-    even for the amplitude-dilated problem."""
+    """Raised by stage one when the dilation exponent is not a finite
+    double, or the fiber of the principal mode has no negative minimum on
+    the searched range of scales; the message names the range and s0."""
 
 
 class PathCollapseError(RuntimeError):
@@ -100,31 +111,6 @@ def _project_ball(g, u, radius):
 # -- stage one: minimizer in the ball ------------------------------------
 
 
-def _negative_start(p, g, phi1, lam1, radius):
-    """Scale t0 with I(t0 phi1) < 0 and t0 ||phi1|| inside the ball.
-
-    Halving scan.  When theta is small the required t0 is about
-    e^{(lam - lambda1)/(2|theta|)}; once t phi1 leaves the normal double
-    range the energy signs are roundoff noise, and the scan raises
-    UsableRegionError.  Stage one then retries on the amplitude-dilated
-    problem (see _dilation_exponent), where the same scan starts at O(1).
-    """
-    t = min(0.5, 0.5 * radius / np.sqrt(lam1))
-    # below this scale u^2 leaves the normal range and energy signs are
-    # roundoff noise, so a negative value there proves nothing
-    t_floor = np.sqrt(np.finfo(float).tiny) / float(np.max(phi1))
-    for _ in range(1200):
-        if t == 0.0 or t < max(t_floor, XLOG_CLAMP):
-            break
-        if energy_value(p, g, t * phi1) < 0.0:
-            return t
-        t *= 0.5
-    raise UsableRegionError(
-        "no scale of the principal mode reaches negative energy before "
-        "underflow; parameters lie outside the usable region of this grid"
-    )
-
-
 def _dilation_exponent(p, lam1):
     """Exponent s of the dilation u = e^s v that brings the minimizer to O(1).
 
@@ -136,11 +122,72 @@ def _dilation_exponent(p, lam1):
     s = (p.lam - lam1) / (2.0 * abs(p.theta)) - 0.5
     if not math.isfinite(s):
         raise UsableRegionError(
-            "no scale of the principal mode reaches negative energy in double "
-            f"range, and the amplitude-dilation exponent s = {s} is not a finite "
-            "double; parameters lie outside the usable region of this arithmetic"
+            f"stage one: the amplitude-dilation exponent s = {s} is not a finite "
+            "double, so no scale of the principal mode reaches negative energy "
+            "in double range; parameters lie outside the usable region of this "
+            "arithmetic"
         )
     return s
+
+
+def _fiber_start(p, g, radius):
+    """Stage one's start: (s0, p_s0, ball radius for v, start t* phi1).
+
+    s is the dilation exponent.  s0 = 0 when e^{2s}, the scale of u^2 at
+    a minimizer of amplitude e^s, is a normal double; otherwise s0 = s and
+    stage one solves the dilated problem p_s0 for v = e^{-s0} u.  t* is
+    the first local minimum of the fiber t -> I(t phi1; p_s0), which
+    fiber_map gives in closed form.  The search samples log t on
+    [hi - 2 FIBER_WINDOW, hi], with hi = s - s0 + FIBER_WINDOW unless the
+    ball (t ||phi1|| <= radius for v) caps it lower, floored where
+    (t max phi1)^2 leaves the normal range.  The first sampled minimum is
+    refined by bisection on the slope.  Raises UsableRegionError, naming
+    the t-range and s0, when the range is empty or the fiber's first
+    minimum on it is not negative.
+    """
+    lam1, phi1 = g.eigenpair
+    s = _dilation_exponent(p, lam1)
+    if 2.0 * s >= LOG_TINY:
+        s0, ps, radius_v = 0.0, p, radius
+    else:
+        s0, ps = s, dilated_params(p, s)
+        # the ball for v has radius e^{-s} radius; past double range it
+        # cannot bind an O(1) profile
+        radius_v = radius * math.exp(-s) if -s < 700.0 else math.inf
+    hi = min(s - s0 + FIBER_WINDOW, math.log(radius_v / _h1_norm(g, phi1)))
+    lo = max(hi - 2.0 * FIBER_WINDOW, 0.5 * LOG_TINY - math.log(float(np.max(phi1))))
+    fib = fiber_map(ps, g, phi1)
+    t0 = None
+    if lo < hi:
+        tau = np.linspace(lo, hi, FIBER_SAMPLES)
+        vals = fib(np.exp(tau))
+        rises = np.flatnonzero(vals[1:] >= vals[:-1])
+        i = int(rises[0]) if rises.size else FIBER_SAMPLES - 1
+        if 0 < i < FIBER_SAMPLES - 1:
+            # the fiber falls at tau[i - 1] and rises at tau[i + 1]
+            a, b = float(tau[i - 1]), float(tau[i + 1])
+            m = 0.5 * (a + b)
+            while a < m < b:
+                if fib.log_slope(math.exp(m)) < 0.0:
+                    a = m
+                else:
+                    b = m
+                m = 0.5 * (a + b)
+            t0 = math.exp(m)
+        else:
+            t0 = math.exp(tau[i])
+    if t0 is None or not (fib(t0) < 0.0):
+        why = (
+            "the ball caps t below the scale where u^2 underflows"
+            if t0 is None else "its first minimum there is not negative"
+        )
+        raise UsableRegionError(
+            "stage one: the fiber t -> I(t phi1) of the principal mode was "
+            f"searched for t in [{math.exp(lo):.6e}, {math.exp(hi):.6e}] "
+            f"(s0 = {s0:.6g}), and {why}; parameters lie outside the usable "
+            "region of this grid"
+        )
+    return s0, ps, radius_v, t0 * phi1
 
 
 def _scaled_level(c, s):
@@ -155,8 +202,9 @@ def _descend_in_ball(p, g, u, radius, gtol=1e-3, itmax=5000):
     first iterate whose Hessian A - f'(u) has Morse index 0 is handed to
     Newton, once.  Its limit is accepted when Newton converged and the
     limit has Morse index 0, negative energy and a norm strictly inside
-    radius.  Earlier iterates are not tried: on the weak-log showcase they
-    have index 1, and so do their Newton limits.  After a rejected limit
+    radius.  Earlier iterates are not tried: from an iterate of index 1,
+    such as a small negative-energy multiple of phi1 on the weak-log
+    showcase, Newton converges to a saddle.  After a rejected limit
     descent goes on to gtol, and Newton polishes the last iterate.  The
     Newton iterations count both calls.
     """
@@ -297,30 +345,26 @@ def find_ball_minimizer(p, g, rho, gtol=1e-8):
 def _minimize_with_stats(p, g, rho, gtol=1e-8):
     """Stage one in scaled form.  Returns (v, s, c_rho, stats), u0 = e^s v.
 
-    v is the Newton limit that _descend_in_ball returns: the hand-off from
-    the first descent iterate of Morse index 0 when its limit is accepted,
+    Descent starts at the fiber minimum t* phi1 of _fiber_start.  v is
+    the Newton limit that _descend_in_ball returns: the hand-off from the
+    first descent iterate of Morse index 0 when its limit is accepted,
     else the polish of the last descent iterate.  stats counts the descent
     iterations up to that point and the Newton iterations of both calls.
+    On instances A and B, the weak-log showcase and the N=5 test sets the
+    start already has index 0, so descent takes no step and Newton 0-3
+    iterations.
 
-    s = 0 whenever the principal-mode start is in double range, and the
-    minimizer is computed directly.  Otherwise v minimizes the dilated
-    problem dilated_params(p, s), which has the same critical points up to
-    the factor e^s and levels up to e^{2s}.  Checks and the reported
-    residual refer to v; the norm check reads ln||v|| + s < ln(radius).
+    s = 0 whenever e^{2s}, for the dilation exponent s, is a normal
+    double, and the minimizer is computed directly.  Otherwise v
+    minimizes the dilated problem dilated_params(p, s), which has the same
+    critical points up to the factor e^s and levels up to e^{2s}.  Checks
+    and the reported residual refer to v; the norm check reads
+    ln||v|| + s < ln(radius).  UsableRegionError, raised by _fiber_start,
+    names stage one.
     """
     radius = rho * (1.0 - BALL_MARGIN)
-    lam1, phi1 = g.eigenpair
-    s, ps, radius_v = 0.0, p, radius
-    try:
-        t0 = _negative_start(p, g, phi1, lam1, radius)
-    except UsableRegionError:
-        s = _dilation_exponent(p, lam1)
-        ps = dilated_params(p, s)
-        # the ball for v has radius e^{-s} radius; past double range it
-        # cannot bind an O(1) profile
-        radius_v = radius * math.exp(-s) if -s < 700.0 else math.inf
-        t0 = _negative_start(ps, g, phi1, lam1, radius_v)
-    nres, iters, newton_iters = _descend_in_ball(ps, g, t0 * phi1, radius_v)
+    s, ps, radius_v, start = _fiber_start(p, g, radius)
+    nres, iters, newton_iters = _descend_in_ball(ps, g, start, radius_v)
     v = nres.u
     c = energy_value(ps, g, v)
     if not (c < 0.0):
@@ -588,11 +632,12 @@ def solve_problem(p, M, n=16, P=33, r0=None):
     (see _minimize_with_stats): when the minimizer's amplitude lies below
     double range, as in the weak-log regime, it is solved as an O(1)
     profile v0 of the amplitude-dilated problem, and stage two starts from
-    the underflowed u0 = e^{s0} v0.  Raises UsableRegionError when no
-    negative-energy start exists even after dilation (the dilation
-    exponent is not a finite double), ValueError when no region membership
-    holds.  The membership is evaluated once, here: stage one and
-    select_endpoint get its rho, mountain_pass the whole RegionReport.
+    the underflowed u0 = e^{s0} v0.  Raises UsableRegionError when stage
+    one finds no negative-energy start (the dilation exponent is not a
+    finite double, or the fiber of phi1 has no negative minimum on the
+    searched range), ValueError when no region membership holds.  The
+    membership is evaluated once, here: stage one and select_endpoint get
+    its rho, mountain_pass the whole RegionReport.
     """
     from .bubbles import BubbleSpec
     from .grid import build_grid

@@ -8,7 +8,7 @@ import pytest
 import logcrit as lc
 from conftest import INSTANCE_A, INSTANCE_B, SHOWCASE
 from logcrit import solvers
-from logcrit.energy import XLOG_CLAMP, dilated_params
+from logcrit.energy import XLOG_CLAMP, FiberMap, dilated_params, fiber_map
 
 # frozen pipeline outputs at M = 1024, n = 64, P = 33
 FROZEN_A = dict(
@@ -404,18 +404,30 @@ class TestShooting:
             lc.mountain_pass(params_a, g, 2.0 * u_mp, 3.0 * u_mp, rep)
 
 
-# -- stage one against the descend-to-gtol-then-Newton route ----------------
+# -- stage one: the fiber-minimum start and its hand-off ---------------------
 #
-# ref_descend_in_ball and ref_minimize are stage one as it ran before the
-# Newton hand-off: descent to gtol, then one Newton polish.  visit, if
-# given, sees every descent iterate.
+# ref_negative_start and ref_start are stage one's start as it was found
+# before the closed-form fiber: a halving scan for a negative multiple of
+# phi1, retried on the dilated problem when it fails.  ref_descend_in_ball
+# and ref_minimize are the route without the Newton hand-off: descent to
+# gtol, then one Newton polish.
 
 
-def ref_descend_in_ball(p, g, u, radius, gtol=1e-3, itmax=5000, visit=None):
+def ref_negative_start(p, g, phi1, lam1, radius):
+    t = min(0.5, 0.5 * radius / np.sqrt(lam1))
+    t_floor = np.sqrt(np.finfo(float).tiny) / float(np.max(phi1))
+    for _ in range(1200):
+        if t == 0.0 or t < max(t_floor, XLOG_CLAMP):
+            break
+        if lc.energy_value(p, g, t * phi1) < 0.0:
+            return t
+        t *= 0.5
+    raise lc.UsableRegionError("no negative start before underflow")
+
+
+def ref_descend_in_ball(p, g, u, radius, gtol=1e-3, itmax=5000):
     e = lc.energy_value(p, g, u)
     for it in range(itmax):
-        if visit is not None:
-            visit(u)
         grad = lc.gradient_field(p, g, u)
         gn2, pre = solvers._dual_norm_sq(g, grad)
         if np.sqrt(gn2) < gtol:
@@ -436,27 +448,43 @@ def ref_descend_in_ball(p, g, u, radius, gtol=1e-3, itmax=5000, visit=None):
 
 
 def ref_start(p, g, rho):
-    """(dilated params, s, descent start, ball radius for v) of stage one."""
+    """(dilated params, s, descent start, ball radius for v) of the halving scan."""
     radius = rho * (1.0 - solvers.BALL_MARGIN)
     lam1, phi1 = g.eigenpair
     try:
-        t0 = solvers._negative_start(p, g, phi1, lam1, radius)
+        t0 = ref_negative_start(p, g, phi1, lam1, radius)
         return p, 0.0, t0 * phi1, radius
     except lc.UsableRegionError:
         s = solvers._dilation_exponent(p, lam1)
         ps = dilated_params(p, s)
         radius_v = radius * math.exp(-s) if -s < 700.0 else math.inf
-        t0 = solvers._negative_start(ps, g, phi1, lam1, radius_v)
+        t0 = ref_negative_start(ps, g, phi1, lam1, radius_v)
         return ps, s, t0 * phi1, radius_v
 
 
-def ref_minimize(p, g, rho):
-    """(Newton result, s, c_rho, descent iterations) of the old route."""
-    ps, s, start, radius_v = ref_start(p, g, rho)
-    v, iters = ref_descend_in_ball(ps, g, start, radius_v)
+def fiber_start(p, g, rho):
+    """ref_start's tuple for the start that stage one uses: t* phi1."""
+    s0, ps, radius_v, start = solvers._fiber_start(
+        p, g, rho * (1.0 - solvers.BALL_MARGIN)
+    )
+    return ps, s0, start, radius_v
+
+
+def ref_minimize(p, g, rho, start=ref_start):
+    """(Newton result, s, c_rho, descent iterations) of descent to gtol, then
+    Newton, from the start that start(p, g, rho) gives."""
+    ps, s, u, radius_v = start(p, g, rho)
+    v, iters = ref_descend_in_ball(ps, g, u, radius_v)
     nres = solvers._newton(ps, g, v)
     c = solvers._scaled_level(lc.energy_value(ps, g, nres.u), s)
     return nres, s, c, iters
+
+
+def polish(p, g, u):
+    """Newton to a residual of 1e-12 ||u||, relative to the size of u."""
+    nres = solvers._newton(p, g, u, tol=1e-12 * h1_norm(g, u))
+    assert nres.converged
+    return nres.u
 
 
 STAGE_ONE_CASES = {
@@ -466,6 +494,9 @@ STAGE_ONE_CASES = {
     "N5": (dict(N=5, q=2.8, mu=1.5, nu=-2.0, lam=5.0, theta=-0.1), 400),
     "N5-strong-log": (dict(N=5, q=2.5, mu=1.0, nu=-1.0, lam=0.0, theta=-3.0), 400),
 }
+# minimizers of amplitude 6e-8 (B) and 3e-33 (N5): Newton's absolute
+# tolerance 1e-10 stops each route at a different point near them
+TINY_MINIMIZERS = ("B", "N5")
 
 
 def stage_one_problem(name):
@@ -478,7 +509,7 @@ def stage_one_problem(name):
 @pytest.fixture(scope="module")
 def showcase_200():
     p, g, rho = stage_one_problem("showcase")
-    return p, g, rho, ref_minimize(p, g, rho)
+    return p, g, rho, ref_minimize(p, g, rho, start=fiber_start)
 
 
 def assert_matches_ref(result, ref):
@@ -491,28 +522,36 @@ def assert_matches_ref(result, ref):
 
 
 class TestStageOneHandOff:
-    def test_showcase_hands_off_at_the_first_index_zero_iterate(self, showcase_200):
-        p, g, rho, _ = showcase_200
-        ps, _, start, radius_v = ref_start(p, g, rho)
-        indices = []
-        ref_descend_in_ball(
-            ps, g, start, radius_v,
-            visit=lambda u: indices.append(solvers._morse_index(ps, g, u)),
-        )
-        assert indices[0] == 1  # Newton from the start would find a saddle
-        assert indices.index(0) == 309
-        v, _, _, stats = solvers._minimize_with_stats(p, g, rho)
-        assert stats["iters_minimize"] == 309
-        assert stats["iters_newton0"] <= 5
+    @pytest.mark.parametrize("name", sorted(STAGE_ONE_CASES))
+    def test_fiber_minimum_start_has_index_zero(self, name):
+        p, g, rho = stage_one_problem(name)
+        ps, s0, start, _ = fiber_start(p, g, rho)
+        assert solvers._morse_index(ps, g, start) == 0
+        v, s, _, stats = solvers._minimize_with_stats(p, g, rho)
+        assert s == s0
+        assert stats["iters_minimize"] == 0
+        assert stats["iters_newton0"] <= 3
         assert solvers._morse_index(ps, g, v) == 0
-        assert dense_morse_index(ps, g, v) == 0
+        if name == "showcase":
+            assert dense_morse_index(ps, g, v) == 0
+            # the halving scan's start has index 1: Newton from it would
+            # find a saddle, and descent took 309 steps to reach index 0
+            _, _, old, _ = ref_start(p, g, rho)
+            assert solvers._morse_index(ps, g, old) == 1
+
+    def test_start_is_the_fiber_minimum(self):
+        for name in ("A", "showcase"):
+            p, g, rho = stage_one_problem(name)
+            ps, _, start, _ = fiber_start(p, g, rho)
+            e = [lc.energy_value(ps, g, k * start) for k in (1 - 1e-4, 1.0, 1 + 1e-4)]
+            assert e[1] < 0.0 and e[1] < e[0] and e[1] < e[2]
 
     def test_without_a_hand_off_the_route_is_unchanged(self, showcase_200, monkeypatch):
         p, g, rho, ref = showcase_200
         monkeypatch.setattr(solvers, "_morse_index", lambda p, g, u: 1)
         result = solvers._minimize_with_stats(p, g, rho)
         assert_matches_ref(result, ref)
-        assert result[3]["iters_minimize"] == 2063
+        assert result[3]["iters_minimize"] == ref[3] > 0
         assert result[3]["iters_newton0"] == ref[0].iterations
 
     def test_unconverged_hand_off_is_rejected(self, showcase_200, monkeypatch):
@@ -534,27 +573,27 @@ class TestStageOneHandOff:
         assert result[3]["iters_newton0"] == want
 
     def test_limit_of_index_one_is_rejected(self, showcase_200, monkeypatch):
-        # the start is reported as index 0, so Newton runs from it; it
-        # converges to a tiny critical point of index 1 at negative energy
-        # inside the ball, which only the index check rejects
+        # the start has index 0, so Newton runs from it; its limit, the
+        # minimizer, is reported as index 1, and only the index check on
+        # the limit rejects it
         p, g, rho, ref = showcase_200
         morse = solvers._morse_index
         seen = []
 
-        def start_reads_zero(p, g, u):
+        def limit_reads_one(p, g, u):
             seen.append(morse(p, g, u))
-            return 0 if len(seen) == 1 else seen[-1]
+            return seen[-1] if len(seen) == 1 else 1
 
-        monkeypatch.setattr(solvers, "_morse_index", start_reads_zero)
+        monkeypatch.setattr(solvers, "_morse_index", limit_reads_one)
         result = solvers._minimize_with_stats(p, g, rho)
-        assert seen == [1, 1]
+        assert seen == [0, 0]
         assert_matches_ref(result, ref)
 
     def test_limit_at_zero_energy_is_rejected(self, monkeypatch):
         # u = 0 is a critical point of index 0 (f'(0) = lam = 0 on A), at
         # energy 0 and inside the ball; only the energy check rejects it
         p, g, rho = stage_one_problem("A")
-        ref = ref_minimize(p, g, rho)
+        ref = ref_minimize(p, g, rho, start=fiber_start)
         newton = solvers._newton
         calls = []
 
@@ -571,28 +610,105 @@ class TestStageOneHandOff:
         result = solvers._minimize_with_stats(p, g, rho)
         assert len(calls) == 2
         assert_matches_ref(result, ref)
-        assert result[3]["iters_minimize"] == 4
+        assert result[3]["iters_minimize"] == ref[3] > 0
 
     def test_limit_outside_the_ball_is_rejected(self):
         # on A the start has index 0 and its Newton limit is the minimizer;
         # in a ball just too small to hold it the hand-off is rejected, and
         # projected descent runs on to itmax
         p, g, rho = stage_one_problem("A")
-        ps, _, start, radius = ref_start(p, g, rho)
+        ps, _, start, radius = fiber_start(p, g, rho)
         nres, iters, _ = solvers._descend_in_ball(ps, g, start, radius)
         assert iters == 0 and nres.converged
         small = 0.99 * h1_norm(g, nres.u)
+        assert h1_norm(g, start) < small
         _, iters, _ = solvers._descend_in_ball(ps, g, start, small, itmax=3)
         assert iters == 3
 
     @pytest.mark.parametrize("name", sorted(STAGE_ONE_CASES))
     def test_matches_the_descend_then_newton_route(self, name):
+        # the route from the halving scan's start; B's and N5's minimizers
+        # end where each route meets the absolute tolerance, so both are
+        # polished relative to their size before they are compared
         p, g, rho = stage_one_problem(name)
         v, s, c, _ = solvers._minimize_with_stats(p, g, rho)
         ref, s_ref, c_ref, _ = ref_minimize(p, g, rho)
         assert s == s_ref
+        u_ref = ref.u
+        if name in TINY_MINIMIZERS:
+            ps = dilated_params(p, s)
+            v, u_ref = polish(ps, g, v), polish(ps, g, u_ref)
+            c = solvers._scaled_level(lc.energy_value(ps, g, v), s)
+            c_ref = solvers._scaled_level(lc.energy_value(ps, g, u_ref), s)
         assert abs(float((c - c_ref) / c_ref)) <= 1e-10
-        assert h1_norm(g, v - ref.u) <= 1e-8 * h1_norm(g, ref.u)
+        assert h1_norm(g, v - u_ref) <= 1e-8 * h1_norm(g, u_ref)
+
+    def test_empty_fiber_window_names_stage_one(self):
+        # a ball so small that (t max phi1)^2 underflows at its edge
+        # leaves no scale of phi1 to search
+        p, g, _ = stage_one_problem("A")
+        with pytest.raises(
+            lc.UsableRegionError,
+            match=r"^stage one: .* for t in \[\S+, \S+\] \(s0 = 0\), and the ball caps t",
+        ):
+            solvers._minimize_with_stats(p, g, 1e-160)
+
+    def test_fiber_without_a_negative_minimum_names_stage_one(self, monkeypatch):
+        # a fiber t^2 that is positive everywhere, in place of phi1's
+        p, g, rho = stage_one_problem("showcase")
+        positive = FiberMap(quad=1.0, crit=0.0, sub=0.0, xlog=0.0, two_star=4.0, q=3.0)
+        monkeypatch.setattr(solvers, "fiber_map", lambda p, g, u: positive)
+        with pytest.raises(
+            lc.UsableRegionError,
+            match=r"^stage one: .* \(s0 = -734\.59\d*\), and its first minimum there is not negative",
+        ):
+            solvers._minimize_with_stats(p, g, rho)
+
+
+# -- the closed-form fiber against one energy_value per sample -------------------
+
+
+def ref_g_profile(p, g, u, t_max=2.0, samples=256):
+    """g_profile as it sampled before the closed form: one energy_value per t."""
+    ts = np.linspace(t_max / samples, t_max, samples)
+    vals = np.array([lc.energy_value(p, g, t * u) for t in ts])
+    signs = np.sign(np.diff(vals))
+    signs = signs[signs != 0]
+    changes = int(np.sum(signs[1:] != signs[:-1]))
+    return lc.FiberProfile(t=ts, values=vals, sign_changes=changes)
+
+
+class TestClosedFormFiber:
+    @pytest.mark.parametrize("scale", [1.0, 1.15])
+    @pytest.mark.parametrize("name", ["A", "B", "N5", "showcase"])
+    def test_profile_matches_direct_samples(self, name, scale):
+        # the minimizer, and a multiple whose fiber minimum sits at 1/1.15
+        p, g, rho = stage_one_problem(name)
+        v, s0, _, _ = solvers._minimize_with_stats(p, g, rho)
+        ps = dilated_params(p, s0)
+        prof = lc.g_profile(ps, g, scale * v)
+        ref = ref_g_profile(ps, g, scale * v)
+        assert np.array_equal(prof.t, ref.t)
+        err = np.max(np.abs(prof.values - ref.values))
+        assert err <= 1e-10 * np.max(np.abs(ref.values))
+        assert prof.sign_changes == ref.sign_changes
+        t_min = solvers._profile_local_min_near_one(prof)
+        assert t_min == solvers._profile_local_min_near_one(ref)
+        assert (abs(t_min - 1.0) <= 0.05) == (scale == 1.0)
+
+    def test_log_slope_matches_differences(self, params_a):
+        g = lc.build_grid(3, 1.0, 256)
+        fib = fiber_map(params_a, g, g.eigenpair[1])
+        for t in (1e-3, 0.1, 1.0, 3.0):
+            h = 1e-5
+            fd = (fib(t * math.exp(h)) - fib(t * math.exp(-h))) / (2.0 * h)
+            assert fib.log_slope(t) == pytest.approx(float(fd), rel=1e-6, abs=1e-12)
+
+    def test_profile_rejects_an_overflowing_fiber(self, params_a):
+        g = lc.build_grid(3, 1.0, 128)
+        u = 1.0 - g.r**2 + 0.01
+        with pytest.raises(ValueError, match="non-finite"):
+            lc.g_profile(params_a, g, u, t_max=1e60)
 
 
 class TestStructureVerifierFailures:
