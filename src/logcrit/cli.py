@@ -287,7 +287,10 @@ def cmd_solve(cfg, args):
     except solvers.PathCollapseError as e:
         print(f"solve stage ridge: {e}", file=sys.stderr)
         return EXIT_GATE
-    except solvers.ConcentrationStallError as e:
+    except RuntimeError as e:
+        # ConcentrationStallError, and the checks mountain_pass makes on the
+        # saddle it found: a level that is not positive or lies below alpha,
+        # or a saddle at u0
         print(f"solve stage saddle: {e}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -250,8 +250,10 @@ def principal_eigenpair(grid, tol=1e-10, itmax=200):
     """Smallest eigenvalue and positive unit-L^2 eigenfunction of -Laplacian.
 
     Inverse power iteration with the tridiagonal solver.  Converged when the
-    eigenvalue increment drops below tol.  Returns (lam1, phi1).  Solvers
-    read the grid's cached copy, grid.eigenpair.
+    eigenvalue increment drops below max(tol, 1e-11 lam): the roundoff of
+    the Rayleigh quotient grows with lam, and on fine grids of a small
+    ball (lam1 in the hundreds) it exceeds tol.  Returns (lam1, phi1).
+    Solvers read the grid's cached copy, grid.eigenpair.
     """
     band = grid.band
     x = np.ones(grid.M)
@@ -262,7 +264,7 @@ def principal_eigenpair(grid, tol=1e-10, itmax=200):
         ny = np.sqrt(grid.l2_norm_sq(y))
         x = y / ny
         lam = grid.dot(x, grid.apply_neg_laplacian(x))
-        if abs(lam - lam_old) < tol:
+        if abs(lam - lam_old) < max(tol, 1e-11 * lam):
             break
         lam_old = lam
     else:

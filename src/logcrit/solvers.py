@@ -9,12 +9,11 @@ solves for an O(1) profile v of the amplitude-dilated problem instead and
 reports u0 = e^s v in scaled form, with its level as an mpmath.mpf.  It
 starts at t* phi1, the first minimum of the fiber t -> I(t phi1), which
 the closed form of fiber_map gives without a grid pass per t.  Projected,
-preconditioned descent hands its first iterate whose Hessian A - f'(u)
-has Morse index 0 to damped Newton, once; on every instance measured that
-is the start itself.  Stage one ends there when Newton converges to a
-limit of Morse index 0 at negative energy strictly inside the ball.
-Otherwise descent runs on to its gradient tolerance and Newton polishes
-the last iterate.
+preconditioned descent runs to its first iterate whose Hessian A - f'(u)
+has Morse index 0 (on every instance measured that is the start itself),
+and damped Newton runs once from there.  One check accepts the limit: a
+residual below 1e-8, Morse index 0, negative energy and a norm strictly
+inside the ball.  A failed check raises UsableRegionError.
 
 Stage two finds the mountain-pass point by discrete radial shooting.
 Positive solutions on a ball are radial, so each is a root of the map
@@ -71,8 +70,10 @@ SHOOT_SPAN = 64.0
 
 class UsableRegionError(RuntimeError):
     """Raised by stage one when the dilation exponent is not a finite
-    double, or the fiber of the principal mode has no negative minimum on
-    the searched range of scales; the message names the range and s0."""
+    double, when the fiber of the principal mode has no negative minimum
+    on the searched range of scales (the message names the range and s0),
+    or when Newton's limit fails a check of _minimize_with_stats (the
+    message names the check)."""
 
 
 class PathCollapseError(RuntimeError):
@@ -195,38 +196,20 @@ def _scaled_level(c, s):
     return mpmath.mpf(c) * mpmath.exp(2 * s)
 
 
-def _descend_in_ball(p, g, u, radius, gtol=1e-3, itmax=5000):
-    """Projected preconditioned descent, finished by Newton.
+def _descend_in_ball(p, g, u, radius, itmax=5000):
+    """Projected preconditioned descent to its first iterate of Morse index 0.
 
-    Returns (NewtonResult, descent iterations, Newton iterations).  The
-    first iterate whose Hessian A - f'(u) has Morse index 0 is handed to
-    Newton, once.  Its limit is accepted when Newton converged and the
-    limit has Morse index 0, negative energy and a norm strictly inside
-    radius.  Earlier iterates are not tried: from an iterate of index 1,
-    such as a small negative-energy multiple of phi1 on the weak-log
-    showcase, Newton converges to a saddle.  After a rejected limit
-    descent goes on to gtol, and Newton polishes the last iterate.  The
-    Newton iterations count both calls.
+    Returns (iterate, descent steps).  Newton runs from that iterate:
+    from an iterate of index 1, such as a small negative-energy multiple
+    of phi1 on the weak-log showcase, it converges to a saddle.  When no
+    Armijo step is left, or after itmax steps, the last iterate is
+    returned, and the index check on Newton's limit decides.
     """
-    handoff = True
-    newton_its = 0
     e = energy_value(p, g, u)
     for it in range(itmax):
-        grad = gradient_field(p, g, u)
-        gn2, pre = _dual_norm_sq(g, grad)
-        if np.sqrt(gn2) < gtol:
-            break
-        if handoff and _morse_index(p, g, u) == 0:
-            handoff = False
-            nres = _newton(p, g, u)
-            newton_its = nres.iterations
-            if (
-                nres.converged
-                and _morse_index(p, g, nres.u) == 0
-                and energy_value(p, g, nres.u) < 0.0
-                and _h1_norm(g, nres.u) < radius
-            ):
-                return nres, it, newton_its
+        if _morse_index(p, g, u) == 0:
+            return u, it
+        gn2, pre = _dual_norm_sq(g, gradient_field(p, g, u))
         s = 1.0
         while s >= 1e-14:
             cand = _project_ball(g, u - s * pre, radius)
@@ -235,14 +218,11 @@ def _descend_in_ball(p, g, u, radius, gtol=1e-3, itmax=5000):
                 break
             s *= 0.5
         else:
-            break  # no descent step left at this resolution
+            return u, it  # no descent step left at this resolution
         u, e = cand, ec
         if _h1_norm(g, u) > 2.0 * radius / (1.0 - BALL_MARGIN):
             raise RuntimeError("descent iterate left the expected bounded set")
-    else:
-        it = itmax
-    nres = _newton(p, g, u)
-    return nres, it, newton_its + nres.iterations
+    return u, itmax
 
 
 @dataclass(frozen=True)
@@ -330,52 +310,58 @@ def _morse_index(p, g, u):
     return len(neg)
 
 
-def find_ball_minimizer(p, g, rho, gtol=1e-8):
+def find_ball_minimizer(p, g, rho):
     """Local minimizer of the energy inside {||u|| < rho}.
 
-    Returns (u0, c_rho) with c_rho an mpmath.mpf.  Postconditions checked
-    here: negative energy, strictly interior norm, gradient dual norm below
-    gtol.  When the minimizer lies below double range, u0 is the
-    underflowed array e^s v; _minimize_with_stats keeps the scaled form.
+    Returns (u0, c_rho) with c_rho an mpmath.mpf; _minimize_with_stats
+    checks the limit.  When the minimizer lies below double range, u0 is
+    the underflowed array e^s v; _minimize_with_stats keeps the scaled
+    form.
     """
-    v, s, c_rho, _ = _minimize_with_stats(p, g, rho, gtol=gtol)
+    v, s, c_rho, _ = _minimize_with_stats(p, g, rho)
     return np.exp(s) * v, c_rho
 
 
-def _minimize_with_stats(p, g, rho, gtol=1e-8):
+def _minimize_with_stats(p, g, rho):
     """Stage one in scaled form.  Returns (v, s, c_rho, stats), u0 = e^s v.
 
-    Descent starts at the fiber minimum t* phi1 of _fiber_start.  v is
-    the Newton limit that _descend_in_ball returns: the hand-off from the
-    first descent iterate of Morse index 0 when its limit is accepted,
-    else the polish of the last descent iterate.  stats counts the descent
-    iterations up to that point and the Newton iterations of both calls.
-    On instances A and B, the weak-log showcase and the N=5 test sets the
-    start already has index 0, so descent takes no step and Newton 0-3
-    iterations.
+    Descent runs from the fiber minimum t* phi1 of _fiber_start to its
+    first iterate of Morse index 0, and Newton runs once from there.  Its
+    limit v is accepted when its residual is below 1e-8, its Morse index
+    is 0, its energy is negative and ln||v|| + s < ln(radius); a failed
+    check raises UsableRegionError naming stage one and the check.  stats
+    counts the descent steps and the Newton iterations.  On instances A
+    and B, the weak-log showcase and the N=5 test sets the start already
+    has index 0, so descent takes no step and Newton 0-3 iterations.
 
     s = 0 whenever e^{2s}, for the dilation exponent s, is a normal
     double, and the minimizer is computed directly.  Otherwise v
     minimizes the dilated problem dilated_params(p, s), which has the same
     critical points up to the factor e^s and levels up to e^{2s}.  Checks
-    and the reported residual refer to v; the norm check reads
-    ln||v|| + s < ln(radius).  UsableRegionError, raised by _fiber_start,
-    names stage one.
+    and the reported residual refer to v.  _fiber_start raises
+    UsableRegionError, naming stage one, when it finds no start.
     """
     radius = rho * (1.0 - BALL_MARGIN)
     s, ps, radius_v, start = _fiber_start(p, g, radius)
-    nres, iters, newton_iters = _descend_in_ball(ps, g, start, radius_v)
+    u, iters = _descend_in_ball(ps, g, start, radius_v)
+    nres = _newton(ps, g, u)
     v = nres.u
     c = energy_value(ps, g, v)
-    if not (c < 0.0):
-        raise RuntimeError("ball minimizer ended at nonnegative energy")
-    if not (math.log(_h1_norm(g, v)) + s < math.log(radius)):
-        raise RuntimeError("ball constraint active at the minimizer")
-    if not (nres.residual < gtol):
-        raise RuntimeError(
-            f"minimizer residual {nres.residual:.3e} above tolerance {gtol:.1e}"
+    check = None
+    if not (nres.residual < 1e-8):
+        check, why = "residual", f"{nres.residual:.3e} is not below 1e-8"
+    elif _morse_index(ps, g, v) != 0:
+        check, why = "Morse index", "the Hessian A - f'(v) has a negative eigenvalue"
+    elif not (c < 0.0):
+        check, why = "energy", f"{c:.6e} is not negative"
+    elif not (math.log(_h1_norm(g, v)) + s < math.log(radius)):
+        check, why = "ball", "ln||v|| + s is not below ln(radius)"
+    if check is not None:
+        raise UsableRegionError(
+            f"stage one: the Newton limit after {iters} descent steps fails "
+            f"the {check} check: {why}"
         )
-    stats = {"iters_minimize": iters, "iters_newton0": newton_iters,
+    stats = {"iters_minimize": iters, "iters_newton0": nres.iterations,
              "residual0": nres.residual}
     return v, s, _scaled_level(c, s), stats
 
@@ -635,9 +621,10 @@ def solve_problem(p, M, n=16, P=33, r0=None):
     the underflowed u0 = e^{s0} v0.  Raises UsableRegionError when stage
     one finds no negative-energy start (the dilation exponent is not a
     finite double, or the fiber of phi1 has no negative minimum on the
-    searched range), ValueError when no region membership holds.  The
-    membership is evaluated once, here: stage one and select_endpoint get
-    its rho, mountain_pass the whole RegionReport.
+    searched range) or its Newton limit fails a check, ValueError when
+    no region membership holds.  The membership is evaluated once, here:
+    stage one and select_endpoint get its rho, mountain_pass the whole
+    RegionReport.
     """
     from .bubbles import BubbleSpec
     from .grid import build_grid

@@ -106,6 +106,18 @@ def test_unusable_region_exits_two(tmp_path, capsys):
     assert "minimize" in err and "dilation exponent" in err
 
 
+def test_saddle_below_the_level_floor_exits_three(tmp_path, capsys):
+    # on this coarse grid the first positive index-1 limit of the scan has
+    # level 1.858, below the floor alpha = 2.179, and mountain_pass rejects it
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, **instance_a_config(theta=-1.0, M=64, n=16))
+    assert main(["solve", "--config", cfg, "--out", tmp]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solve stage saddle: saddle level 1.858")
+    assert "below the geometry floor 2.179" in err
+    assert not os.path.exists(os.path.join(tmp, "solve.json"))
+
+
 def test_weak_log_showcase_solve_misses_the_gap_bound(tmp_path):
     # the default config is the weak-log showcase: the minimizer is solved
     # in scaled form and its level is written as a lossless literal far

@@ -104,6 +104,28 @@ def test_principal_eigenpair_matches_bessel(N):
     assert np.sqrt(g.l2_norm_sq(res)) < 1e-5 * lam
 
 
+@pytest.mark.parametrize(
+    "N, R, M, solves",
+    [(3, 1.0, 1024, 11), (4, 1.0, 512, 12), (4, 1.0, 200, 12), (5, 1.0, 400, 13),
+     # lam1 = 340.8: the Rayleigh quotient's increments cycle between 2.6e-10
+     # and 6.9e-10 here, so an absolute stop at 1e-10 never fires
+     (5, 0.24340247239823118, 4096, 13)],
+)
+def test_eigen_iteration_stops_relative_to_lambda(N, R, M, solves, monkeypatch):
+    solve = lc.grid.solve_tridiagonal
+    calls = []
+
+    def counting(band, x):
+        calls.append(1)
+        return solve(band, x)
+
+    monkeypatch.setattr(lc.grid, "solve_tridiagonal", counting)
+    lam, phi = lc.principal_eigenpair(lc.build_grid(N, R, M))
+    assert len(calls) == solves
+    assert lam == pytest.approx(lc.bessel_lambda1(N, R), rel=1e-5)
+    assert np.all(phi > 0)
+
+
 def test_eigenvalue_scales_with_radius():
     lam_1, _ = lc.principal_eigenpair(lc.build_grid(3, 1.0, 400))
     lam_2, _ = lc.principal_eigenpair(lc.build_grid(3, 2.0, 400))

@@ -404,12 +404,12 @@ class TestShooting:
             lc.mountain_pass(params_a, g, 2.0 * u_mp, 3.0 * u_mp, rep)
 
 
-# -- stage one: the fiber-minimum start and its hand-off ---------------------
+# -- stage one: the fiber-minimum start, descent, Newton and its checks -------
 #
 # ref_negative_start and ref_start are stage one's start as it was found
 # before the closed-form fiber: a halving scan for a negative multiple of
 # phi1, retried on the dilated problem when it fails.  ref_descend_in_ball
-# and ref_minimize are the route without the Newton hand-off: descent to
+# and ref_minimize are the route without the Morse-index test: descent to
 # gtol, then one Newton polish.
 
 
@@ -506,21 +506,6 @@ def stage_one_problem(name):
     return p, g, region_report(p, g).rho
 
 
-@pytest.fixture(scope="module")
-def showcase_200():
-    p, g, rho = stage_one_problem("showcase")
-    return p, g, rho, ref_minimize(p, g, rho, start=fiber_start)
-
-
-def assert_matches_ref(result, ref):
-    v, s, c, stats = result
-    nres, s_ref, c_ref, iters = ref
-    assert np.array_equal(v, nres.u)
-    assert s == s_ref and c == c_ref
-    assert stats["iters_minimize"] == iters
-    assert stats["residual0"] == nres.residual
-
-
 class TestStageOneHandOff:
     @pytest.mark.parametrize("name", sorted(STAGE_ONE_CASES))
     def test_fiber_minimum_start_has_index_zero(self, name):
@@ -546,37 +531,45 @@ class TestStageOneHandOff:
             e = [lc.energy_value(ps, g, k * start) for k in (1 - 1e-4, 1.0, 1 + 1e-4)]
             assert e[1] < 0.0 and e[1] < e[0] and e[1] < e[2]
 
-    def test_without_a_hand_off_the_route_is_unchanged(self, showcase_200, monkeypatch):
-        p, g, rho, ref = showcase_200
-        monkeypatch.setattr(solvers, "_morse_index", lambda p, g, u: 1)
-        result = solvers._minimize_with_stats(p, g, rho)
-        assert_matches_ref(result, ref)
-        assert result[3]["iters_minimize"] == ref[3] > 0
-        assert result[3]["iters_newton0"] == ref[0].iterations
+    def test_index_one_start_descends_one_step(self):
+        # the fiber minimum of phi1 is a saddle of index 1 here: one
+        # projected descent step reaches index 0, and Newton takes 7
+        p = lc.ProblemParams(N=4, q=2.4, mu=0.25, nu=-0.5, lam=-30.0, theta=-6.0, R=4.5)
+        g = lc.build_grid(p.N, p.R, 256)
+        rho = region_report(p, g).rho
+        ps, _, start, _ = fiber_start(p, g, rho)
+        assert solvers._morse_index(ps, g, start) == 1
+        v, s, c, stats = solvers._minimize_with_stats(p, g, rho)
+        assert s == 0.0
+        assert stats["iters_minimize"] == 1 and stats["iters_newton0"] == 7
+        assert c == -24.83935160012831
+        assert solvers._morse_index(ps, g, v) == 0
 
-    def test_unconverged_hand_off_is_rejected(self, showcase_200, monkeypatch):
-        p, g, rho, ref = showcase_200
+    # each acceptance check on Newton's limit raises on its own: every test
+    # below breaks exactly one of them and expects that check's name
+
+    def test_unconverged_hand_off_is_rejected(self, monkeypatch):
+        # Newton's limit on the showcase reads a residual just above 1e-8
+        p, g, rho = stage_one_problem("showcase")
         newton = solvers._newton
         calls = []
 
-        def first_call_fails(*args, **kwargs):
-            res = newton(*args, **kwargs)
-            calls.append(res)
-            return dataclasses.replace(res, converged=len(calls) > 1 and res.converged)
+        def stalls(*args, **kwargs):
+            calls.append(newton(*args, **kwargs))
+            return dataclasses.replace(calls[-1], converged=False, residual=2e-8)
 
-        monkeypatch.setattr(solvers, "_newton", first_call_fails)
-        result = solvers._minimize_with_stats(p, g, rho)
-        assert len(calls) == 2
-        assert_matches_ref(result, ref)
-        # iters_newton0 counts the rejected call too
-        want = calls[0].iterations + ref[0].iterations
-        assert result[3]["iters_newton0"] == want
+        monkeypatch.setattr(solvers, "_newton", stalls)
+        with pytest.raises(
+            lc.UsableRegionError,
+            match=r"^stage one: .* fails the residual check: 2\.000e-08 is not below 1e-8",
+        ):
+            solvers._minimize_with_stats(p, g, rho)
+        assert len(calls) == 1
 
-    def test_limit_of_index_one_is_rejected(self, showcase_200, monkeypatch):
+    def test_limit_of_index_one_is_rejected(self, monkeypatch):
         # the start has index 0, so Newton runs from it; its limit, the
-        # minimizer, is reported as index 1, and only the index check on
-        # the limit rejects it
-        p, g, rho, ref = showcase_200
+        # minimizer, is reported as index 1
+        p, g, rho = stage_one_problem("showcase")
         morse = solvers._morse_index
         seen = []
 
@@ -585,45 +578,40 @@ class TestStageOneHandOff:
             return seen[-1] if len(seen) == 1 else 1
 
         monkeypatch.setattr(solvers, "_morse_index", limit_reads_one)
-        result = solvers._minimize_with_stats(p, g, rho)
+        with pytest.raises(
+            lc.UsableRegionError, match=r"^stage one: .* fails the Morse index check"
+        ):
+            solvers._minimize_with_stats(p, g, rho)
         assert seen == [0, 0]
-        assert_matches_ref(result, ref)
 
     def test_limit_at_zero_energy_is_rejected(self, monkeypatch):
         # u = 0 is a critical point of index 0 (f'(0) = lam = 0 on A), at
-        # energy 0 and inside the ball; only the energy check rejects it
+        # energy 0; Newton is made to return it
         p, g, rho = stage_one_problem("A")
-        ref = ref_minimize(p, g, rho, start=fiber_start)
-        newton = solvers._newton
-        calls = []
 
-        def first_call_is_zero(p, g, u, **kwargs):
-            calls.append(u)
-            if len(calls) == 1:
-                z = np.zeros_like(u)
-                assert solvers._morse_index(p, g, z) == 0
-                return solvers.NewtonResult(u=z, converged=True, residual=0.0,
-                                            iterations=0)
-            return newton(p, g, u, **kwargs)
+        def zero(p, g, u, **kwargs):
+            z = np.zeros_like(u)
+            assert solvers._morse_index(p, g, z) == 0
+            return solvers.NewtonResult(u=z, converged=True, residual=0.0, iterations=0)
 
-        monkeypatch.setattr(solvers, "_newton", first_call_is_zero)
-        result = solvers._minimize_with_stats(p, g, rho)
-        assert len(calls) == 2
-        assert_matches_ref(result, ref)
-        assert result[3]["iters_minimize"] == ref[3] > 0
+        monkeypatch.setattr(solvers, "_newton", zero)
+        with pytest.raises(
+            lc.UsableRegionError,
+            match=r"^stage one: .* fails the energy check: 0\.000000e\+00 is not negative",
+        ):
+            solvers._minimize_with_stats(p, g, rho)
 
     def test_limit_outside_the_ball_is_rejected(self):
-        # on A the start has index 0 and its Newton limit is the minimizer;
-        # in a ball just too small to hold it the hand-off is rejected, and
-        # projected descent runs on to itmax
+        # in a ball just too small to hold A's minimizer the fiber search
+        # stops at the ball's edge, and Newton from there still reaches it
         p, g, rho = stage_one_problem("A")
-        ps, _, start, radius = fiber_start(p, g, rho)
-        nres, iters, _ = solvers._descend_in_ball(ps, g, start, radius)
-        assert iters == 0 and nres.converged
-        small = 0.99 * h1_norm(g, nres.u)
-        assert h1_norm(g, start) < small
-        _, iters, _ = solvers._descend_in_ball(ps, g, start, small, itmax=3)
-        assert iters == 3
+        v, _, _, _ = solvers._minimize_with_stats(p, g, rho)
+        rho_small = 0.99 * h1_norm(g, v) / (1.0 - solvers.BALL_MARGIN)
+        with pytest.raises(
+            lc.UsableRegionError,
+            match=r"^stage one: the Newton limit after 0 descent steps fails the ball check",
+        ):
+            solvers._minimize_with_stats(p, g, rho_small)
 
     @pytest.mark.parametrize("name", sorted(STAGE_ONE_CASES))
     def test_matches_the_descend_then_newton_route(self, name):
