@@ -4,9 +4,12 @@ Exit codes: 0 success; 1 config error (including a bad certificate box
 and the N >= 6, nu <= 0 hypothesis gate); 2 solve precondition failed at
 run time (no region membership, unusable region, a failed ridge check
 of the saddle); 3 verification failure (structure check, gap bound,
-certificate margin, a non-finite scan supremum or slope fit) or no saddle
-(ConcentrationStallError: no sign change of the shooting map led Newton
-to a positive critical point of Morse index 1).
+certificate margin, a non-finite scan supremum or slope fit) or a saddle
+failure (no sign change of the shooting map led Newton to a positive
+critical point of Morse index 1, or the saddle found lies at or below
+its level floor or at the minimizer).  SOLVE_FAILURES maps each solve
+failure to its stderr prefix, its exit code and its sweep row status.
+A solving sweep row takes n, P and r0 from the config, as solve does.
 All emitted files use fixed 17-significant-digit float formatting and
 fixed orderings, so identical configs produce byte-identical outputs.
 """
@@ -16,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from itertools import product
 
 import mpmath
@@ -68,12 +72,27 @@ CONFIG_DEFAULTS = {
 
 SWEEP_KEYS = ("sweep_lambda", "sweep_mu", "sweep_nu", "sweep_q", "sweep_theta")
 
-# sweep row status of each solve failure; other failures read error:<type>
-SOLVE_FAILURE_STATUS = (
-    (solvers.UsableRegionError, "usable-region"),
-    (solvers.PathCollapseError, "collapse"),
-    (solvers.ConcentrationStallError, "stall"),
+# sweep.csv columns; the first five are the row's problem parameters
+SWEEP_COLUMNS = (
+    "lambda", "mu", "nu", "q", "theta",
+    "in_M1", "in_M2", "in_M3", "in_M4",
+    "alpha", "rho", "c_rho", "c_M", "gap_ok", "status",
 )
+SWEEP_PARAMS = SWEEP_COLUMNS[:5]
+
+# each solve failure: (class, solve's stderr prefix, solve's exit code, sweep
+# row status).  The first matching row wins; a sweep row whose failure has
+# no status of its own reads error:<type>.  The plain RuntimeError row holds
+# the checks mountain_pass makes on the saddle it found: a level that is not
+# positive or lies below alpha, or a saddle at u0.
+SOLVE_FAILURES = (
+    (solvers.UsableRegionError, "solve stage minimize", EXIT_GATE, "usable-region"),
+    (solvers.PathCollapseError, "solve stage ridge", EXIT_GATE, "collapse"),
+    (solvers.ConcentrationStallError, "solve stage saddle", EXIT_VERIFY, "stall"),
+    (ValueError, "solve gate", EXIT_GATE, None),
+    (RuntimeError, "solve stage saddle", EXIT_VERIFY, None),
+)
+SOLVE_FAILURE_TYPES = tuple(row[0] for row in SOLVE_FAILURES)
 
 
 class ConfigError(ValueError):
@@ -188,6 +207,20 @@ def _config_int(cfg, key):
     return int(n)
 
 
+def solve_args(cfg):
+    """The solve_problem keyword arguments M, n, P, r0 of a validated config."""
+    r0 = cfg["r0"]
+    return dict(
+        M=int(cfg["M"]), n=int(cfg["n"]), P=int(cfg["P"]),
+        r0=None if r0 is None else float(r0),
+    )
+
+
+def _solve_failure(e):
+    """The SOLVE_FAILURES row of the solve failure e."""
+    return next(row for row in SOLVE_FAILURES if isinstance(e, row[0]))
+
+
 def validate_numerics(cfg, p=None):
     """Reject bad numeric keys; returns the certificate scan box.
 
@@ -247,20 +280,7 @@ def cmd_regions(cfg, args):
     vol = ball_volume(p.N, p.R)
     rep = region_membership(p, S, lam1, vol)
     out = _outdir(cfg, args)
-    payload = {
-        "in_M1": rep.in_M1,
-        "in_M2": rep.in_M2,
-        "in_M3": rep.in_M3,
-        "in_M4": rep.in_M4,
-        "S": rep.S,
-        "lambda1": rep.lambda1,
-        "volume": rep.volume,
-        "alpha": rep.alpha,
-        "rho": rep.rho,
-        "applicable_case": rep.applicable_case,
-        "geometry_case": rep.geometry_case,
-    }
-    write_text(os.path.join(out, "regions.json"), canonical_json(payload))
+    write_text(os.path.join(out, "regions.json"), canonical_json(asdict(rep)))
     return EXIT_OK if rep.any_membership() else EXIT_GATE
 
 
@@ -269,30 +289,12 @@ def cmd_solve(cfg, args):
     validate_numerics(cfg)
     hypothesis_gate(p, args.explore_open_problem)
     out = _outdir(cfg, args)
-    r0 = cfg["r0"]
     try:
-        report, path, g = solvers.solve_problem(
-            p,
-            M=int(cfg["M"]),
-            n=int(cfg["n"]),
-            P=int(cfg["P"]),
-            r0=None if r0 is None else float(r0),
-        )
-    except ValueError as e:
-        print(f"solve gate: {e}", file=sys.stderr)
-        return EXIT_GATE
-    except solvers.UsableRegionError as e:
-        print(f"solve stage minimize: {e}", file=sys.stderr)
-        return EXIT_GATE
-    except solvers.PathCollapseError as e:
-        print(f"solve stage ridge: {e}", file=sys.stderr)
-        return EXIT_GATE
-    except RuntimeError as e:
-        # ConcentrationStallError, and the checks mountain_pass makes on the
-        # saddle it found: a level that is not positive or lies below alpha,
-        # or a saddle at u0
-        print(f"solve stage saddle: {e}", file=sys.stderr)
-        return EXIT_VERIFY
+        report, path, g = solvers.solve_problem(p, **solve_args(cfg))
+    except SOLVE_FAILURE_TYPES as e:
+        _, prefix, code, _ = _solve_failure(e)
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
     verdict = solvers.verify_two_level_structure(
         p, g, report.v0, report.u_mp, report, s0=report.s0
@@ -332,13 +334,7 @@ def cmd_solve(cfg, args):
 
 def _inequality_certificates(p, box):
     """The scan certificates on box, and each lemma's scan supremum."""
-    box_payload = {
-        "C1": box.C1,
-        "C2": box.C2,
-        "y_max": box.y_max,
-        "t_samples": box.t_samples,
-        "y_samples": box.y_samples,
-    }
+    box_payload = asdict(box)
     grid_sizes = [box.t_samples, box.y_samples]
     sups = {"g_upper": inequalities.scan_sup_A1(box, p.q - 2.0)}
     sup_low, sup_hat = inequalities.scan_sup_f(p.two_star, box)
@@ -361,33 +357,23 @@ def _inequality_certificates(p, box):
     return certs, sups
 
 
-def _decay_certificates(p, cfg):
+def _decay_certificates(p, r0):
     """Quadrature-based decay rates of the two critical bubble norms."""
-    r0 = cfg["r0"]
-    r0 = p.R / 4.0 if r0 is None else float(r0)
     certs = []
-    slope, _, _ = bubbles.fit_gap_exponent(p.N, GAP_N_LIST, r0, "grad")
-    thresh = -0.9 * (p.N - 2.0)
-    certs.append(
-        {
-            "lemma": "grad_norm_gap_decay",
-            "box": {"n_list": list(GAP_N_LIST), "r0": r0},
-            "constant": slope,
-            "margin": thresh - slope,
-            "grid_sizes": [len(GAP_N_LIST)],
-        }
-    )
-    slope, _, _ = bubbles.fit_gap_exponent(p.N, GAP_N_LIST, r0, "crit")
-    thresh = -(p.N - 1.0)
-    certs.append(
-        {
-            "lemma": "critical_norm_gap_decay",
-            "box": {"n_list": list(GAP_N_LIST), "r0": r0},
-            "constant": slope,
-            "margin": thresh - slope,
-            "grid_sizes": [len(GAP_N_LIST)],
-        }
-    )
+    for lemma, norm, thresh in (
+        ("grad_norm_gap_decay", "grad", -0.9 * (p.N - 2.0)),
+        ("critical_norm_gap_decay", "crit", -(p.N - 1.0)),
+    ):
+        slope, _, _ = bubbles.fit_gap_exponent(p.N, GAP_N_LIST, r0, norm)
+        certs.append(
+            {
+                "lemma": lemma,
+                "box": {"n_list": list(GAP_N_LIST), "r0": r0},
+                "constant": slope,
+                "margin": thresh - slope,
+                "grid_sizes": [len(GAP_N_LIST)],
+            }
+        )
     return certs
 
 
@@ -395,16 +381,15 @@ def cmd_verify(cfg, args):
     p = problem_from(cfg)
     box = validate_numerics(cfg, p)
     out = _outdir(cfg, args)
+    r0 = p.R / 4.0 if cfg["r0"] is None else float(cfg["r0"])
 
     certs, sups = _inequality_certificates(p, box)
-    certs += _decay_certificates(p, cfg)
+    certs += _decay_certificates(p, r0)
     write_text(os.path.join(out, "certificates.json"), canonical_json(certs))
 
     n_list = [int(n) for n in cfg["n_list"]]
     M = bubbles.fit_grid_for(p.R, n_list)
     g = build_grid(p.N, p.R, M)
-    r0 = cfg["r0"]
-    r0 = p.R / 4.0 if r0 is None else float(r0)
     rows = ["N,p,slope,intercept,residual"]
     slope_ok = True
     for pexp in cfg["fit_p"]:
@@ -439,76 +424,33 @@ def cmd_verify(cfg, args):
     return EXIT_OK if (not bad and slope_ok) else EXIT_VERIFY
 
 
-def _sweep_params(cfg, combo, keys):
-    """The row's config, its output record, and its ProblemParams (None when invalid)."""
-    sub = dict(cfg)
-    for k, v in zip(keys, combo):
-        sub[k.replace("sweep_", "")] = v
-    row = {k.replace("sweep_", ""): v for k, v in zip(keys, combo)}
-    base = {
-        "lambda": float(sub["lambda"]),
-        "mu": float(sub["mu"]),
-        "nu": float(sub["nu"]),
-        "q": float(sub["q"]),
-        "theta": float(sub["theta"]),
-    }
-    base.update(row)
-    out = {
-        "params": base,
-        "in_M1": "",
-        "in_M2": "",
-        "in_M3": "",
-        "in_M4": "",
-        "alpha": "",
-        "rho": "",
-        "c_rho": "",
-        "c_M": "",
-        "gap_ok": "",
-        "status": "ok",
-    }
-    N = _config_int(sub, "N")  # not swept: a config error, not a row status
-    try:
-        p = ProblemParams(
-            N=N,
-            q=base["q"],
-            mu=base["mu"],
-            nu=base["nu"],
-            lam=base["lambda"],
-            theta=base["theta"],
-            R=float(sub["R"]),
-        )
-    except ValueError:
-        out["status"] = "invalid-params"
-        return sub, out, None
-    return sub, out, p
+def _sweep_instance(p, row, geometry, solve_kw):
+    """Fill the row record; geometry is (S, lambda1, volume) of the shared grid.
 
-
-def _sweep_instance(p, sub, out, geometry, do_solve):
-    """Fill the row record out; geometry is (S, lambda1, volume) of the shared grid."""
+    solve_kw holds the solve arguments of a solving sweep, None otherwise.
+    """
     rep = region_membership(p, *geometry)
     for name in ("in_M1", "in_M2", "in_M3", "in_M4"):
-        out[name] = "true" if getattr(rep, name) else "false"
+        row[name] = "true" if getattr(rep, name) else "false"
     if rep.alpha is not None:
-        out["alpha"] = fmt_float(rep.alpha)
-        out["rho"] = fmt_float(rep.rho)
+        row["alpha"] = fmt_float(rep.alpha)
+        row["rho"] = fmt_float(rep.rho)
     if not rep.any_membership():
-        out["status"] = "no-membership"
+        row["status"] = "no-membership"
         return
-    if do_solve:
-        try:
-            report, _, _ = solvers.solve_problem(
-                p, M=int(sub["M"]), n=int(sub["n"]), P=int(sub["P"])
-            )
-            out["c_rho"] = fmt_level(report.c_rho)
-            out["c_M"] = fmt_float(report.c_M)
-            out["gap_ok"] = "true" if report.gap_ok else "false"
-        except (ValueError, RuntimeError) as e:
-            out["status"] = next(
-                (status for cls, status in SOLVE_FAILURE_STATUS if isinstance(e, cls)),
-                "error:%s" % type(e).__name__,
-            )
-            params = " ".join("%s=%s" % (k, fmt_float(v)) for k, v in out["params"].items())
-            print(f"sweep row {params}: {out['status']}: {e}", file=sys.stderr)
+    if solve_kw is None:
+        return
+    try:
+        report, _, _ = solvers.solve_problem(p, **solve_kw)
+    except SOLVE_FAILURE_TYPES as e:
+        *_, status = _solve_failure(e)
+        row["status"] = status or "error:%s" % type(e).__name__
+        params = " ".join("%s=%s" % (k, row[k]) for k in SWEEP_PARAMS)
+        print(f"sweep row {params}: {row['status']}: {e}", file=sys.stderr)
+        return
+    row["c_rho"] = fmt_level(report.c_rho)
+    row["c_M"] = fmt_float(report.c_M)
+    row["gap_ok"] = "true" if report.gap_ok else "false"
 
 
 def cmd_sweep(cfg, args):
@@ -516,50 +458,30 @@ def cmd_sweep(cfg, args):
     ranges = {k: sorted(float(v) for v in cfg[k]) for k in SWEEP_KEYS if cfg[k]}
     if not ranges:
         raise ConfigError("sweep: at least one sweep_* range must be nonempty")
+    _config_int(cfg, "N")  # not swept: a config error, not a row status
     keys = sorted(ranges)  # lexicographic in parameter names, then values
-    combos = list(product(*(ranges[k] for k in keys)))
-    do_solve = bool(cfg["sweep_solve"])
+    solve_kw = solve_args(cfg) if cfg["sweep_solve"] else None
     out = _outdir(cfg, args)
 
     # N, R and M are not swept, so every row shares one grid; it is built
     # at the first row whose parameters validate (a config with N < 3 or
     # R <= 0 has none, and yields invalid-params rows only)
     geometry = None
-    results = []
-    for combo in combos:
-        sub, row, p = _sweep_params(cfg, combo, keys)
-        if p is not None:
+    lines = [",".join(SWEEP_COLUMNS)]
+    for combo in product(*(ranges[k] for k in keys)):
+        sub = dict(cfg, **{k.replace("sweep_", ""): v for k, v in zip(keys, combo)})
+        row = dict.fromkeys(SWEEP_COLUMNS, "")
+        row.update({k: fmt_float(sub[k]) for k in SWEEP_PARAMS}, status="ok")
+        try:
+            p = problem_from(sub)
+        except ConfigError:
+            row["status"] = "invalid-params"
+        else:
             if geometry is None:
-                g = build_grid(p.N, p.R, int(sub["M"]))
+                g = build_grid(p.N, p.R, int(cfg["M"]))
                 geometry = (g.sobolev, g.eigenpair[0], ball_volume(p.N, p.R))
-            _sweep_instance(p, sub, row, geometry, do_solve)
-        results.append(row)
-
-    header = "lambda,mu,nu,q,theta,in_M1,in_M2,in_M3,in_M4,alpha,rho,c_rho,c_M,gap_ok,status"
-    lines = [header]
-    for row in results:
-        pr = row["params"]
-        lines.append(
-            ",".join(
-                [
-                    fmt_float(pr["lambda"]),
-                    fmt_float(pr["mu"]),
-                    fmt_float(pr["nu"]),
-                    fmt_float(pr["q"]),
-                    fmt_float(pr["theta"]),
-                    row["in_M1"],
-                    row["in_M2"],
-                    row["in_M3"],
-                    row["in_M4"],
-                    row["alpha"],
-                    row["rho"],
-                    row["c_rho"],
-                    row["c_M"],
-                    row["gap_ok"],
-                    row["status"],
-                ]
-            )
-        )
+            _sweep_instance(p, row, geometry, solve_kw)
+        lines.append(",".join(row[c] for c in SWEEP_COLUMNS))
     write_text(os.path.join(out, "sweep.csv"), "\n".join(lines))
     return EXIT_OK
 
@@ -589,10 +511,7 @@ def main(argv=None):
             "sweep": cmd_sweep,
         }[args.command]
         return handler(cfg, args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as e:
+    except (ConfigError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

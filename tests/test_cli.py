@@ -34,8 +34,11 @@ def test_regions_writes_report_and_exits_zero(tmp_path):
     assert rep["in_M1"] is True and rep["in_M2"] is True
     assert rep["applicable_case"] == "nu_nonpositive"
     assert rep["alpha"] > 0 and rep["rho"] > 0
-    for key in ("S", "lambda1", "volume", "geometry_case"):
-        assert key in rep
+    # the RegionReport fields, which bench/checks.py reads
+    assert set(rep) == {
+        "in_M1", "in_M2", "in_M3", "in_M4", "S", "lambda1", "volume",
+        "alpha", "rho", "applicable_case", "geometry_case",
+    }
 
 
 def test_regions_without_membership_exits_two(tmp_path):
@@ -201,6 +204,12 @@ def test_verify_certificates_and_slopes(tmp_path):
         assert set(cert) >= {"lemma", "margin", "constant"}
     names = {c["lemma"] for c in certs}
     assert "grad_norm_gap_decay" in names and "critical_norm_gap_decay" in names
+    # a scan certificate's box is the BoxSpec, which bench/checks.py reads
+    for cert in certs:
+        if cert["lemma"].endswith("_gap_decay"):
+            assert set(cert["box"]) == {"n_list", "r0"}
+        else:
+            assert set(cert["box"]) == {"C1", "C2", "y_max", "t_samples", "y_samples"}
 
     with open(os.path.join(tmp, "slopes.csv")) as f:
         lines = f.read().splitlines()
@@ -380,6 +389,54 @@ def test_sweep_names_the_cause_of_a_failed_row(tmp_path, capsys, monkeypatch):
     for line, theta in zip(err, ("-2", "-1")):
         assert "theta=%s" % theta in line and "nu=-0.5" in line
         assert line.endswith("error:RuntimeError: boom")
+
+
+def test_solve_and_sweep_rows_pass_the_same_solve_arguments(tmp_path, monkeypatch):
+    calls = []
+    solve_problem = lc.solvers.solve_problem
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve_problem(*args, **kwargs)
+
+    monkeypatch.setattr(lc.solvers, "solve_problem", spy)
+    tmp = str(tmp_path)
+    over = dict(M=64, n=8, P=40, r0=0.1)
+    cfg = write_config(tmp, **instance_a_config(**over, sweep_theta=[-2.0], sweep_solve=True))
+    main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")])
+    main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")])
+    assert len(calls) == 2
+    assert calls[0] == calls[1]
+    assert calls[0][1] == over
+
+
+@pytest.mark.parametrize(
+    "exc, prefix, code, status",
+    [
+        (lc.UsableRegionError, "solve stage minimize", 2, "usable-region"),
+        (lc.PathCollapseError, "solve stage ridge", 2, "collapse"),
+        (lc.ConcentrationStallError, "solve stage saddle", 3, "stall"),
+        (ValueError, "solve gate", 2, "error:ValueError"),
+        (RuntimeError, "solve stage saddle", 3, "error:RuntimeError"),
+    ],
+)
+def test_solve_failures_map_to_exit_codes_and_row_statuses(
+    tmp_path, capsys, monkeypatch, exc, prefix, code, status
+):
+    def fail(*args, **kwargs):
+        raise exc("boom")
+
+    monkeypatch.setattr(lc.solvers, "solve_problem", fail)
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, **instance_a_config(M=64, sweep_theta=[-2.0], sweep_solve=True))
+    assert main(["solve", "--config", cfg, "--out", tmp]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+    assert not os.path.exists(os.path.join(tmp, "solve.json"))
+    assert main(["sweep", "--config", cfg, "--out", tmp]) == 0
+    with open(os.path.join(tmp, "sweep.csv")) as f:
+        rows = f.read().splitlines()
+    assert [r.split(",")[-1] for r in rows[1:]] == [status]
+    assert capsys.readouterr().err.endswith(f": {status}: boom\n")
 
 
 def test_sweep_without_ranges_exits_one(tmp_path, capsys):
