@@ -12,12 +12,15 @@ origin with
 
 up to ln n corrections at p = N/(N-2), and for p = 2 exactly at N = 4.
 The decay fits below verify these rates empirically.
+
+Only the reference quadratures (bubble_h1_quadrature, bubble_lp_quadrature)
+use scipy.integrate, and they import it at their first call: sampling U_n
+on a grid, as a solve does, never loads it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import sphere_area
 
@@ -82,6 +85,8 @@ def truncated_bubble(spec, g):
 
 def bubble_h1_quadrature(spec):
     """|grad U_n|_2^2 by adaptive quadrature of the closed form."""
+    from scipy.integrate import quad
+
     N, n, r0 = spec.N, spec.n, spec.r0
     amp = (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
     m = (N - 2.0) / 2.0
@@ -113,6 +118,8 @@ def bubble_h1_quadrature(spec):
 
 def bubble_lp_quadrature(spec, p):
     """int U_n^p over R^N by adaptive quadrature of the closed form."""
+    from scipy.integrate import quad
+
     if not (p > 0):
         raise ValueError("exponent p must be positive")
     N, n, r0 = spec.N, spec.n, spec.r0

@@ -455,7 +455,15 @@ def _sweep_instance(p, row, geometry, solve_kw):
 
 def cmd_sweep(cfg, args):
     validate_numerics(cfg)
-    ranges = {k: sorted(float(v) for v in cfg[k]) for k in SWEEP_KEYS if cfg[k]}
+    try:
+        ranges = {k: sorted(float(v) for v in cfg[k]) for k in SWEEP_KEYS if cfg[k]}
+        # a parameter that is not swept is written into every row: a value
+        # that is not a number is a config error, as in regions and solve
+        for k in SWEEP_PARAMS:
+            if "sweep_" + k not in ranges:
+                float(cfg[k])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from e
     if not ranges:
         raise ConfigError("sweep: at least one sweep_* range must be nonempty")
     _config_int(cfg, "N")  # not swept: a config error, not a row status

@@ -19,10 +19,7 @@ from functools import cached_property
 from math import gamma, pi
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import LinAlgError, get_lapack_funcs
-from scipy.special import jn_zeros, spherical_jn
-from scipy.optimize import brentq
 
 
 def sphere_area(N):
@@ -229,10 +226,15 @@ def build_grid(N, R, M):
 def bessel_lambda1(N, R):
     """First Dirichlet eigenvalue of -Laplacian on B(0,R): (j_{N/2-1,1}/R)^2.
 
-    Used as an independent reference.  Integer Bessel order for even N via
-    jn_zeros; half-integer order for odd N through the spherical Bessel
-    function j_{(N-3)/2}, whose first zero equals j_{N/2-1,1}.
+    Used as an independent reference (tests and demos; no solver calls it).
+    Integer Bessel order for even N via jn_zeros; half-integer order for
+    odd N through the spherical Bessel function j_{(N-3)/2}, whose first
+    zero equals j_{N/2-1,1}.  scipy.special and scipy.optimize are imported
+    here, at the first call, so that importing logcrit does not load them.
     """
+    from scipy.optimize import brentq
+    from scipy.special import jn_zeros, spherical_jn
+
     if N % 2 == 0:
         z = jn_zeros(N // 2 - 1, 1)[0]
     else:
@@ -279,15 +281,45 @@ def principal_eigenpair(grid, tol=1e-10, itmax=200):
 # -- sharp Sobolev constant -------------------------------------------
 
 
+# _sobolev_quadrature(N) for N = 3..12, as the doubles it returns.  They
+# differ from the correctly rounded closed form in the last bits at some N
+# (N = 4: 10.26039864129491 against 10.260398641294913), so the table keeps
+# the quadrature's values and every level computed from S stays the same.
+_SOBOLEV_TABLE = {
+    3: 5.477904089531332,
+    4: 10.26039864129491,
+    5: 14.811911720005936,
+    6: 19.259456665473206,
+    7: 23.65151570098242,
+    8: 28.01052756003957,
+    9: 32.348284265627,
+    10: 36.671569821051456,
+    11: 40.98456137996557,
+    12: 45.289970737295825,
+}
+
+
 def best_sobolev_constant(N):
     """Best constant S(N) in ||grad u||_2^2 >= S ||u||_{2*}^2 on R^N.
 
-    Rayleigh quotient of the radial profile (1 + r^2)^{-(N-2)/2}, evaluated
-    by adaptive quadrature on [0, 200] plus closed asymptotic tails.  The
-    profile decays like r^{-(N-2)} so both integrals converge for N >= 3.
+    For N <= 12 the value of _sobolev_quadrature(N) from a table, so that a
+    solve does not load scipy.integrate; for larger N the quadrature itself.
     """
     if N < 3:
         raise ValueError("dimension N must be >= 3")
+    S = _SOBOLEV_TABLE.get(N)
+    return S if S is not None else _sobolev_quadrature(N)
+
+
+def _sobolev_quadrature(N):
+    """S(N) as the Rayleigh quotient of the radial profile (1 + r^2)^{-(N-2)/2}.
+
+    Evaluated by adaptive quadrature on [0, 200] plus closed asymptotic
+    tails.  The profile decays like r^{-(N-2)} so both integrals converge
+    for N >= 3.
+    """
+    from scipy.integrate import quad
+
     m = (N - 2) / 2.0
     sig = sphere_area(N)
     ts = 2.0 * N / (N - 2.0)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -369,6 +371,69 @@ def test_sweep_rejects_a_non_integral_dimension(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", tmp]) == 1
     assert capsys.readouterr().err == "config error: N: need an integer\n"
     assert not os.path.exists(os.path.join(tmp, "sweep.csv"))
+
+
+def test_sweep_rejects_a_non_numeric_fixed_parameter(tmp_path, capsys):
+    # q is not swept and is written into every row: the same config error as
+    # regions reports, not a traceback
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, q="abc", M=64, sweep_theta=[-1.0])
+    assert main(["regions", "--config", cfg, "--out", tmp]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert main(["sweep", "--config", cfg, "--out", tmp]) == 1
+    assert capsys.readouterr().err == err
+    assert not os.path.exists(os.path.join(tmp, "sweep.csv"))
+
+
+def test_sweep_rejects_a_non_numeric_range_value(tmp_path, capsys):
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, M=64, sweep_theta=[-1.0, "abc"])
+    assert main(["sweep", "--config", cfg, "--out", tmp]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_sweep_ignores_the_base_value_of_a_swept_parameter(tmp_path):
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, **instance_a_config(M=64, q="abc", sweep_q=[2.5]))
+    assert main(["sweep", "--config", cfg, "--out", tmp]) == 0
+    with open(os.path.join(tmp, "sweep.csv")) as f:
+        rows = f.read().splitlines()
+    assert rows[1].split(",")[3] == "2.5" and rows[1].endswith(",ok")
+
+
+# Run in a fresh interpreter: the test process has loaded scipy.integrate
+# through other tests.  The printed sets are the scipy packages loaded after
+# the non-quadrature subcommands, then after verify.
+_IMPORT_PROBE = """
+import json, sys
+import logcrit, logcrit.cli
+from logcrit.cli import main
+heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [main([cmd, "--config", cfg, "--out", out]) for cmd in ("solve", "regions", "sweep")]
+before = [m for m in heavy if m in sys.modules]
+codes.append(main(["verify", "--config", cfg, "--out", out]))
+print(json.dumps([codes, before, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def test_cli_loads_scipy_quadrature_only_for_verify(tmp_path):
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, **instance_a_config(M=128, n=16, sweep_theta=[-2.0, -1.0]))
+    src = os.path.dirname(os.path.dirname(lc.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, cfg, tmp],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    codes, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert codes[1:] == [0, 0, 0]  # regions, sweep and verify succeed
+    assert codes[0] in (0, 3)  # solve ran to its outputs
+    assert os.path.exists(os.path.join(tmp, "solve.json"))
+    assert before == []
+    assert "scipy.integrate" in after
 
 
 def test_sweep_names_the_cause_of_a_failed_row(tmp_path, capsys, monkeypatch):

@@ -139,6 +139,24 @@ def test_sobolev_constant_matches_closed_form(N):
     assert S == pytest.approx(SOBOLEV_REF[N], rel=1e-10)
 
 
+@pytest.mark.parametrize("N", sorted(lc.grid._SOBOLEV_TABLE))
+def test_sobolev_table_holds_the_quadrature_doubles(N):
+    # exact: a table value 1 ulp off would move gap_bound, alpha and rho
+    assert lc.best_sobolev_constant(N) == lc.grid._sobolev_quadrature(N)
+
+
+def test_sobolev_constant_beyond_the_table_is_the_quadrature(monkeypatch):
+    assert 13 not in lc.grid._SOBOLEV_TABLE
+    calls = []
+    quadrature = lc.grid._sobolev_quadrature
+    monkeypatch.setattr(
+        lc.grid, "_sobolev_quadrature", lambda N: calls.append(N) or quadrature(N)
+    )
+    S = lc.best_sobolev_constant(13)
+    assert calls == [13]
+    assert S == pytest.approx(lc.sobolev_constant_closed_form(13), rel=1e-13)
+
+
 def test_poincare_and_sobolev_bounds_hold_discretely():
     g = lc.build_grid(3, 1.0, 400)
     lam1, _ = lc.principal_eigenpair(g)
