@@ -10,7 +10,6 @@ exactly at p = N/(N-2).  All rates are recovered here by log-log fits.
 """
 
 from logcrit import (
-    DEFAULT_N_LIST,
     build_grid,
     expected_lp_exponent,
     fit_gap_exponent,
@@ -19,6 +18,7 @@ from logcrit import (
     log_corrected,
     sobolev_constant_closed_form,
 )
+from logcrit.bubbles import DEFAULT_N_LIST
 
 # gap decay toward the optimal constant, by adaptive quadrature
 print("decay of | |grad U_n|^2 - S^{N/2} |  and  | |U_n|_{2*}^{2*} - S^{N/2} |")

@@ -178,19 +178,27 @@ def expected_lp_exponent(N, p):
     return -min((N - 2.0) * p / 2.0, N - (N - 2.0) * p / 2.0)
 
 
-def fit_norm_exponent(g, n_list, p, r0=None):
-    """Fit the decay exponent of |U_n|_p^p sampled on the grid.
-
-    n_list must be geometric with at least 5 entries; p in [1, 2*).
-    For the ln-corrected cases the values are divided by ln n before
-    fitting.  Returns (slope, intercept, residual).
-    """
+def scale_ladder(n_list):
+    """n_list as ints: at least 5 positive scales whose step ratios agree
+    within 1%, for a stable decay fit; raises ValueError otherwise."""
     n_list = [int(n) for n in n_list]
     if len(n_list) < 5:
         raise ValueError("need at least 5 scales for a stable fit")
+    if min(n_list) < 1:
+        raise ValueError("scales must be positive integers")
     ratios = [n_list[i + 1] / n_list[i] for i in range(len(n_list) - 1)]
     if max(ratios) / min(ratios) > 1.01:
-        raise ValueError("n_list must be geometric")
+        raise ValueError("scales must form a geometric progression")
+    return n_list
+
+
+def fit_norm_exponent(g, n_list, p, r0=None):
+    """Fit the decay exponent of |U_n|_p^p sampled on the grid.
+
+    n_list must pass scale_ladder; p in [1, 2*).  For the ln-corrected
+    cases the values are divided by ln n.  Returns (slope, intercept, residual).
+    """
+    n_list = scale_ladder(n_list)
     ts = 2.0 * g.N / (g.N - 2.0)
     if not (1.0 <= p < ts):
         raise ValueError(f"exponent p must lie in [1, {ts:g})")

@@ -176,7 +176,7 @@ def load_config(path):
 def problem_from(cfg):
     try:
         return ProblemParams(
-            N=_config_int(cfg, "N"),
+            N=_config_int(cfg["N"], "N"),
             q=float(cfg["q"]),
             mu=float(cfg["mu"]),
             nu=float(cfg["nu"]),
@@ -188,16 +188,17 @@ def problem_from(cfg):
         raise ConfigError(str(e)) from e
 
 
-def _config_number(cfg, key):
+def _config_number(x, key):
+    """The value x of config key as a float; a non-number is a ConfigError."""
     try:
-        return float(cfg[key])
+        return float(x)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: need a number") from None
 
 
-def _config_int(cfg, key):
-    """cfg[key] as an int; a bool, a non-number or a non-integral float is a ConfigError."""
-    n = cfg[key]
+def _config_int(n, key):
+    """The value n of config key as an int; a bool, a non-number or a
+    non-integral float is a ConfigError."""
     if (
         isinstance(n, bool)
         or not isinstance(n, (int, float))
@@ -222,29 +223,43 @@ def _solve_failure(e):
 
 
 def validate_numerics(cfg, p=None):
-    """Reject bad numeric keys; returns the certificate scan box.
+    """Reject bad numeric, list and flag keys; returns the certificate scan box.
 
-    With the problem p, also reject a box whose f_abs constant
-    (2*^2/2) C2^(2*-2) overflows a double.
+    With the problem p, also reject fit_p exponents outside [1, 2*) and a
+    box whose f_abs constant (2*^2/2) C2^(2*-2) overflows a double.
     """
-    if _config_int(cfg, "M") < 8:
+    if _config_int(cfg["M"], "M") < 8:
         raise ConfigError("M: need at least 8 mesh cells")
-    if _config_int(cfg, "n") < 1:
+    if _config_int(cfg["n"], "n") < 1:
         raise ConfigError("n: bubble scale must be a positive integer")
-    if _config_int(cfg, "P") < 32:
+    if _config_int(cfg["P"], "P") < 32:
         raise ConfigError("P: need at least 32 path nodes")
-    r0 = cfg["r0"]
-    if r0 is not None and 4.0 * float(r0) > float(cfg["R"]):
-        raise ConfigError("r0: need 4*r0 <= R")
-    if len(cfg["n_list"]) < 5:
-        raise ConfigError("n_list: need at least 5 scales")
+    if cfg["r0"] is not None:
+        r0 = _config_number(cfg["r0"], "r0")
+        if not (0.0 < 4.0 * r0 <= _config_number(cfg["R"], "R")):
+            raise ConfigError("r0: need 0 < 4*r0 <= R")
+    if not isinstance(cfg["n_list"], list):
+        raise ConfigError("n_list: need a list of scales")
+    n_list = [_config_int(n, "n_list") for n in cfg["n_list"]]
+    try:
+        bubbles.scale_ladder(n_list)
+    except ValueError as e:
+        raise ConfigError(f"n_list: {e}") from e
+    if not isinstance(cfg["fit_p"], list):
+        raise ConfigError("fit_p: need a list of exponents")
+    for pexp in cfg["fit_p"]:
+        pexp = _config_number(pexp, "fit_p")
+        if p is not None and not (1.0 <= pexp < p.two_star):
+            raise ConfigError(f"fit_p: need exponents in [1, {p.two_star:g})")
+    if not isinstance(cfg["sweep_solve"], bool):
+        raise ConfigError("sweep_solve: need true or false")
     try:
         box = inequalities.BoxSpec(
-            C1=_config_number(cfg, "C1"),
-            C2=_config_number(cfg, "C2"),
-            y_max=_config_number(cfg, "y_max"),
-            t_samples=_config_int(cfg, "t_samples"),
-            y_samples=_config_int(cfg, "y_samples"),
+            C1=_config_number(cfg["C1"], "C1"),
+            C2=_config_number(cfg["C2"], "C2"),
+            y_max=_config_number(cfg["y_max"], "y_max"),
+            t_samples=_config_int(cfg["t_samples"], "t_samples"),
+            y_samples=_config_int(cfg["y_samples"], "y_samples"),
         )
         if p is not None:
             box.abs_scale(p.two_star)
@@ -306,8 +321,8 @@ def cmd_solve(cfg, args):
         "residual_mp": report.residual_mp,
         "gap_bound": report.gap_bound,
         "gap_ok": report.gap_ok,
-        "sign_changes": report.sign_changes,
-        "t_local_min": report.t_local_min,
+        "sign_changes": verdict.sign_changes,
+        "t_local_min": verdict.t_local_min,
         "rho": report.rho,
         "alpha": report.alpha,
         "iters_minimize": report.iters_minimize,
@@ -344,7 +359,7 @@ def _inequality_certificates(p, box):
     sups["f1_sandwich"] = inequalities.scan_sup_A3(p.q, box)
     certs = []
     for lemma, sup in sups.items():
-        constant = inequalities.HEADROOM * max(sup, 0.0)
+        constant = inequalities.certified_constant(sup)
         certs.append(
             {
                 "lemma": lemma,
@@ -466,7 +481,7 @@ def cmd_sweep(cfg, args):
         raise ConfigError(str(e)) from e
     if not ranges:
         raise ConfigError("sweep: at least one sweep_* range must be nonempty")
-    _config_int(cfg, "N")  # not swept: a config error, not a row status
+    _config_int(cfg["N"], "N")  # not swept: a config error, not a row status
     keys = sorted(ranges)  # lexicographic in parameter names, then values
     solve_kw = solve_args(cfg) if cfg["sweep_solve"] else None
     out = _outdir(cfg, args)

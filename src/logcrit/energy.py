@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 XLOG_CLAMP = 1e-300  # below this amplitude the log term is exactly 0
+_XLOG_CURVATURE_FLOOR = -1e6  # floor of (s^2 log s^2)'' = 2 log s^2 + 6 in f'
 
 
 @dataclass(frozen=True)
@@ -168,19 +169,19 @@ def source_term(p, u):
     return out
 
 
-def source_derivative(p, u, clamp=-1e6):
+def source_derivative(p, u):
     """f'(u) nodewise, for the Newton linearization.
 
     f'(u) = mu(2s-1)u^{2s-2} + nu(q-1)u^{q-2} + lam + theta(log u^2 + 2)
     on {u > 0} and 0 on {u <= 0}.  The second derivative of s^2 log s^2
     is 2 log s^2 + 6, divergent at 0; that factor is clamped below at
-    `clamp` so the Jacobian diagonal stays bounded on near-zero nodes.
+    -1e6 so the Jacobian diagonal stays bounded.
     """
     up = _pos(np.asarray(u, dtype=float))
     out = np.zeros_like(up)
     mask = up > XLOG_CLAMP
     um = up[mask]
-    L = np.maximum(4.0 * np.log(um) + 6.0, clamp)  # 2 log u^2 + 6
+    L = np.maximum(4.0 * np.log(um) + 6.0, _XLOG_CURVATURE_FLOOR)  # 2 log u^2 + 6
     out[mask] = (
         p.mu * (p.two_star - 1.0) * um ** (p.two_star - 2.0)
         + p.nu * (p.q - 1.0) * um ** (p.q - 2.0)

@@ -184,12 +184,6 @@ class RadialGrid:
         out[1:] += band[2][:-1] * u[:-1]
         return out
 
-    def solve_neg_laplacian(self, rhs):
-        """Solve A x = rhs."""
-        rhs = np.asarray(rhs, dtype=float)
-        self._check_shape(rhs)
-        return solve_tridiagonal(self.band, rhs)
-
 
 _GTSV = get_lapack_funcs("gtsv", (np.zeros(1),))
 
@@ -248,25 +242,28 @@ def bessel_lambda1(N, R):
     return (z / R) ** 2
 
 
-def principal_eigenpair(grid, tol=1e-10, itmax=200):
+_EIGEN_TOL, _EIGEN_ITMAX = 1e-10, 200  # convergence floor, iteration cap
+
+
+def principal_eigenpair(grid):
     """Smallest eigenvalue and positive unit-L^2 eigenfunction of -Laplacian.
 
     Inverse power iteration with the tridiagonal solver.  Converged when the
-    eigenvalue increment drops below max(tol, 1e-11 lam): the roundoff of
+    eigenvalue increment drops below max(1e-10, 1e-11 lam): the roundoff of
     the Rayleigh quotient grows with lam, and on fine grids of a small
-    ball (lam1 in the hundreds) it exceeds tol.  Returns (lam1, phi1).
+    ball (lam1 in the hundreds) it exceeds 1e-10.  Returns (lam1, phi1).
     Solvers read the grid's cached copy, grid.eigenpair.
     """
     band = grid.band
     x = np.ones(grid.M)
     x /= np.sqrt(grid.l2_norm_sq(x))
     lam_old = np.inf
-    for _ in range(itmax):
+    for _ in range(_EIGEN_ITMAX):
         y = solve_tridiagonal(band, x)
         ny = np.sqrt(grid.l2_norm_sq(y))
         x = y / ny
         lam = grid.dot(x, grid.apply_neg_laplacian(x))
-        if abs(lam - lam_old) < max(tol, 1e-11 * lam):
+        if abs(lam - lam_old) < max(_EIGEN_TOL, 1e-11 * lam):
             break
         lam_old = lam
     else:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HEADROOM = 1.1
+_COROLLARY_BOX_SAMPLES = 400  # t and y samples of check_corollary's box
 Y_GRID_FLOOR = 1e-6
 BLOCK = 1 << 14  # grid points per scan block: 128 kB per float64 temporary
 # box size cap, 100 times the default box: three scans of it take seconds,
@@ -171,6 +172,11 @@ def pointwise_log_bound_margin(s, C1):
 # -- constant finders ----------------------------------------------------
 
 
+def certified_constant(sup):
+    """The constant a scan supremum certifies: HEADROOM * max(sup, 0)."""
+    return HEADROOM * max(sup, 0.0)
+
+
 def scan_sup_A1(box, eps):
     """Supremum of (g - y^{2+eps}) / y^2 over the box grid, block by block."""
     if not (eps > 0):
@@ -185,21 +191,20 @@ def find_A1(box, eps):
     The small-y profile of g/y^2 approaches ln t^2 + 3, so A1 is at least
     3 + ln C2^2 once the y grid reaches far enough down.
     """
-    return HEADROOM * max(scan_sup_A1(box, eps), 0.0)
+    return certified_constant(scan_sup_A1(box, eps))
 
 
-def scan_sup_f(p, box, lower=None):
+def scan_sup_f(p, box):
     """Suprema behind the two f bounds: (lower-bound sup or None, |f| sup).
 
-    Evaluated block by block; raises ValueError naming C2 when the |f|
-    bound's coefficient (p^2/2) C2^{p-2} overflows.
+    The lower bound is scanned only when p > 3; for p <= 3 no y^2
+    correction can rescue its y^{p-1} term near y = 0, and its sup is
+    None.  Evaluated block by block; raises ValueError naming C2 when the
+    |f| bound's coefficient (p^2/2) C2^{p-2} overflows.
     """
     if not (p > 2):
         raise ValueError("exponent p must exceed 2")
-    if lower is None:
-        lower = p > 3
-    if lower and not (p > 3):
-        raise ValueError("lower bound certificate requires p > 3")
+    lower = p > 3
     scale = box.abs_scale(p)
     sups_low, sups_hat = [], []
     for t, y in _row_blocks(box):
@@ -211,19 +216,17 @@ def scan_sup_f(p, box, lower=None):
     return sup_low, float(np.max(sups_hat))
 
 
-def find_f_constants(p, box, lower=None):
+def find_f_constants(p, box):
     """Constants (A2, A2_hat) for the two bounds on f(p,t,y) over the box.
 
         f  >= (p/2) C1 y^{p-1} - A2 y^2        (needs p > 3)
         |f| <= (p^2/2) C2^{p-2} y^2 + A2_hat C2 y^{p-1}
 
-    lower=None computes A2 only when p > 3 (returned as None otherwise);
-    lower=True insists on it and rejects p <= 3, where no y^2 correction
-    can rescue the y^{p-1} lower bound near y = 0.
+    A2 is None when p <= 3 (see scan_sup_f).
     """
-    sup_low, sup_hat = scan_sup_f(p, box, lower)
-    A2 = None if sup_low is None else HEADROOM * max(sup_low, 0.0)
-    return A2, HEADROOM * max(sup_hat, 0.0)
+    sup_low, sup_hat = scan_sup_f(p, box)
+    A2 = None if sup_low is None else certified_constant(sup_low)
+    return A2, certified_constant(sup_hat)
 
 
 def scan_sup_A3(m, box):
@@ -244,7 +247,7 @@ def scan_sup_A3(m, box):
 
 def find_A3(m, box):
     """Smallest A3 (with headroom) for 2 y^m + A3 y^2 >= f1 >= y^m/2 - A3 y^2."""
-    return HEADROOM * max(scan_sup_A3(m, box), 0.0)
+    return certified_constant(scan_sup_A3(m, box))
 
 
 # -- transfer to the solution-plus-bubble decomposition ------------------
@@ -263,13 +266,14 @@ class CorollaryVerdict:
     margins: dict
 
 
-def check_corollary(p, u0, bubbles, t_n, eps=None, box_samples=400):
+def check_corollary(p, u0, bubbles, t_n):
     """Verify the four pointwise bounds for g, f, f1 at y = t_n U_n, t = u0.
 
     The support mask comes from the bubbles themselves (they vanish at
     and beyond the taper edge), so L1/L2 are the extremes of u0 on the
     union of supports.  Constants B1, B2, B3 come from the scalar
-    finders over the box [L1, L2].  Bounds:
+    finders over the box [L1, L2], scanned on 400 points per axis.  With
+    eps = q - 2 the bounds are:
 
         g(u0, y)        <=  y^{2+eps} + B1 y^2
         f(2s, u0, y)    >=  (2s/2) L1 y^{2s-1} - B2 y^2     (only 2s > 3)
@@ -287,8 +291,7 @@ def check_corollary(p, u0, bubbles, t_n, eps=None, box_samples=400):
     t_n = [float(t) for t in t_n]
     if len(bubbles) != len(t_n):
         raise ValueError("need one scale factor per bubble")
-    if eps is None:
-        eps = p.q - 2.0
+    eps = p.q - 2.0
 
     support = np.zeros(u0.shape, dtype=bool)
     for b in bubbles:
@@ -305,8 +308,8 @@ def check_corollary(p, u0, bubbles, t_n, eps=None, box_samples=400):
         C1=L1,
         C2=L2,
         y_max=max(1.05 * y_top, 1e-3),
-        t_samples=box_samples,
-        y_samples=box_samples,
+        t_samples=_COROLLARY_BOX_SAMPLES,
+        y_samples=_COROLLARY_BOX_SAMPLES,
     )
     ts = p.two_star
     B1 = find_A1(box, eps)

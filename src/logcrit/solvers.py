@@ -276,22 +276,6 @@ def _newton(p, g, u, tol=1e-10, itmax=50):
     return NewtonResult(u=best, converged=False, residual=best_rn, iterations=its)
 
 
-def newton_refine(p, g, u, tol=1e-10, itmax=50):
-    """Quadratic polish of a near-critical point.
-
-    Requires a nontrivial nonnegative-part iterate whose gradient dual
-    norm is already below 1e-3.  Non-convergence returns the best iterate
-    with converged=False rather than raising.
-    """
-    u = np.asarray(u, dtype=float)
-    if not np.any(u > 0):
-        raise ValueError("not near-critical in the positive cone")
-    gn2, _ = _dual_norm_sq(g, gradient_field(p, g, u))
-    if np.sqrt(gn2) >= 1e-3:
-        raise ValueError("input is not near-critical (gradient norm >= 1e-3)")
-    return _newton(p, g, u, tol=tol, itmax=itmax)
-
-
 def _morse_index(p, g, u):
     """Number of negative eigenvalues of the Hessian A - f'(u) at u.
 
@@ -443,7 +427,8 @@ def mountain_pass(p, g, u0, endpoint, rep, P=33):
     Returns (u_mp, c_M, PathState of the ray samples, stats); stats
     counts the brackets handed to Newton ("iters_path") and the
     iterations of every Newton call, rejected ones included
-    ("iters_newton_path").
+    ("iters_newton_path"), and holds the dual-norm residual of the
+    accepted Newton limit u_mp ("residual_mp").
     """
     if P < 32:
         raise ValueError("need at least 32 path nodes")
@@ -505,7 +490,8 @@ def mountain_pass(p, g, u0, endpoint, rep, P=33):
             f"the ray from u0 through the saddle ends at level {E[-1]:.6e}, "
             f"not below I(u0) = {E[0]:.6e}"
         )
-    stats = {"iters_path": count, "iters_newton_path": newton_iterations}
+    stats = {"iters_path": count, "iters_newton_path": newton_iterations,
+             "residual_mp": float(nres.residual)}
     return u_mp, c_M, PathState(t=t, nodes=Z, energies=E), stats
 
 
@@ -517,8 +503,9 @@ class SolveReport:
     """Pipeline result.  The minimizer is u0 = e^{s0} v0 (s0 = 0 unless it
     lies below double range, where u0 underflows); c_rho = e^{2 s0} I(v0; p_s0)
     is an mpmath.mpf and residual0 is the dual-norm residual of v0 in the
-    dilated problem.  iters_path counts the shooting brackets handed to
-    Newton and iters_newton_path the Newton iterations over all of them."""
+    dilated problem; residual_mp is that of u_mp, as Newton accepted it.
+    iters_path counts the shooting brackets handed to Newton and
+    iters_newton_path the Newton iterations over all of them."""
 
     u0: np.ndarray
     v0: np.ndarray
@@ -530,8 +517,6 @@ class SolveReport:
     residual_mp: float
     gap_bound: float
     gap_ok: bool
-    sign_changes: int
-    t_local_min: float
     rho: float
     alpha: float
     iters_minimize: int
@@ -542,8 +527,12 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class VerifyVerdict:
+    """sign_changes and t_local_min: what check (iii) read off the fiber profile."""
+
     ok: bool
     failures: tuple
+    sign_changes: int
+    t_local_min: float
 
 
 def _profile_local_min_near_one(prof):
@@ -565,11 +554,14 @@ def verify_two_level_structure(p, g, u0, u_mp, report, s0=0.0):
 
     (i)   I(u0) < 0 < I(u_mp);
     (ii)  I(u0) is the least energy among the pipeline's critical points
-          (within 1e-6) -- the computable shadow of least-energy equality;
+          (within 1e-6) -- the computable shadow of least-energy equality.
+          The list is [I(u0), I(u_mp)], so (ii) fails only when (i) fails
+          too; it cannot fail alone until the solver returns every root;
     (iii) the fiber profile of u0 has at most two extreme points and its
           sampled local minimum sits at t = 1 within 0.05;
     (iv)  ||u0|| < rho and I(t u0) < 0 for all sampled t in (0, 1].
-    Each failed assertion is named in the verdict.
+    Each failed assertion is named in the verdict, which also carries the
+    sign-change count and the local minimum that (iii) reads.
 
     A minimizer below double range is passed in scaled form: the array
     u0 stands for e^{s0} u0 (report.v0 with s0 = report.s0).  The fiber
@@ -606,7 +598,10 @@ def verify_two_level_structure(p, g, u0, u_mp, report, s0=0.0):
     sub = prof.values[prof.t <= 1.0]
     if not np.all(sub < 0.0):
         failures.append("ray: I(t u0) >= 0 for some t in (0, 1]")
-    return VerifyVerdict(ok=not failures, failures=tuple(failures))
+    return VerifyVerdict(
+        ok=not failures, failures=tuple(failures),
+        sign_changes=prof.sign_changes, t_local_min=t_min,
+    )
 
 
 def solve_problem(p, M, n=16, P=33, r0=None):
@@ -638,8 +633,6 @@ def solve_problem(p, M, n=16, P=33, r0=None):
     spec = BubbleSpec(N=p.N, n=n, r0=r0)
     _, endpoint = select_endpoint(p, g, u0, spec, rep.rho)
     u_mp, c_M, path, path_stats = mountain_pass(p, g, u0, endpoint, rep, P=P)
-    rn2, _ = _dual_norm_sq(g, gradient_field(p, g, u_mp))
-    prof = g_profile(dilated_params(p, s0), g, v0, t_max=2.0, samples=256)
     gap_bound = float(
         c_rho + (1.0 / p.N) * p.mu ** (-(p.N - 2.0) / 2.0) * rep.S ** (p.N / 2.0)
     )
@@ -651,11 +644,9 @@ def solve_problem(p, M, n=16, P=33, r0=None):
         residual0=stats["residual0"],
         u_mp=u_mp,
         c_M=c_M,
-        residual_mp=float(np.sqrt(rn2)),
+        residual_mp=path_stats["residual_mp"],
         gap_bound=gap_bound,
         gap_ok=bool(c_M < gap_bound),
-        sign_changes=prof.sign_changes,
-        t_local_min=_profile_local_min_near_one(prof),
         rho=rep.rho,
         alpha=rep.alpha,
         iters_minimize=stats["iters_minimize"],

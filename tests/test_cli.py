@@ -162,7 +162,12 @@ def test_solve_outputs_and_determinism(tmp_path):
     assert rep["gap_ok"] is True and rep["verified"] is True
     assert rep["failures"] == []
     assert rep["exploratory"] is False
-    assert rep["iters_path"] >= 1 and "path_exit" not in rep
+    assert rep["iters_path"] >= 1
+    assert set(rep) == {
+        "alpha", "c_M", "c_rho", "exploratory", "failures", "gap_bound", "gap_ok",
+        "iters_minimize", "iters_newton0", "iters_newton_path", "iters_path",
+        "residual0", "residual_mp", "rho", "sign_changes", "t_local_min", "verified",
+    }
 
     g = lc.build_grid(3, 1.0, 1024)
     u0 = lc.load_grid_function(os.path.join(out1, "u0.csv"), g)
@@ -287,6 +292,83 @@ def test_integer_keys_reject_non_integers(tmp_path, capsys, key, value):
     assert main(["regions", "--config", cfg, "--out", tmp]) == 1
     assert capsys.readouterr().err == f"config error: {key}: need an integer\n"
     assert not os.path.exists(os.path.join(tmp, "regions.json"))
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize(
+    "r0, why",
+    [
+        ("abc", "need a number"),
+        (-0.1, "need 0 < 4*r0 <= R"),
+        (0, "need 0 < 4*r0 <= R"),
+        (float("nan"), "need 0 < 4*r0 <= R"),
+        (0.3, "need 0 < 4*r0 <= R"),
+    ],
+)
+def test_bad_r0_is_a_config_error(tmp_path, capsys, command, r0, why):
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), r0=r0)
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"config error: r0: {why}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "over, why",
+    [
+        (dict(n_list=5), "n_list: need a list of scales"),
+        (dict(n_list=[16, 32, "abc", 128, 256]), "n_list: need an integer"),
+        (dict(n_list=[16, 32, 64.5, 128, 256]), "n_list: need an integer"),
+        (dict(n_list=[16, 32, 48, 64, 80]), "n_list: scales must form a geometric progression"),
+        (dict(n_list=[16, 32, 64, 128]), "n_list: need at least 5 scales for a stable fit"),
+        (dict(fit_p=2.0), "fit_p: need a list of exponents"),
+        (dict(fit_p=[2.0, "abc"]), "fit_p: need a number"),
+        (dict(N=4, q=3.0, fit_p=[7.0]), "fit_p: need exponents in [1, 4)"),
+        (dict(sweep_solve="false"), "sweep_solve: need true or false"),
+    ],
+)
+def test_verify_rejects_bad_lists_and_flags_before_writing(tmp_path, capsys, over, why):
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), **over)
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"config error: {why}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["regions", "solve", "sweep"])
+@pytest.mark.parametrize(
+    "over, why",
+    [
+        (dict(n_list=5), "n_list: need a list of scales"),
+        (dict(sweep_solve="false"), "sweep_solve: need true or false"),
+    ],
+)
+def test_every_subcommand_rejects_bad_lists_and_flags(tmp_path, capsys, command, over, why):
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), sweep_theta=[-0.01], **over)
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"config error: {why}\n"
+    assert not os.path.exists(out)
+
+
+def test_solve_samples_the_fiber_profile_once(tmp_path, monkeypatch):
+    # the verifier owns the minimizer's fiber profile; solve_problem does
+    # not sample it, and solve.json takes it from the verdict
+    calls = []
+    profile = lc.solvers.g_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(lc.solvers, "g_profile", counting)
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, **instance_a_config(M=256, n=16))
+    assert main(["solve", "--config", cfg, "--out", tmp]) == 0
+    assert len(calls) == 1
+    with open(os.path.join(tmp, "solve.json")) as f:
+        rep = json.load(f)
+    assert rep["sign_changes"] <= 2 and abs(rep["t_local_min"] - 1.0) <= 0.05
 
 
 def test_integral_float_keys_are_accepted(tmp_path):

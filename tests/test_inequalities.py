@@ -104,13 +104,30 @@ def test_certified_bounds_hold_on_offset_grid():
     assert np.all(f1 >= 0.5 * y**2.5 - A3 * y**2 - 1e-9)
 
 
+def test_finders_share_one_headroom_rule(monkeypatch):
+    sups = []
+    certify = inequalities.certified_constant
+    monkeypatch.setattr(
+        inequalities, "certified_constant", lambda sup: sups.append(sup) or certify(sup)
+    )
+    box = lc.BoxSpec(0.5, 2.0, t_samples=40, y_samples=40)
+    A1 = lc.find_A1(box, 0.5)
+    A2, A2_hat = lc.find_f_constants(6.0, box)
+    A3 = lc.find_A3(2.5, box)
+    assert [A1, A2, A2_hat, A3] == [inequalities.HEADROOM * max(s, 0.0) for s in sups]
+    assert sups == [
+        inequalities.scan_sup_A1(box, 0.5),
+        *inequalities.scan_sup_f(6.0, box),
+        inequalities.scan_sup_A3(2.5, box),
+    ]
+    assert certify(-1.0) == 0.0
+
+
 def test_finder_rejections():
     with pytest.raises(ValueError):
         lc.find_A1(BOX, 0.0)
     with pytest.raises(ValueError, match="exceed 2"):
         lc.find_f_constants(2.0, BOX)
-    with pytest.raises(ValueError, match="p > 3"):
-        lc.find_f_constants(2.5, BOX, lower=True)
     with pytest.raises(ValueError, match="exceed 2"):
         lc.find_A3(1.5, BOX)
     with pytest.raises(ValueError, match="0 < C1 < C2"):
@@ -248,14 +265,12 @@ def ref_scan_sup_A1(box, eps):
     return float(np.max(ratio))
 
 
-def ref_scan_sup_f(p, box, lower=None):
-    if lower is None:
-        lower = p > 3
+def ref_scan_sup_f(p, box):
     t = box.t_grid()[:, None]
     y = box.y_grid()[None, :]
     f = lc.f_term(p, t, y)
     sup_low = None
-    if lower:
+    if p > 3:
         ratio = (0.5 * p * box.C1 * y ** (p - 1.0) - f) / (y * y)
         sup_low = float(np.max(ratio))
     ratio_hat = (np.abs(f) - 0.5 * p * p * box.C2 ** (p - 2.0) * y * y) / (
@@ -328,8 +343,6 @@ class TestScanBlocksBitExact:
             got, want = self.check(BOX, p, 2.2)
             assert got == want
             assert got[1] is None
-        with pytest.raises(ValueError, match="p > 3"):
-            inequalities.scan_sup_f(3.0, BOX, lower=True)
 
     def test_corollary_box(self, monkeypatch):
         # the 400 x 400 box check_corollary builds from a solution and bubbles
