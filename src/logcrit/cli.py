@@ -1,17 +1,18 @@
 """Batch front end: regions / solve / verify / sweep over flat JSON configs.
 
-Exit codes: 0 success; 1 config error (including a bad certificate box
-and the N >= 6, nu <= 0 hypothesis gate); 2 solve precondition failed at
-run time (no region membership, unusable region, a failed ridge check
-of the saddle); 3 verification failure (structure check, gap bound,
-certificate margin, a non-finite scan supremum or slope fit) or a saddle
-failure (no sign change of the shooting map led Newton to a positive
-critical point of Morse index 1, or the saddle found lies at or below
-its level floor or at the minimizer).  SOLVE_FAILURES maps each solve
-failure to its stderr prefix, its exit code and its sweep row status.
-A solving sweep row takes n, P and r0 from the config, as solve does.
-All emitted files use fixed 17-significant-digit float formatting and
-fixed orderings, so identical configs produce byte-identical outputs.
+load_config parses each config key once, by its kind in CONFIG_KEYS, so the
+subcommands read typed values; validate_numerics makes the range checks.
+Exit codes: 0 success; 1 config error (a bad key or value, a grid over
+MAX_CELLS cells, a bad certificate box, or the N >= 6, nu <= 0 hypothesis
+gate, which a solving sweep applies to every row it solves); 2 solve
+precondition failed at run time (no region membership, unusable region, a
+failed ridge check of the saddle); 3 verification failure (structure
+check, gap bound, certificate margin, a non-finite scan supremum or slope
+fit) or a saddle failure (no saddle found, or one at or below its level
+floor or at the minimizer).  SOLVE_FAILURES maps each solve failure to its
+stderr prefix, its exit code and its sweep row status.  Outputs use fixed
+17-significant-digit floats and fixed orderings, so identical configs
+produce byte-identical outputs.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import product
 
 import mpmath
@@ -37,40 +38,52 @@ EXIT_VERIFY = 3
 
 GAP_N_LIST = (16, 32, 64, 128, 256)  # quadrature-based decay fits
 
-CONFIG_DEFAULTS = {
+# config key: (default, kind).  load_config parses each value once, by its
+# kind; a list kind is (element kind, what the list holds)
+CONFIG_KEYS = {
     # problem
-    "N": 4,
-    "q": 3.0,
-    "mu": 1.0,
-    "nu": 0.0,
-    "lambda": 0.0,
-    "theta": -0.01,
-    "R": 1.0,
+    "N": (4, "integer"),
+    "q": (3.0, "number"),
+    "mu": (1.0, "number"),
+    "nu": (0.0, "number"),
+    "lambda": (0.0, "number"),
+    "theta": (-0.01, "number"),
+    "R": (1.0, "number"),
     # discretization / solver
-    "M": 400,
-    "n": 16,
-    "r0": None,  # defaults to R/4
-    "P": 33,
+    "M": (400, "integer"),
+    "n": (16, "integer"),
+    "r0": (None, "number or null"),  # null: R/4
+    "P": (33, "integer"),
     # output
-    "out": ".",
+    "out": (".", "path"),
     # verify knobs
-    "n_list": list(bubbles.DEFAULT_N_LIST),
-    "fit_p": [2.0],
-    "C1": 0.5,
-    "C2": 2.0,
-    "y_max": 1e3,
-    "t_samples": 1000,
-    "y_samples": 1000,
+    "n_list": (list(bubbles.DEFAULT_N_LIST), ("integer", "scales")),
+    "fit_p": ([2.0], ("number", "exponents")),
+    "C1": (0.5, "number"),
+    "C2": (2.0, "number"),
+    "y_max": (1e3, "number"),
+    "t_samples": (1000, "integer"),
+    "y_samples": (1000, "integer"),
     # sweep ranges (lists of values; empty = not swept)
-    "sweep_lambda": [],
-    "sweep_mu": [],
-    "sweep_nu": [],
-    "sweep_q": [],
-    "sweep_theta": [],
-    "sweep_solve": False,
+    "sweep_lambda": ([], ("number", "numbers")),
+    "sweep_mu": ([], ("number", "numbers")),
+    "sweep_nu": ([], ("number", "numbers")),
+    "sweep_q": ([], ("number", "numbers")),
+    "sweep_theta": ([], ("number", "numbers")),
+    "sweep_solve": (False, "flag"),
 }
 
-SWEEP_KEYS = ("sweep_lambda", "sweep_mu", "sweep_nu", "sweep_q", "sweep_theta")
+# each scalar kind: (what a value must be, whether x is one, x parsed)
+SCALAR_KINDS = {
+    "integer": ("an integer", lambda x: isinstance(x, (int, float)) and x == int(x), int),
+    "number": ("a number", lambda x: isinstance(x, (int, float)), float),
+    "number or null": ("a number", lambda x: isinstance(x, (int, float)), float),
+    "path": ("a path", lambda x: isinstance(x, str), str),
+    "flag": ("true or false", lambda x: isinstance(x, bool), bool),
+}
+
+# the largest grid a config may ask for, in cells: M, and verify's fit grid
+MAX_CELLS = 2**20
 
 # sweep.csv columns; the first five are the row's problem parameters
 SWEEP_COLUMNS = (
@@ -157,64 +170,58 @@ def write_text(path, text):
 # -- configuration ---------------------------------------------------------
 
 
+def parse_value(key, value, kind):
+    """The value of config key parsed by its kind, or a ConfigError naming key.
+
+    A bool is a flag and nothing else; an integer may be an integral
+    float.  Each entry of a list parses as its element kind.
+    """
+    if isinstance(kind, tuple):
+        element, holds = kind
+        if not isinstance(value, list):
+            raise ConfigError(f"{key}: need a list of {holds}")
+        return [parse_value(key, v, element) for v in value]
+    if value is None and kind == "number or null":
+        return None
+    need, test, parse = SCALAR_KINDS[kind]
+    try:
+        if test(value) and isinstance(value, bool) == (kind == "flag"):
+            return parse(value)
+    except (OverflowError, ValueError):  # inf or nan, or an int beyond double range
+        pass
+    raise ConfigError(f"{key}: need {need}")
+
+
 def load_config(path):
-    if path is None:
-        raw = {}
-    else:
+    """The config at path (None: all defaults), each key parsed by its kind."""
+    raw = {}
+    if path is not None:
         with open(path) as f:
             raw = json.load(f)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
-    unknown = sorted(set(raw) - set(CONFIG_DEFAULTS))
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = dict(CONFIG_DEFAULTS)
-    cfg.update(raw)
-    return cfg
+    return {
+        key: parse_value(key, raw.get(key, default), kind)
+        for key, (default, kind) in CONFIG_KEYS.items()
+    }
 
 
 def problem_from(cfg):
     try:
         return ProblemParams(
-            N=_config_int(cfg["N"], "N"),
-            q=float(cfg["q"]),
-            mu=float(cfg["mu"]),
-            nu=float(cfg["nu"]),
-            lam=float(cfg["lambda"]),
-            theta=float(cfg["theta"]),
-            R=float(cfg["R"]),
+            N=cfg["N"], q=cfg["q"], mu=cfg["mu"], nu=cfg["nu"],
+            lam=cfg["lambda"], theta=cfg["theta"], R=cfg["R"],
         )
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
-def _config_number(x, key):
-    """The value x of config key as a float; a non-number is a ConfigError."""
-    try:
-        return float(x)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: need a number") from None
-
-
-def _config_int(n, key):
-    """The value n of config key as an int; a bool, a non-number or a
-    non-integral float is a ConfigError."""
-    if (
-        isinstance(n, bool)
-        or not isinstance(n, (int, float))
-        or (isinstance(n, float) and not n.is_integer())
-    ):
-        raise ConfigError(f"{key}: need an integer")
-    return int(n)
-
-
 def solve_args(cfg):
-    """The solve_problem keyword arguments M, n, P, r0 of a validated config."""
-    r0 = cfg["r0"]
-    return dict(
-        M=int(cfg["M"]), n=int(cfg["n"]), P=int(cfg["P"]),
-        r0=None if r0 is None else float(r0),
-    )
+    """The solve_problem keyword arguments M, n, P, r0 of a config."""
+    return {key: cfg[key] for key in ("M", "n", "P", "r0")}
 
 
 def _solve_failure(e):
@@ -223,44 +230,34 @@ def _solve_failure(e):
 
 
 def validate_numerics(cfg, p=None):
-    """Reject bad numeric, list and flag keys; returns the certificate scan box.
+    """Reject out-of-range numeric and list keys; returns the certificate scan box.
 
-    With the problem p, also reject fit_p exponents outside [1, 2*) and a
-    box whose f_abs constant (2*^2/2) C2^(2*-2) overflows a double.
+    With the problem p, also reject fit_p exponents outside [1, 2*), a
+    verify fit grid of more than MAX_CELLS cells and a box whose f_abs
+    constant (2*^2/2) C2^(2*-2) overflows a double.
     """
-    if _config_int(cfg["M"], "M") < 8:
+    if cfg["M"] < 8:
         raise ConfigError("M: need at least 8 mesh cells")
-    if _config_int(cfg["n"], "n") < 1:
+    if cfg["M"] > MAX_CELLS:
+        raise ConfigError(f"M: need at most {MAX_CELLS} mesh cells, got {cfg['M']}")
+    if cfg["n"] < 1:
         raise ConfigError("n: bubble scale must be a positive integer")
-    if _config_int(cfg["P"], "P") < 32:
+    if cfg["P"] < 32:
         raise ConfigError("P: need at least 32 path nodes")
-    if cfg["r0"] is not None:
-        r0 = _config_number(cfg["r0"], "r0")
-        if not (0.0 < 4.0 * r0 <= _config_number(cfg["R"], "R")):
-            raise ConfigError("r0: need 0 < 4*r0 <= R")
-    if not isinstance(cfg["n_list"], list):
-        raise ConfigError("n_list: need a list of scales")
-    n_list = [_config_int(n, "n_list") for n in cfg["n_list"]]
+    if cfg["r0"] is not None and not (0.0 < 4.0 * cfg["r0"] <= cfg["R"]):
+        raise ConfigError("r0: need 0 < 4*r0 <= R")
     try:
-        bubbles.scale_ladder(n_list)
+        bubbles.scale_ladder(cfg["n_list"])
     except ValueError as e:
         raise ConfigError(f"n_list: {e}") from e
-    if not isinstance(cfg["fit_p"], list):
-        raise ConfigError("fit_p: need a list of exponents")
-    for pexp in cfg["fit_p"]:
-        pexp = _config_number(pexp, "fit_p")
-        if p is not None and not (1.0 <= pexp < p.two_star):
+    if p is not None:
+        if not all(1.0 <= pexp < p.two_star for pexp in cfg["fit_p"]):
             raise ConfigError(f"fit_p: need exponents in [1, {p.two_star:g})")
-    if not isinstance(cfg["sweep_solve"], bool):
-        raise ConfigError("sweep_solve: need true or false")
+        cells = bubbles.fit_grid_for(p.R, cfg["n_list"])
+        if cells > MAX_CELLS:
+            raise ConfigError(f"n_list: need a fit grid of at most {MAX_CELLS} cells, got {cells}")
     try:
-        box = inequalities.BoxSpec(
-            C1=_config_number(cfg["C1"], "C1"),
-            C2=_config_number(cfg["C2"], "C2"),
-            y_max=_config_number(cfg["y_max"], "y_max"),
-            t_samples=_config_int(cfg["t_samples"], "t_samples"),
-            y_samples=_config_int(cfg["y_samples"], "y_samples"),
-        )
+        box = inequalities.BoxSpec(**{f.name: cfg[f.name] for f in fields(inequalities.BoxSpec)})
         if p is not None:
             box.abs_scale(p.two_star)
     except ValueError as e:
@@ -289,7 +286,7 @@ def _outdir(cfg, args):
 def cmd_regions(cfg, args):
     p = problem_from(cfg)
     validate_numerics(cfg)
-    g = build_grid(p.N, p.R, int(cfg["M"]))
+    g = build_grid(p.N, p.R, cfg["M"])
     S = g.sobolev
     lam1, _ = g.eigenpair
     vol = ball_volume(p.N, p.R)
@@ -396,19 +393,17 @@ def cmd_verify(cfg, args):
     p = problem_from(cfg)
     box = validate_numerics(cfg, p)
     out = _outdir(cfg, args)
-    r0 = p.R / 4.0 if cfg["r0"] is None else float(cfg["r0"])
+    r0 = p.R / 4.0 if cfg["r0"] is None else cfg["r0"]
 
     certs, sups = _inequality_certificates(p, box)
     certs += _decay_certificates(p, r0)
     write_text(os.path.join(out, "certificates.json"), canonical_json(certs))
 
-    n_list = [int(n) for n in cfg["n_list"]]
-    M = bubbles.fit_grid_for(p.R, n_list)
-    g = build_grid(p.N, p.R, M)
+    n_list = cfg["n_list"]
+    g = build_grid(p.N, p.R, bubbles.fit_grid_for(p.R, n_list))
     rows = ["N,p,slope,intercept,residual"]
     slope_ok = True
     for pexp in cfg["fit_p"]:
-        pexp = float(pexp)
         slope, inter, resid = bubbles.fit_norm_exponent(g, n_list, pexp, r0=r0)
         rows.append(
             "%d,%s,%s,%s,%s"
@@ -468,22 +463,28 @@ def _sweep_instance(p, row, geometry, solve_kw):
     row["gap_ok"] = "true" if report.gap_ok else "false"
 
 
+def _sweep_rows(cfg, ranges):
+    """Each row's config, and its problem (None if its parameters do not validate)."""
+    keys = sorted(ranges)  # lexicographic in parameter names, then values
+    for combo in product(*(ranges[k] for k in keys)):
+        sub = dict(cfg, **dict(zip(keys, combo)))
+        try:
+            p = problem_from(sub)
+        except ConfigError:
+            p = None
+        yield sub, p
+
+
 def cmd_sweep(cfg, args):
     validate_numerics(cfg)
-    try:
-        ranges = {k: sorted(float(v) for v in cfg[k]) for k in SWEEP_KEYS if cfg[k]}
-        # a parameter that is not swept is written into every row: a value
-        # that is not a number is a config error, as in regions and solve
-        for k in SWEEP_PARAMS:
-            if "sweep_" + k not in ranges:
-                float(cfg[k])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from e
+    ranges = {k: sorted(cfg["sweep_" + k]) for k in SWEEP_PARAMS if cfg["sweep_" + k]}
     if not ranges:
         raise ConfigError("sweep: at least one sweep_* range must be nonempty")
-    _config_int(cfg["N"], "N")  # not swept: a config error, not a row status
-    keys = sorted(ranges)  # lexicographic in parameter names, then values
     solve_kw = solve_args(cfg) if cfg["sweep_solve"] else None
+    if solve_kw is not None:  # every row to solve passes solve's gate before any runs
+        for _, p in _sweep_rows(cfg, ranges):
+            if p is not None:
+                hypothesis_gate(p, args.explore_open_problem)
     out = _outdir(cfg, args)
 
     # N, R and M are not swept, so every row shares one grid; it is built
@@ -491,17 +492,14 @@ def cmd_sweep(cfg, args):
     # R <= 0 has none, and yields invalid-params rows only)
     geometry = None
     lines = [",".join(SWEEP_COLUMNS)]
-    for combo in product(*(ranges[k] for k in keys)):
-        sub = dict(cfg, **{k.replace("sweep_", ""): v for k, v in zip(keys, combo)})
+    for sub, p in _sweep_rows(cfg, ranges):
         row = dict.fromkeys(SWEEP_COLUMNS, "")
         row.update({k: fmt_float(sub[k]) for k in SWEEP_PARAMS}, status="ok")
-        try:
-            p = problem_from(sub)
-        except ConfigError:
+        if p is None:
             row["status"] = "invalid-params"
         else:
             if geometry is None:
-                g = build_grid(p.N, p.R, int(cfg["M"]))
+                g = build_grid(p.N, p.R, cfg["M"])
                 geometry = (g.sobolev, g.eigenpair[0], ball_volume(p.N, p.R))
             _sweep_instance(p, row, geometry, solve_kw)
         lines.append(",".join(row[c] for c in SWEEP_COLUMNS))

@@ -21,7 +21,10 @@ _XLOG_CURVATURE_FLOOR = -1e6  # floor of (s^2 log s^2)'' = 2 log s^2 + 6 in f'
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Equation parameters.  lam is the linear coefficient (JSON key "lambda")."""
+    """Equation parameters.  lam is the linear coefficient (JSON key "lambda").
+
+    q, mu, nu, lam, theta and R must be finite; the error names lam "lambda".
+    """
 
     N: int
     q: float
@@ -35,6 +38,10 @@ class ProblemParams:
     def __post_init__(self):
         if self.N < 3:
             raise ValueError("dimension N must be >= 3")
+        for name, value in (("q", self.q), ("mu", self.mu), ("nu", self.nu),
+                            ("lambda", self.lam), ("theta", self.theta), ("R", self.R)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         ts = 2.0 * self.N / (self.N - 2.0)
         if not (self.mu > 0):
             raise ValueError("mu must be positive")

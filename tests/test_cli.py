@@ -100,6 +100,26 @@ def test_open_problem_gate(tmp_path, capsys):
     assert "membership" in capsys.readouterr().err
 
 
+def test_solving_sweep_rows_pass_the_open_problem_gate(tmp_path, capsys):
+    # every row that a solving sweep solves passes solve's gate before any
+    # row runs; a sweep that does not solve is not gated, as regions is not
+    over = dict(N=6, q=2.5, nu=-0.5, theta=-2.0, M=64, n=4, sweep_theta=[-2.0])
+    cfg = write_config(str(tmp_path), **over, sweep_solve=True)
+    out = str(tmp_path / "out")
+    for command in ("solve", "sweep"):
+        assert main([command, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: hypothesis violated")
+        assert "--explore-open-problem" in err
+        assert not os.path.exists(out)
+    assert main(["sweep", "--config", cfg, "--out", out, "--explore-open-problem"]) == 0
+    with open(os.path.join(out, "sweep.csv")) as f:
+        row = f.read().splitlines()[1].split(",")
+    assert row[-1] == "ok" and row[12] != ""  # c_M of a solved row
+    cfg = write_config(str(tmp_path), name="c2.json", **over)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "unsolved")]) == 0
+
+
 def test_unusable_region_exits_two(tmp_path, capsys):
     # showcase parameters with a subnormal log coefficient: memberships
     # hold, but the negative-energy start lies below floating-point range
@@ -285,13 +305,44 @@ def test_verify_rejects_bad_box_keys(tmp_path, capsys, box, key):
 
 
 @pytest.mark.parametrize("key", ["N", "M", "n", "P", "t_samples", "y_samples"])
-@pytest.mark.parametrize("value", [True, "abc", 8.7, None])
+@pytest.mark.parametrize("value", [True, "abc", 8.7, None, float("nan")])
 def test_integer_keys_reject_non_integers(tmp_path, capsys, key, value):
     tmp = str(tmp_path)
     cfg = write_config(tmp, **{key: value})
     assert main(["regions", "--config", cfg, "--out", tmp]) == 1
     assert capsys.readouterr().err == f"config error: {key}: need an integer\n"
     assert not os.path.exists(os.path.join(tmp, "regions.json"))
+
+
+@pytest.mark.parametrize(
+    "key", ["q", "mu", "nu", "lambda", "theta", "R", "C1", "C2", "y_max"]
+)
+@pytest.mark.parametrize("value", [True, "1.0", None])
+def test_number_keys_reject_non_numbers(tmp_path, capsys, key, value):
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), **{key: value})
+    assert main(["regions", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"config error: {key}: need a number\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("q", float("nan")),
+        ("mu", float("inf")),
+        ("nu", float("nan")),
+        ("lambda", float("nan")),
+        ("theta", float("-inf")),
+        ("R", float("inf")),
+    ],
+)
+def test_non_finite_coefficients_are_config_errors(tmp_path, capsys, key, value):
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), **{key: value})
+    assert main(["regions", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"config error: {key} must be finite, got {value}\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -303,6 +354,8 @@ def test_integer_keys_reject_non_integers(tmp_path, capsys, key, value):
         (0, "need 0 < 4*r0 <= R"),
         (float("nan"), "need 0 < 4*r0 <= R"),
         (0.3, "need 0 < 4*r0 <= R"),
+        (True, "need a number"),
+        ("0.1", "need a number"),
     ],
 )
 def test_bad_r0_is_a_config_error(tmp_path, capsys, command, r0, why):
@@ -325,6 +378,9 @@ def test_bad_r0_is_a_config_error(tmp_path, capsys, command, r0, why):
         (dict(fit_p=[2.0, "abc"]), "fit_p: need a number"),
         (dict(N=4, q=3.0, fit_p=[7.0]), "fit_p: need exponents in [1, 4)"),
         (dict(sweep_solve="false"), "sweep_solve: need true or false"),
+        (dict(n_list=[16, 32, True, 128, 256]), "n_list: need an integer"),
+        (dict(fit_p=[True]), "fit_p: need a number"),
+        (dict(fit_p=["2.0"]), "fit_p: need a number"),
     ],
 )
 def test_verify_rejects_bad_lists_and_flags_before_writing(tmp_path, capsys, over, why):
@@ -335,17 +391,30 @@ def test_verify_rejects_bad_lists_and_flags_before_writing(tmp_path, capsys, ove
     assert not os.path.exists(out)
 
 
+SWEEP_RANGE_KEYS = ["sweep_lambda", "sweep_mu", "sweep_nu", "sweep_q", "sweep_theta"]
+
+
 @pytest.mark.parametrize("command", ["regions", "solve", "sweep"])
 @pytest.mark.parametrize(
     "over, why",
     [
         (dict(n_list=5), "n_list: need a list of scales"),
         (dict(sweep_solve="false"), "sweep_solve: need true or false"),
-    ],
+        (dict(n_list=[16, 32, True, 128, 256]), "n_list: need an integer"),
+        (dict(n_list=[16, 32, "64", 128, 256]), "n_list: need an integer"),
+        (dict(fit_p=2.0), "fit_p: need a list of exponents"),
+        (dict(fit_p=[True]), "fit_p: need a number"),
+        (dict(fit_p=["2.0"]), "fit_p: need a number"),
+        (dict(out=5), "out: need a path"),
+        (dict(out=None), "out: need a path"),
+    ]
+    + [({key: -1.0}, f"{key}: need a list of numbers") for key in SWEEP_RANGE_KEYS]
+    + [({key: [True, -1.0]}, f"{key}: need a number") for key in SWEEP_RANGE_KEYS]
+    + [({key: ["-1.0"]}, f"{key}: need a number") for key in SWEEP_RANGE_KEYS],
 )
 def test_every_subcommand_rejects_bad_lists_and_flags(tmp_path, capsys, command, over, why):
     out = str(tmp_path / "out")
-    cfg = write_config(str(tmp_path), sweep_theta=[-0.01], **over)
+    cfg = write_config(str(tmp_path), **{"sweep_theta": [-0.01], **over})
     assert main([command, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err == f"config error: {why}\n"
     assert not os.path.exists(out)
@@ -384,6 +453,31 @@ def test_verify_rejects_an_oversized_box(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: t_samples, y_samples: need at most")
     assert os.listdir(tmp) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "command, over, why",
+    [
+        ("regions", dict(M=2**21), "M: need at most 1048576 mesh cells, got 2097152"),
+        ("solve", dict(M=2**21), "M: need at most 1048576 mesh cells, got 2097152"),
+        ("sweep", dict(M=2**21), "M: need at most 1048576 mesh cells, got 2097152"),
+        (
+            "verify",
+            dict(n_list=[8192, 16384, 32768, 65536, 131072]),
+            "n_list: need a fit grid of at most 1048576 cells, got 2097152",
+        ),
+    ],
+)
+def test_grids_over_the_cap_are_config_errors(tmp_path, capsys, monkeypatch, command, over, why):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(lc.grid, "RadialGrid", refuse)
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), sweep_theta=[-0.01], **over)
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"config error: {why}\n"
+    assert not os.path.exists(out)
 
 
 def test_sweep_grid_rows_and_determinism(tmp_path, monkeypatch):
@@ -462,7 +556,11 @@ def test_sweep_rejects_a_non_numeric_fixed_parameter(tmp_path, capsys):
     cfg = write_config(tmp, q="abc", M=64, sweep_theta=[-1.0])
     assert main(["regions", "--config", cfg, "--out", tmp]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ")
+    assert err == "config error: q: need a number\n"
+    assert main(["sweep", "--config", cfg, "--out", tmp]) == 1
+    assert capsys.readouterr().err == err
+    # the base value of a swept parameter is parsed like every other key
+    cfg = write_config(tmp, name="c2.json", q="abc", M=64, sweep_q=[2.5])
     assert main(["sweep", "--config", cfg, "--out", tmp]) == 1
     assert capsys.readouterr().err == err
     assert not os.path.exists(os.path.join(tmp, "sweep.csv"))
@@ -476,8 +574,9 @@ def test_sweep_rejects_a_non_numeric_range_value(tmp_path, capsys):
 
 
 def test_sweep_ignores_the_base_value_of_a_swept_parameter(tmp_path):
+    # the row holds the swept q, not the base q
     tmp = str(tmp_path)
-    cfg = write_config(tmp, **instance_a_config(M=64, q="abc", sweep_q=[2.5]))
+    cfg = write_config(tmp, **instance_a_config(M=64, q=2.4, sweep_q=[2.5]))
     assert main(["sweep", "--config", cfg, "--out", tmp]) == 0
     with open(os.path.join(tmp, "sweep.csv")) as f:
         rows = f.read().splitlines()

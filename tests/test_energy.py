@@ -34,6 +34,23 @@ def test_problem_params_validation():
         lc.ProblemParams(N=3, q=2.5, mu=1.0, nu=0.0, lam=0.0, theta=-1.0, R=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, name, value",
+    [
+        ("q", "q", float("nan")),
+        ("mu", "mu", float("inf")),
+        ("nu", "nu", float("nan")),
+        ("lam", "lambda", float("nan")),
+        ("theta", "theta", float("-inf")),
+        ("R", "R", float("inf")),
+    ],
+)
+def test_problem_params_rejects_non_finite_fields(field, name, value):
+    kw = dict(INSTANCE_A, **{field: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        lc.ProblemParams(**kw)
+
+
 def test_safe_xlog_values():
     assert lc.safe_xlog(0.0) == 0.0
     assert lc.safe_xlog(1.0) == 0.0
