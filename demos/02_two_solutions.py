@@ -7,8 +7,8 @@ inside the geometric ball, starting at the minimum of the principal
 mode's fiber t -> I(t phi1), which has a closed form in t: it descends to
 the first iterate of Morse index 0 (here the start itself), runs Newton
 once from it and checks the limit once.  Stage two selects an endpoint
-past the crest, shoots radially over a window of amplitudes set by that
-endpoint, and refines each sign change of the shooting map with Newton
+past the crest, shoots radially over a window of amplitudes centred on
+that endpoint's peak, and refines each sign change of the shooting map with Newton
 until a limit is positive with Morse index 1.  A
 ridge check on the ray from the minimizer through that limit shows it
 crowns an admissible straight path.  The result is one solution at

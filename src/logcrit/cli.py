@@ -2,9 +2,11 @@
 
 load_config parses each config key once, by its kind in CONFIG_KEYS, so the
 subcommands read typed values; validate_numerics makes the range checks.
-Exit codes: 0 success; 1 config error (a bad key or value, a grid over
-MAX_CELLS cells, a bad certificate box, or the N >= 6, nu <= 0 hypothesis
-gate, which a solving sweep applies to every row it solves); 2 solve
+Exit codes: 0 success; 1 config error (a bad key or value, an integer
+beyond 2^53 in magnitude, a grid over MAX_CELLS cells, a ridge check over
+MAX_PATH_CELLS ray-sample cells, a bad certificate box, or the N >= 6,
+nu <= 0 hypothesis gate, which a solving sweep applies to every row it
+solves); 2 solve
 precondition failed at run time (no region membership, unusable region, a
 failed ridge check of the saddle); 3 verification failure (structure
 check, gap bound, certificate margin, a non-finite scan supremum or slope
@@ -73,9 +75,17 @@ CONFIG_KEYS = {
     "sweep_solve": (False, "flag"),
 }
 
+# the largest integer magnitude a config may hold: the range in which JSON
+# integers interoperate (RFC 8259, section 6) and doubles hold every integer
+MAX_INTEGER = 2**53
+
 # each scalar kind: (what a value must be, whether x is one, x parsed)
 SCALAR_KINDS = {
-    "integer": ("an integer", lambda x: isinstance(x, (int, float)) and x == int(x), int),
+    "integer": (
+        "an integer",
+        lambda x: isinstance(x, (int, float)) and abs(x) <= MAX_INTEGER and x == int(x),
+        int,
+    ),
     "number": ("a number", lambda x: isinstance(x, (int, float)), float),
     "number or null": ("a number", lambda x: isinstance(x, (int, float)), float),
     "path": ("a path", lambda x: isinstance(x, str), str),
@@ -84,6 +94,8 @@ SCALAR_KINDS = {
 
 # the largest grid a config may ask for, in cells: M, and verify's fit grid
 MAX_CELLS = 2**20
+# the largest (P, M) stack of ray samples the ridge check may build
+MAX_PATH_CELLS = 64 * MAX_CELLS
 
 # sweep.csv columns; the first five are the row's problem parameters
 SWEEP_COLUMNS = (
@@ -244,6 +256,10 @@ def validate_numerics(cfg, p=None):
         raise ConfigError("n: bubble scale must be a positive integer")
     if cfg["P"] < 32:
         raise ConfigError("P: need at least 32 path nodes")
+    if cfg["P"] * cfg["M"] > MAX_PATH_CELLS:
+        raise ConfigError(
+            f"P: need P * M <= {MAX_PATH_CELLS}, got {cfg['P'] * cfg['M']}"
+        )
     if cfg["r0"] is not None and not (0.0 < 4.0 * cfg["r0"] <= cfg["R"]):
         raise ConfigError("r0: need 0 < 4*r0 <= R")
     try:

@@ -18,14 +18,16 @@ inside the ball.  A failed check raises UsableRegionError.
 Stage two finds the mountain-pass point by discrete radial shooting.
 Positive solutions on a ball are radial, so each is a root of the map
 that marches the three-term recurrence A u = f(u) out from u_0 = a and
-reads the boundary residual.  One vectorized march scans a window of
-amplitudes set by the endpoint of select_endpoint; Newton refines each
-sign change in ascending amplitude, and the first limit that is positive
-with exactly one negative Hessian eigenvalue (Morse index 1, the index
-of a nondegenerate mountain-pass point) is the saddle.  A minimizer is
-the index-0 case of the same rule.  A ridge check on the straight ray
-from u0 through the saddle then shows that it crowns an admissible
-path, so its level c_M bounds the minimax level from above.
+reads the boundary residual.  It reads three things: u0, the level floor
+alpha of the region membership, and one number, the peak that
+select_endpoint returns, on which the window of amplitudes is centred.
+One vectorized march scans that window; Newton refines each sign change
+in ascending amplitude, and the first limit that is positive with
+exactly one negative Hessian eigenvalue (Morse index 1, the index of a
+nondegenerate mountain-pass point) is the saddle.  A minimizer is the
+index-0 case of the same rule.  A ridge check on the straight ray from
+u0 through the saddle then shows that it crowns an admissible path, so
+its level c_M bounds the minimax level from above.
 
 Gradient and residual sizes are measured in the dual norm
 sqrt(<v, A^{-1} v>_w) of the discrete operator A = -Laplacian: it is the
@@ -40,7 +42,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .bubbles import truncated_bubble
+from .bubbles import BubbleSpec, truncated_bubble
 from .energy import (
     dilated_params,
     energy_value,
@@ -50,7 +52,7 @@ from .energy import (
     source_derivative,
     source_term,
 )
-from .grid import ball_volume, solve_tridiagonal
+from .grid import ball_volume, build_grid, solve_tridiagonal
 from .regions import region_membership
 
 BALL_MARGIN = 1e-3  # constraint radius rho*(1 - BALL_MARGIN)
@@ -63,7 +65,7 @@ FIBER_SAMPLES = 257
 FIBER_WINDOW = 64.0
 
 # stage two shoots from SHOOT_AMPS log-spaced amplitudes spanning a factor
-# SHOOT_SPAN either side of the endpoint's peak
+# SHOOT_SPAN either side of the peak that select_endpoint returns
 SHOOT_AMPS = 128
 SHOOT_SPAN = 64.0
 
@@ -203,12 +205,15 @@ def _descend_in_ball(p, g, u, radius, itmax=5000):
     from an iterate of index 1, such as a small negative-energy multiple
     of phi1 on the weak-log showcase, it converges to a saddle.  When no
     Armijo step is left, or after itmax steps, the last iterate is
-    returned, and the index check on Newton's limit decides.
+    returned, and the index check on Newton's limit decides.  The energy
+    of the start is evaluated only when a step is tried.
     """
-    e = energy_value(p, g, u)
+    e = None
     for it in range(itmax):
         if _morse_index(p, g, u) == 0:
             return u, it
+        if e is None:
+            e = energy_value(p, g, u)
         gn2, pre = _dual_norm_sq(g, gradient_field(p, g, u))
         s = 1.0
         while s >= 1e-14:
@@ -355,25 +360,28 @@ def select_endpoint(p, g, u0, spec, rho):
     """Smallest doubling T past 4 rho / S^{N/4} with I(u0 + T U_n) < I(u0).
 
     rho is the ball radius of the region membership that solve_problem
-    found.  Returns (T, endpoint).  The critical term dominates at large
-    scale, so the doubling always terminates for mu > 0.
+    found.  Returns (T, peak), peak = max(u0 + T U_n), the centre of the
+    amplitude window of mountain_pass.  The critical term dominates at
+    large scale, so the doubling always terminates for mu > 0.
     """
     Un = truncated_bubble(spec, g)
     e0 = energy_value(p, g, u0)
     T = 4.0 * rho / g.sobolev ** (p.N / 4.0) * (1.0 + 1e-6)
     for _ in range(60):
-        if energy_value(p, g, u0 + T * Un) < e0:
-            return T, u0 + T * Un
+        endpoint = u0 + T * Un
+        if energy_value(p, g, endpoint) < e0:
+            return T, float(np.max(endpoint))
         T *= 2.0
     raise RuntimeError("endpoint search failed to pass below the base energy")
 
 
 @dataclass(frozen=True)
 class PathState:
-    """The straight path u0 + t (u_mp - u0) sampled at P nodes for t in [0, 2]."""
+    """The straight path u0 + t (u_mp - u0) sampled at P nodes for t in [0, 2]:
+    the values of t and the energies there.  The (P, M) samples are not
+    kept; u0, u_mp and t rebuild them."""
 
     t: np.ndarray  # (P,)
-    nodes: np.ndarray  # (P, M)
     energies: np.ndarray  # (P,)
 
 
@@ -401,28 +409,29 @@ def _shoot(p, g, amps):
     return U, F
 
 
-def mountain_pass(p, g, u0, endpoint, rep, P=33):
+def mountain_pass(p, g, u0, peak, alpha, P=33):
     """Mountain-pass point by discrete radial shooting, with a ridge check.
 
     Positive solutions on a ball are radial, so on the grid each one is a
     root of the shooting map F of _shoot.  One march covers SHOOT_AMPS
-    log-spaced amplitudes in [m / SHOOT_SPAN, m SHOOT_SPAN], m = max(endpoint).
-    At each sign change of F between finite values, in ascending
-    amplitude, Newton starts from the regula-falsi blend of the two
-    bracketing profiles, clipped at 0.  The first limit that converges,
-    is positive at every node and whose Hessian has exactly one negative
-    eigenvalue (Morse index 1) is the saddle u_mp; a minimizer (index 0)
-    or a higher critical point is passed over.  ConcentrationStallError
-    names the amplitude range when no bracket qualifies.
+    log-spaced amplitudes in [peak / SHOOT_SPAN, peak SHOOT_SPAN]; peak
+    is the one number select_endpoint returns.  At each sign change of F
+    between finite values, in ascending amplitude, Newton starts from the
+    regula-falsi blend of the two bracketing profiles, clipped at 0.  The
+    first limit that converges, is positive at every node and whose
+    Hessian has exactly one negative eigenvalue (Morse index 1) is the
+    saddle u_mp; a minimizer (index 0) or a higher critical point is
+    passed over.  ConcentrationStallError names the amplitude range when
+    no bracket qualifies.
 
-    rep is the RegionReport of the parameters: its alpha, when a
-    membership holds, floors the saddle level.  The ridge check then
-    samples the ray u0 + t (u_mp - u0) at P nodes for t in [0, 2].  Every
-    sample must lie at or below c_M (to roundoff) and the last below
-    I(u0), so the straight path from u0 through u_mp to the last sample
-    is admissible for the minimax and crests at c_M: c_M bounds the
-    mountain-pass level from above.  PathCollapseError is raised when
-    the check fails.
+    alpha, the level floor of the region membership, floors the saddle
+    level.  The ridge check then samples the ray u0 + t (u_mp - u0) at P
+    nodes for t in [0, 2].  Every sample must lie at or below c_M (to
+    roundoff) and the last below I(u0), so the straight path from u0
+    through u_mp to the last sample is admissible for the minimax and
+    crests at c_M: c_M bounds the mountain-pass level from above.  This
+    check, not the energy of select_endpoint's endpoint, certifies the
+    path.  PathCollapseError is raised when the check fails.
 
     Returns (u_mp, c_M, PathState of the ray samples, stats); stats
     counts the brackets handed to Newton ("iters_path") and the
@@ -433,12 +442,7 @@ def mountain_pass(p, g, u0, endpoint, rep, P=33):
     if P < 32:
         raise ValueError("need at least 32 path nodes")
     u0 = np.asarray(u0, dtype=float)
-    endpoint = np.asarray(endpoint, dtype=float)
-    if not (energy_value(p, g, endpoint) < energy_value(p, g, u0)):
-        raise ValueError("endpoint energy must fall below the base energy")
-
-    top = float(np.max(endpoint))
-    amps = np.geomspace(top / SHOOT_SPAN, top * SHOOT_SPAN, SHOOT_AMPS)
+    amps = np.geomspace(peak / SHOOT_SPAN, peak * SHOOT_SPAN, SHOOT_AMPS)
     U, F = _shoot(p, g, amps)
     finite = np.isfinite(F)
     positive = F > 0.0
@@ -469,9 +473,9 @@ def mountain_pass(p, g, u0, endpoint, rep, P=33):
     c_M = energy_value(p, g, u_mp)
     if not (c_M > 0.0):
         raise RuntimeError(f"saddle level is not positive: {c_M:.6e}")
-    if rep.alpha is not None and c_M < rep.alpha * (1.0 - 1e-9):
+    if c_M < alpha * (1.0 - 1e-9):
         raise RuntimeError(
-            f"saddle level {c_M:.6e} fell below the geometry floor {rep.alpha:.6e}"
+            f"saddle level {c_M:.6e} fell below the geometry floor {alpha:.6e}"
         )
     if _h1_norm(g, u_mp - u0) < 1e-6 * max(1.0, _h1_norm(g, u0)):
         raise RuntimeError("saddle coincides with the base minimizer")
@@ -492,7 +496,7 @@ def mountain_pass(p, g, u0, endpoint, rep, P=33):
         )
     stats = {"iters_path": count, "iters_newton_path": newton_iterations,
              "residual_mp": float(nres.residual)}
-    return u_mp, c_M, PathState(t=t, nodes=Z, energies=E), stats
+    return u_mp, c_M, PathState(t=t, energies=E), stats
 
 
 # -- report and verification ----------------------------------------------
@@ -615,13 +619,11 @@ def solve_problem(p, M, n=16, P=33, r0=None):
     one finds no negative-energy start (the dilation exponent is not a
     finite double, or the fiber of phi1 has no negative minimum on the
     searched range) or its Newton limit fails a check, ValueError when
-    no region membership holds.  The membership is evaluated once, here:
-    stage one and select_endpoint get its rho, mountain_pass the whole
-    RegionReport.
+    no region membership holds.  The membership is evaluated once, here,
+    and each stage gets only what it reads: stage one and select_endpoint
+    its rho, mountain_pass u0, the peak that select_endpoint returns and
+    the membership's level floor alpha.
     """
-    from .bubbles import BubbleSpec
-    from .grid import build_grid
-
     g = build_grid(p.N, p.R, M)
     rep = region_membership(p, g.sobolev, g.eigenpair[0], ball_volume(p.N, p.R))
     if not rep.any_membership():
@@ -631,8 +633,8 @@ def solve_problem(p, M, n=16, P=33, r0=None):
     v0, s0, c_rho, stats = _minimize_with_stats(p, g, rep.rho)
     u0 = np.exp(s0) * v0
     spec = BubbleSpec(N=p.N, n=n, r0=r0)
-    _, endpoint = select_endpoint(p, g, u0, spec, rep.rho)
-    u_mp, c_M, path, path_stats = mountain_pass(p, g, u0, endpoint, rep, P=P)
+    _, peak = select_endpoint(p, g, u0, spec, rep.rho)
+    u_mp, c_M, path, path_stats = mountain_pass(p, g, u0, peak, rep.alpha, P=P)
     gap_bound = float(
         c_rho + (1.0 / p.N) * p.mu ** (-(p.N - 2.0) / 2.0) * rep.S ** (p.N / 2.0)
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import logcrit as lc
-from logcrit.cli import main
+from logcrit.cli import ConfigError, load_config, main, validate_numerics
 from conftest import INSTANCE_A
 
 
@@ -305,7 +305,13 @@ def test_verify_rejects_bad_box_keys(tmp_path, capsys, box, key):
 
 
 @pytest.mark.parametrize("key", ["N", "M", "n", "P", "t_samples", "y_samples"])
-@pytest.mark.parametrize("value", [True, "abc", 8.7, None, float("nan")])
+@pytest.mark.parametrize(
+    "value",
+    [
+        True, "abc", 8.7, None, float("nan"),
+        pytest.param(10**400, id="10**400"), pytest.param(2**53 + 1, id="2**53+1"),
+    ],
+)
 def test_integer_keys_reject_non_integers(tmp_path, capsys, key, value):
     tmp = str(tmp_path)
     cfg = write_config(tmp, **{key: value})
@@ -440,6 +446,34 @@ def test_solve_samples_the_fiber_profile_once(tmp_path, monkeypatch):
     assert rep["sign_changes"] <= 2 and abs(rep["t_local_min"] - 1.0) <= 0.05
 
 
+@pytest.mark.parametrize(
+    "command, over",
+    [
+        ("sweep", dict(N=10**400, sweep_theta=[-2.0])),
+        ("solve", instance_a_config(M=64, n=10**400)),
+    ],
+)
+def test_integers_beyond_two_to_53_are_config_errors(tmp_path, capsys, command, over):
+    # past 2^53 an integer is no longer a JSON interoperable value; it is
+    # refused as it is read, before a problem, a grid or a bubble sees it
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), **over)
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    key = "N" if command == "sweep" else "n"
+    assert capsys.readouterr().err == f"config error: {key}: need an integer\n"
+    assert not os.path.exists(out)
+
+
+def test_path_cells_cap_boundary(tmp_path):
+    # P * M may reach 2^26 exactly; one more path node is a config error.
+    # Only the config is read and checked: no solve runs at this size
+    tmp = str(tmp_path)
+    validate_numerics(load_config(write_config(tmp, "at.json", M=2**20, P=64)))
+    over = load_config(write_config(tmp, "over.json", M=2**20, P=65))
+    with pytest.raises(ConfigError, match=r"^P: need P \* M <= 67108864, got 68157440$"):
+        validate_numerics(over)
+
+
 def test_integral_float_keys_are_accepted(tmp_path):
     tmp = str(tmp_path)
     cfg = write_config(tmp, N=4.0, M=64.0, n=4.0, P=32.0, t_samples=1000.0, y_samples=1e3)
@@ -461,6 +495,8 @@ def test_verify_rejects_an_oversized_box(tmp_path, capsys):
         ("regions", dict(M=2**21), "M: need at most 1048576 mesh cells, got 2097152"),
         ("solve", dict(M=2**21), "M: need at most 1048576 mesh cells, got 2097152"),
         ("sweep", dict(M=2**21), "M: need at most 1048576 mesh cells, got 2097152"),
+        ("solve", dict(P=10**7), "P: need P * M <= 67108864, got 4000000000"),
+        ("sweep", dict(P=10**7), "P: need P * M <= 67108864, got 4000000000"),
         (
             "verify",
             dict(n_list=[8192, 16384, 32768, 65536, 131072]),

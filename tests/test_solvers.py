@@ -33,10 +33,15 @@ def h1_norm(g, u):
 
 
 def region_report(p, g):
-    """The RegionReport that solve_problem passes to the later stages."""
+    """The RegionReport that solve_problem evaluates once per solve."""
     return lc.region_membership(
         p, g.sobolev, g.eigenpair[0], lc.ball_volume(p.N, p.R)
     )
+
+
+def ray_nodes(report, path):
+    """The ridge check's samples u0 + t (u_mp - u0), rebuilt from path.t."""
+    return report.u0 + path.t[:, None] * (report.u_mp - report.u0)
 
 
 class TestNegativeSubcriticalInstance:
@@ -65,19 +70,20 @@ class TestNegativeSubcriticalInstance:
 
     def test_saddle_is_positive_and_near_the_crest(self, solved_a, params_a):
         report, path, g = solved_a
+        nodes = ray_nodes(report, path)
         assert np.all(report.u_mp > 0.0)
         # a mountain-pass point: its Hessian has exactly one negative direction
         assert solvers._morse_index(params_a, g, report.u_mp) == 1
         # the crest of the ridge samples is the t = 1 node, the saddle itself
         k = int(np.argmax(path.energies))
         assert path.t[k] == 1.0
-        assert h1_norm(g, path.nodes[k] - report.u_mp) <= 1e-14 * h1_norm(g, report.u_mp)
+        assert h1_norm(g, nodes[k] - report.u_mp) <= 1e-14 * h1_norm(g, report.u_mp)
         assert path.energies[k] == pytest.approx(report.c_M, rel=1e-12)
         # the straight path from u0 through the saddle crests at c_M
         ts = np.linspace(0.0, 1.0, 33)
         chord = [
             lc.energy_value(
-                params_a, g, (1 - t) * report.u0 + t * path.nodes[-1]
+                params_a, g, (1 - t) * report.u0 + t * nodes[-1]
             )
             for t in ts
         ]
@@ -94,11 +100,12 @@ class TestNegativeSubcriticalInstance:
     def test_path_state(self, solved_a, params_a):
         # the ridge samples of the ray u0 + t (u_mp - u0), t in [0, 2]
         report, path, g = solved_a
-        assert path.nodes.shape == (33, g.M)
+        assert [f.name for f in dataclasses.fields(path)] == ["t", "energies"]
         assert path.energies.shape == (33,)
         assert np.array_equal(path.t, np.linspace(0.0, 2.0, 33))
+        # the rebuilt samples give the stored energies bit for bit
         assert np.array_equal(
-            path.energies, lc.energy_value(params_a, g, path.nodes)
+            path.energies, lc.energy_value(params_a, g, ray_nodes(report, path))
         )
         assert path.energies[0] == pytest.approx(report.c_rho, rel=1e-10)
         assert path.energies[-1] < report.c_rho
@@ -107,8 +114,9 @@ class TestNegativeSubcriticalInstance:
 
     def test_path_iterates_stay_bounded(self, solved_a):
         report, path, g = solved_a
-        bound = 2.0 * max(report.rho, h1_norm(g, path.nodes[-1]))
-        norms = [h1_norm(g, z) for z in path.nodes]
+        nodes = ray_nodes(report, path)
+        bound = 2.0 * max(report.rho, h1_norm(g, nodes[-1]))
+        norms = [h1_norm(g, z) for z in nodes]
         assert max(norms) <= bound + 1e-9
 
     def test_structure_verifier_accepts_the_solution(self, solved_a, params_a):
@@ -155,14 +163,15 @@ class TestEndpointSelection:
     def test_scale_and_energy_drop(self, solved_a, params_a):
         report, _, g = solved_a
         spec = lc.BubbleSpec(N=3, n=16, r0=0.25)
-        T, endpoint = lc.select_endpoint(params_a, g, report.u0, spec, report.rho)
+        T, _ = lc.select_endpoint(params_a, g, report.u0, spec, report.rho)
         S = lc.best_sobolev_constant(3)
         assert T > 4.0 * report.rho / S ** (3.0 / 4.0)
+        Un = lc.truncated_bubble(spec, g)
+        endpoint = report.u0 + T * Un
         e0 = lc.energy_value(params_a, g, report.u0)
         assert lc.energy_value(params_a, g, endpoint) < e0
         # past the crest the critical term dominates: doubling T again
         # must land strictly lower
-        Un = lc.truncated_bubble(spec, g)
         assert lc.energy_value(params_a, g, report.u0 + 2.0 * T * Un) < (
             lc.energy_value(params_a, g, endpoint)
         )
@@ -172,13 +181,27 @@ class TestEndpointSelection:
         # so its energy maximum sits at or above alpha
         report, _, g = solved_a
         spec = lc.BubbleSpec(N=3, n=16, r0=0.25)
-        _, endpoint = lc.select_endpoint(params_a, g, report.u0, spec, report.rho)
+        T, _ = lc.select_endpoint(params_a, g, report.u0, spec, report.rho)
+        endpoint = report.u0 + T * lc.truncated_bubble(spec, g)
         ts = np.linspace(0.0, 1.0, 200)
         vals = [
             lc.energy_value(params_a, g, (1 - t) * report.u0 + t * endpoint)
             for t in ts
         ]
         assert max(vals) >= report.alpha - 1e-9
+
+    def test_peak_is_the_window_centre_of_the_solve(self, solved_a, params_a):
+        # the peak is the maximum of the endpoint, bit for bit, and stage two
+        # fed with it and the membership's alpha gives solve_problem's saddle
+        report, _, g = solved_a
+        spec = bubble_spec(params_a, 64)
+        T, peak = lc.select_endpoint(params_a, g, report.u0, spec, report.rho)
+        assert type(peak) is float
+        assert peak == float(np.max(report.u0 + T * lc.truncated_bubble(spec, g)))
+        rep = region_report(params_a, g)
+        u_mp, c_M, _, _ = lc.mountain_pass(params_a, g, report.u0, peak, rep.alpha)
+        assert np.array_equal(u_mp, report.u_mp)
+        assert c_M == report.c_M
 
     def test_requires_region_membership(self, monkeypatch):
         # the membership gate is solve_problem's; it fires before any stage
@@ -193,15 +216,11 @@ class TestEndpointSelection:
 
 
 class TestPathDeformation:
-    def test_rejects_short_paths_and_bad_endpoints(self, solved_a, params_a):
+    def test_rejects_short_paths(self, solved_a, params_a):
         report, _, g = solved_a
         with pytest.raises(ValueError, match="32 path nodes"):
             lc.mountain_pass(
-                params_a, g, report.u0, 2.0 * report.u0, region_report(params_a, g), P=8
-            )
-        with pytest.raises(ValueError, match="endpoint energy"):
-            lc.mountain_pass(
-                params_a, g, report.u0, report.u0.copy(), region_report(params_a, g)
+                params_a, g, report.u0, 2.0 * float(np.max(report.u0)), report.alpha, P=8
             )
 
     def test_segment_on_a_descending_ray_collapses(self, params_a):
@@ -212,7 +231,8 @@ class TestPathDeformation:
         _, phi1 = lc.principal_eigenpair(g)
         with pytest.raises(lc.PathCollapseError, match="above c_M"):
             lc.mountain_pass(
-                params_a, g, 20.0 * phi1, 20.5 * phi1, region_report(params_a, g)
+                params_a, g, 20.0 * phi1, float(np.max(20.5 * phi1)),
+                region_report(params_a, g).alpha,
             )
 
 
@@ -233,17 +253,20 @@ def solved_b_512(params_b):
     return lc.solve_problem(params_b, M=512, n=32)
 
 
-def endpoint_of(p, g, report, n):
-    """The endpoint solve_problem computes for bubble scale n."""
-    spec = lc.BubbleSpec(N=p.N, n=n, r0=p.R / 4.0)
-    return lc.select_endpoint(p, g, report.u0, spec, report.rho)[1]
+def bubble_spec(p, n):
+    """The bubble solve_problem selects the endpoint with, for scale n."""
+    return lc.BubbleSpec(N=p.N, n=n, r0=p.R / 4.0)
 
 
-def bracket_limits(p, g, endpoint):
+def peak_of(p, g, report, n):
+    """The window centre solve_problem computes for bubble scale n."""
+    return lc.select_endpoint(p, g, report.u0, bubble_spec(p, n), report.rho)[1]
+
+
+def bracket_limits(p, g, peak):
     """(Morse index, level) of the Newton limit from each bracket of the
     scan, (None, None) where Newton does not converge."""
-    top = float(np.max(endpoint))
-    amps = np.geomspace(top / solvers.SHOOT_SPAN, top * solvers.SHOOT_SPAN, solvers.SHOOT_AMPS)
+    amps = np.geomspace(peak / solvers.SHOOT_SPAN, peak * solvers.SHOOT_SPAN, solvers.SHOOT_AMPS)
     U, F = solvers._shoot(p, g, amps)
     out = []
     for j in range(len(amps) - 1):
@@ -280,13 +303,15 @@ class TestMorseIndex:
         # meets the same point at its second bracket, after the index-1
         # root it accepts, and an index-3 point at its third
         report, _, g = solved_b_512
-        endpoint = endpoint_of(params_b, g, report, 32)
+        spec = bubble_spec(params_b, 32)
+        T, peak = lc.select_endpoint(params_b, g, report.u0, spec, report.rho)
+        endpoint = report.u0 + T * lc.truncated_bubble(spec, g)
         res = first_crest_newton_limit(params_b, g, report.u0, endpoint)
         assert res.converged
         assert lc.energy_value(params_b, g, res.u) == pytest.approx(25.344, rel=1e-4)
         assert solvers._morse_index(params_b, g, res.u) == 2
         assert dense_morse_index(params_b, g, res.u) == 2
-        limits = bracket_limits(params_b, g, endpoint)
+        limits = bracket_limits(params_b, g, peak)
         assert [index for index, _ in limits] == [1, 2, 3]
         assert limits[0][1] == pytest.approx(report.c_M, rel=1e-12)
         assert limits[1][1] == pytest.approx(lc.energy_value(params_b, g, res.u), rel=1e-9)
@@ -297,13 +322,11 @@ class TestMorseIndex:
         # index 2 (level 4.133) first and the grid-scale root of index 1
         # (level 1.840) next; only the index-1 limit is accepted
         report, _, g = solved_a
-        endpoint = endpoint_of(params_a, g, report, 64)
-        endpoint = endpoint * (1000.0 / np.max(endpoint))
-        limits = bracket_limits(params_a, g, endpoint)
+        peak = peak_of(params_a, g, report, 64)
+        peak = peak * (1000.0 / peak)
+        limits = bracket_limits(params_a, g, peak)
         assert [index for index, _ in limits[:2]] == [2, 1]
-        u_mp, c_M, _, stats = lc.mountain_pass(
-            params_a, g, report.u0, endpoint, region_report(params_a, g)
-        )
+        u_mp, c_M, _, stats = lc.mountain_pass(params_a, g, report.u0, peak, report.alpha)
         assert stats["iters_path"] == 2
         assert c_M == pytest.approx(limits[1][1], rel=1e-12)
         assert c_M == pytest.approx(1.8402, rel=1e-4)
@@ -313,12 +336,11 @@ class TestMorseIndex:
     def test_no_qualifying_bracket_names_the_range(self, solved_a, params_a, monkeypatch):
         # no Newton limit counts as index 1, so every bracket is rejected
         report, _, g = solved_a
-        endpoint = endpoint_of(params_a, g, report, 64)
-        top = float(np.max(endpoint))
+        peak = peak_of(params_a, g, report, 64)
         monkeypatch.setattr(solvers, "_morse_index", lambda p, g, u: 2)
         with pytest.raises(lc.ConcentrationStallError) as err:
-            lc.mountain_pass(params_a, g, report.u0, endpoint, region_report(params_a, g))
-        assert f"[{top / 64.0:.6e}, {top * 64.0:.6e}]" in str(err.value)
+            lc.mountain_pass(params_a, g, report.u0, peak, report.alpha)
+        assert f"[{peak / 64.0:.6e}, {peak * 64.0:.6e}]" in str(err.value)
         assert "(3 brackets tried)" in str(err.value)
 
 
@@ -337,18 +359,16 @@ class TestShooting:
         assert np.all(report.u_mp > 0.0)
 
     def test_index_zero_limit_is_passed_over(self, solved_a, params_a, monkeypatch):
-        # a window reaching a factor 1024 either side of the endpoint's peak
+        # a window reaching a factor 1024 either side of the peak
         # holds the minimizer's root (amplitude 0.1345) below the saddle's;
         # its Newton limit has index 0 and is passed over
         report, _, g = solved_a
-        endpoint = endpoint_of(params_a, g, report, 64)
+        peak = peak_of(params_a, g, report, 64)
         monkeypatch.setattr(solvers, "SHOOT_SPAN", 1024.0)
-        limits = bracket_limits(params_a, g, endpoint)
+        limits = bracket_limits(params_a, g, peak)
         assert [index for index, _ in limits[:2]] == [0, 1]
         assert limits[0][1] == pytest.approx(float(report.c_rho), rel=1e-9)
-        u_mp, c_M, _, stats = lc.mountain_pass(
-            params_a, g, report.u0, endpoint, region_report(params_a, g)
-        )
+        u_mp, c_M, _, stats = lc.mountain_pass(params_a, g, report.u0, peak, report.alpha)
         assert stats["iters_path"] == 2
         assert c_M == pytest.approx(report.c_M, rel=1e-12)
 
@@ -357,7 +377,7 @@ class TestShooting:
         # still converges with index 1, so only the positivity test rejects
         # it.  The index-2 limit follows, then the grid-scale index-1 root
         report, _, g = solved_a
-        endpoint = endpoint_of(params_a, g, report, 64)
+        peak = peak_of(params_a, g, report, 64)
         newton = solvers._newton
         calls = []
 
@@ -372,9 +392,7 @@ class TestShooting:
             return res
 
         monkeypatch.setattr(solvers, "_newton", first_limit_dips)
-        u_mp, c_M, _, stats = lc.mountain_pass(
-            params_a, g, report.u0, endpoint, region_report(params_a, g)
-        )
+        u_mp, c_M, _, stats = lc.mountain_pass(params_a, g, report.u0, peak, report.alpha)
         assert stats["iters_path"] == 3
         assert np.all(u_mp > 0.0)
         assert c_M == pytest.approx(1.8402, rel=1e-4)
@@ -383,18 +401,16 @@ class TestShooting:
         # shooting finds A's saddle in both calls; only the ray from the
         # given base point through it fails
         report, _, g = solved_a
-        rep = region_report(params_a, g)
         u_mp = report.u_mp
-        endpoint = endpoint_of(params_a, g, report, 64)
+        peak = peak_of(params_a, g, report, 64)
         # an oscillation raises the energy: the ray starts above c_M
         bump = 0.01 * (-1.0) ** np.arange(g.M) * (1.0 - g.r**2)
         with pytest.raises(lc.PathCollapseError, match="above c_M"):
-            lc.mountain_pass(params_a, g, u_mp + bump, endpoint, rep)
-        # from 2 u_mp the ray ends at 0, above I(2 u_mp) < 0; the endpoint
-        # 3 u_mp falls below the new base level and keeps a window that
-        # holds the same root
+            lc.mountain_pass(params_a, g, u_mp + bump, peak, report.alpha)
+        # from 2 u_mp the ray ends at 0, above I(2 u_mp) < 0; a window
+        # centred on the peak of 3 u_mp holds the same root
         with pytest.raises(lc.PathCollapseError, match="not below I\\(u0\\)"):
-            lc.mountain_pass(params_a, g, 2.0 * u_mp, 3.0 * u_mp, rep)
+            lc.mountain_pass(params_a, g, 2.0 * u_mp, float(np.max(3.0 * u_mp)), report.alpha)
 
 
 # -- stage one: the fiber-minimum start, descent, Newton and its checks -------
@@ -713,7 +729,8 @@ class TestStructureVerifierFailures:
     def test_endpoint_fails_ball_and_ray(self, solved_a, params_a):
         report, _, g = solved_a
         spec = lc.BubbleSpec(N=3, n=16, r0=0.25)
-        _, endpoint = lc.select_endpoint(params_a, g, report.u0, spec, report.rho)
+        T, _ = lc.select_endpoint(params_a, g, report.u0, spec, report.rho)
+        endpoint = report.u0 + T * lc.truncated_bubble(spec, g)
         verdict = lc.verify_two_level_structure(
             params_a, g, endpoint, report.u_mp, None
         )
