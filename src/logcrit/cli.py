@@ -165,7 +165,9 @@ def canonical_json(obj, indent=0):
         return pad + "null"
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
-    if isinstance(obj, (float, np.floating, mpmath.mpf)):
+    if isinstance(obj, float):  # np.float64 too
+        return pad + (fmt_float(obj) if math.isfinite(obj) else "null")
+    if isinstance(obj, (np.floating, mpmath.mpf)):
         return pad + (fmt_level(obj) if mpmath.isfinite(obj) else "null")
     if isinstance(obj, str):
         return pad + json.dumps(obj)
@@ -364,12 +366,7 @@ def _inequality_certificates(p, box):
     """The scan certificates on box, and each lemma's scan supremum."""
     box_payload = asdict(box)
     grid_sizes = [box.t_samples, box.y_samples]
-    sups = {"g_upper": inequalities.scan_sup_A1(box, p.q - 2.0)}
-    sup_low, sup_hat = inequalities.scan_sup_f(p.two_star, box)
-    if sup_low is not None:
-        sups["f_lower"] = sup_low
-    sups["f_abs"] = sup_hat
-    sups["f1_sandwich"] = inequalities.scan_sup_A3(p.q, box)
+    sups = inequalities.scan_box(box, p.q - 2.0, p.two_star, p.q)
     certs = []
     for lemma, sup in sups.items():
         constant = inequalities.certified_constant(sup)

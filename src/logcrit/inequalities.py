@@ -15,14 +15,25 @@ functions between the grid nodes.  All three functions are evaluated in
 cancellation-stable forms (log1p/expm1) because the interesting margins
 sit at y several orders below t.
 
-The scans evaluate the box in blocks of at most BLOCK elements (whole
-t-grid rows, or pieces of one row when a row is longer), and build the
-grid points of each block as they go, so their temporaries stay in cache
-instead of streaming full t_samples x y_samples arrays through memory,
-and a long axis is never held whole.  Every element goes through the same
-ufunc sequence as in a full-array evaluation, and the block maxima are
-reduced with np.max (which propagates NaN), so the suprema are
-bit-identical to the full-array ones.
+scan_box scans a box once for all three lemmas.  It evaluates the box in
+blocks of at most BLOCK elements (whole t-grid rows, or pieces of one row
+when a row is longer), and builds the grid points of each block as it
+goes, so its temporaries stay in cache instead of streaming full
+t_samples x y_samples arrays through memory, and a long axis is never
+held whole.  Each grid point gets one L = log1p(y/t), and g, f and f1
+all follow from it through the same ufunc sequence as the pointwise
+forms.  Each term is reduced over t to its column maximum and minimum,
+carried across the t blocks of one y chunk, and each lemma's
+normalization is applied to those column extremes instead of to every
+point.  The suprema are bit-identical to a full-array scan's because
+IEEE rounding is monotone: for finite k and finite c > 0, x -> (x - k)/c
+is nondecreasing and x -> (k - x)/c nonincreasing, and each gives NaN
+only at a NaN, so the largest defect is the defect of the column max
+(or min), and np.max/np.min propagate NaN as the full-array max does.
+Where that premise fails in a y chunk (y*y underflows to 0, or a bound
+leaves double range), the chunk is normalized point by point.  The
+single-lemma scans scan_sup_A1, scan_sup_f and scan_sup_A3 are scan_box
+restricted to one family.
 """
 
 import math
@@ -108,13 +119,14 @@ def _linspace_part(start, stop, num, lo, hi):
 
 
 def _row_blocks(box):
-    """(t, y) blocks of the box grid, a (rows, 1) column against a (1, cols) row.
+    """The box grid by y chunks: pairs of a (1, cols) y row and its (rows, 1) t blocks.
 
-    Blocks of max(1, BLOCK // y_samples) t-grid rows by at most BLOCK
-    y-grid columns cover every grid point once.  Both axes are built one
-    block at a time, bit for bit as box.t_grid() and box.y_grid() (a
-    geomspace: 10 to the power of a linspace of exponents, with exact end
-    points) give them, so no array holds more than BLOCK points of an axis.
+    Chunks of at most BLOCK y-grid columns, each against t blocks of
+    max(1, BLOCK // y_samples) t-grid rows, cover every grid point once.
+    Both axes are built one piece at a time, bit for bit as box.t_grid()
+    and box.y_grid() (a geomspace: 10 to the power of a linspace of
+    exponents, with exact end points) give them, so no array holds more
+    than BLOCK points of an axis.
     """
     y_lo, n_y = box._y_min(), box.y_samples
     log_lo, log_hi = np.log10(y_lo), np.log10(box.y_max)
@@ -125,12 +137,26 @@ def _row_blocks(box):
             y[0] = y_lo
         if col + BLOCK >= n_y > 1:
             y[-1] = box.y_max
-        for row in range(0, box.t_samples, rows):
-            t = _linspace_part(box.C1, box.C2, box.t_samples, row, row + rows)
-            yield t[:, None], y[None, :]
+        ts = (
+            _linspace_part(box.C1, box.C2, box.t_samples, row, row + rows)[:, None]
+            for row in range(0, box.t_samples, rows)
+        )
+        yield y[None, :], ts
 
 
 # -- stable scalar forms ------------------------------------------------
+# Each term is written once, from L = log1p(y/t), so a scan computes L
+# once per grid point for all three.
+
+
+def _g(t, y, L):
+    """g = y^2 ln t^2 + 2 (t+y)^2 L - 2ty, with L = log1p(y/t)."""
+    return y * y * 2.0 * np.log(t) + 2.0 * (t + y) ** 2 * L - 2.0 * t * y
+
+
+def _f1(m, t, y, L):
+    """f1 = t^m expm1(m L) - m t^{m-1} y, with L = log1p(y/t); f is f1 - y^m."""
+    return t**m * np.expm1(m * L) - m * t ** (m - 1.0) * y
 
 
 def g_term(t, y):
@@ -141,21 +167,21 @@ def g_term(t, y):
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    return y * y * 2.0 * np.log(t) + 2.0 * (t + y) ** 2 * np.log1p(y / t) - 2.0 * t * y
+    return _g(t, y, np.log1p(y / t))
 
 
 def f_term(p, t, y):
     """(t+y)^p - t^p - y^p - p t^{p-1} y via expm1(p log1p(y/t))."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    return t**p * np.expm1(p * np.log1p(y / t)) - p * t ** (p - 1.0) * y - y**p
+    return _f1(p, t, y, np.log1p(y / t)) - y**p
 
 
 def f1_term(m, t, y):
     """(t+y)^m - t^m - m t^{m-1} y via expm1(m log1p(y/t))."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    return t**m * np.expm1(m * np.log1p(y / t)) - m * t ** (m - 1.0) * y
+    return _f1(m, t, y, np.log1p(y / t))
 
 
 def pointwise_log_bound_margin(s, C1):
@@ -169,6 +195,101 @@ def pointwise_log_bound_margin(s, C1):
     return safe_xlog(s) + C1 * np.asarray(s, dtype=float) ** 2 + np.exp(-1.0 - C1)
 
 
+# -- the box scan --------------------------------------------------------
+
+
+def _defect(x, sign, k, c):
+    """A bound's normalized defect: (x - k)/c, or (k - x)/c when sign < 0."""
+    return ((x - k) if sign > 0 else (k - x)) / c
+
+
+def _bounds(box, y, eps, p, m):
+    """(key, term, sign, k, c) of each bound scanned at the y row."""
+    bounds = []
+    if eps is not None:
+        bounds.append(("g_upper", "g", 1, y ** (2.0 + eps), y * y))
+    if p is not None:
+        if p > 3:
+            bounds.append(("f_lower", "f", -1, 0.5 * p * box.C1 * y ** (p - 1.0), y * y))
+        bounds.append(("f_abs", "|f|", 1, box.abs_scale(p) * y * y, box.C2 * y ** (p - 1.0)))
+    if m is not None:
+        bounds.append(("f1_upper", "f1", 1, 2.0 * y**m, y * y))
+        bounds.append(("f1_lower", "f1", -1, 0.5 * y**m, y * y))
+    return bounds
+
+
+def _carry(acc, key, ufunc, value):
+    acc[key] = value if key not in acc else ufunc(acc[key], value)
+
+
+def scan_box(box, eps, p, m):
+    """Suprema of the lemmas' normalized defects over the box grid, in one pass.
+
+    Returns a dict with "g_upper" (scanned when eps is given), "f_lower"
+    (when p > 3), "f_abs" (when p is given) and "f1_sandwich" (when m is
+    given); None skips a family.  Each grid point gets one L = log1p(y/t),
+    from which g, f and f1 follow.
+
+    Each term is reduced over t to its column maximum and minimum,
+    carried across the t blocks of a y chunk, and normalized only there.
+    The bits are those of a full-array scan because IEEE rounding is
+    monotone: with k and c > 0 finite, x -> (x - k)/c is nondecreasing
+    and x -> (k - x)/c nonincreasing, NaN only at a NaN, so the max of
+    the defects is the defect of the column max (or min).  For the same
+    reason f's - y^p is applied to f1's extremes, and max |f| is
+    max(|max f|, |min f|).  A chunk where some k, c or y^p is not finite,
+    or some c is 0 (y*y underflows), is normalized point by point.
+    """
+    if eps is not None and not (eps > 0):
+        raise ValueError("eps must be positive")
+    if p is not None and not (p > 2):
+        raise ValueError("exponent p must exceed 2")
+    if m is not None and not (m > 2):
+        raise ValueError("exponent m must exceed 2")
+    chunk_sups = {}
+    for y, ts in _row_blocks(box):
+        bounds = _bounds(box, y, eps, p, m)
+        yp = None if p is None else y**p
+        exact = all(
+            np.all(np.isfinite(k)) and np.all(np.isfinite(c) & (c > 0))
+            for _, _, _, k, c in bounds
+        ) and (yp is None or np.all(np.isfinite(yp)))
+        cols = {}  # column extremes of each term, or column sups of each defect
+        for t in ts:
+            L = np.log1p(y / t)
+            terms = {}
+            if eps is not None:
+                terms["g"] = _g(t, y, L)
+            if p is not None:
+                terms["f"] = _f1(p, t, y, L)  # f1 at exponent p: f + y^p
+            if m is not None:
+                terms["f1"] = _f1(m, t, y, L)
+            if exact:
+                for name, x in terms.items():
+                    _carry(cols, (name, 1), np.maximum, np.max(x, axis=0))
+                    if name != "g":  # only g_upper reads g
+                        _carry(cols, (name, -1), np.minimum, np.min(x, axis=0))
+            else:
+                if p is not None:
+                    terms["f"] = terms["f"] - yp
+                    terms["|f|"] = np.abs(terms["f"])
+                for key, term, sign, k, c in bounds:
+                    _carry(cols, key, np.maximum, np.max(_defect(terms[term], sign, k, c), axis=0))
+        if exact and p is not None:
+            fmax, fmin = cols["f", 1] - yp, cols["f", -1] - yp
+            cols["f", 1], cols["f", -1] = fmax, fmin
+            cols["|f|", 1] = np.maximum(np.abs(fmax), np.abs(fmin))
+        for key, term, sign, k, c in bounds:
+            col = _defect(cols[term, sign], sign, k, c) if exact else cols[key]
+            chunk_sups.setdefault(key, []).append(np.max(col))
+    sups = {key: float(np.max(v)) for key, v in chunk_sups.items()}
+    if m is not None:
+        # as in a full-array scan, a NaN in the upper defect propagates
+        # while a NaN only in the lower one does not
+        sups["f1_sandwich"] = float(max(sups.pop("f1_upper"), sups.pop("f1_lower")))
+    return sups
+
+
 # -- constant finders ----------------------------------------------------
 
 
@@ -178,11 +299,8 @@ def certified_constant(sup):
 
 
 def scan_sup_A1(box, eps):
-    """Supremum of (g - y^{2+eps}) / y^2 over the box grid, block by block."""
-    if not (eps > 0):
-        raise ValueError("eps must be positive")
-    sups = [np.max((g_term(t, y) - y ** (2.0 + eps)) / (y * y)) for t, y in _row_blocks(box)]
-    return float(np.max(sups))
+    """Supremum of (g - y^{2+eps}) / y^2 over the box grid."""
+    return scan_box(box, eps, None, None)["g_upper"]
 
 
 def find_A1(box, eps):
@@ -199,21 +317,11 @@ def scan_sup_f(p, box):
 
     The lower bound is scanned only when p > 3; for p <= 3 no y^2
     correction can rescue its y^{p-1} term near y = 0, and its sup is
-    None.  Evaluated block by block; raises ValueError naming C2 when the
-    |f| bound's coefficient (p^2/2) C2^{p-2} overflows.
+    None.  Raises ValueError naming C2 when the |f| bound's coefficient
+    (p^2/2) C2^{p-2} overflows.
     """
-    if not (p > 2):
-        raise ValueError("exponent p must exceed 2")
-    lower = p > 3
-    scale = box.abs_scale(p)
-    sups_low, sups_hat = [], []
-    for t, y in _row_blocks(box):
-        f = f_term(p, t, y)
-        if lower:
-            sups_low.append(np.max((0.5 * p * box.C1 * y ** (p - 1.0) - f) / (y * y)))
-        sups_hat.append(np.max((np.abs(f) - scale * y * y) / (box.C2 * y ** (p - 1.0))))
-    sup_low = float(np.max(sups_low)) if lower else None
-    return sup_low, float(np.max(sups_hat))
+    sups = scan_box(box, None, p, None)
+    return sups.get("f_lower"), sups["f_abs"]
 
 
 def find_f_constants(p, box):
@@ -230,19 +338,8 @@ def find_f_constants(p, box):
 
 
 def scan_sup_A3(m, box):
-    """Supremum of both sandwich defects for f1, normalized by y^2, block by block.
-
-    As in a full-array scan, a NaN in the upper defect propagates while a
-    NaN only in the lower one does not: max(sup_upper, sup_low).
-    """
-    if not (m > 2):
-        raise ValueError("exponent m must exceed 2")
-    sups_upper, sups_low = [], []
-    for t, y in _row_blocks(box):
-        f1 = f1_term(m, t, y)
-        sups_upper.append(np.max((f1 - 2.0 * y**m) / (y * y)))
-        sups_low.append(np.max((0.5 * y**m - f1) / (y * y)))
-    return float(max(np.max(sups_upper), np.max(sups_low)))
+    """Supremum of both sandwich defects for f1, normalized by y^2."""
+    return scan_box(box, None, None, m)["f1_sandwich"]
 
 
 def find_A3(m, box):
@@ -271,8 +368,8 @@ def check_corollary(p, u0, bubbles, t_n):
 
     The support mask comes from the bubbles themselves (they vanish at
     and beyond the taper edge), so L1/L2 are the extremes of u0 on the
-    union of supports.  Constants B1, B2, B3 come from the scalar
-    finders over the box [L1, L2], scanned on 400 points per axis.  With
+    union of supports.  Constants B1, B2, B3 are certified from one
+    scan_box pass over the box [L1, L2], on 400 points per axis.  With
     eps = q - 2 the bounds are:
 
         g(u0, y)        <=  y^{2+eps} + B1 y^2
@@ -312,10 +409,10 @@ def check_corollary(p, u0, bubbles, t_n):
         y_samples=_COROLLARY_BOX_SAMPLES,
     )
     ts = p.two_star
-    B1 = find_A1(box, eps)
-    A2, A2_hat = find_f_constants(ts, box)
-    B2 = max(A2 if A2 is not None else 0.0, A2_hat)
-    B3 = find_A3(p.q, box)
+    sups = scan_box(box, eps, ts, p.q)
+    B1 = certified_constant(sups["g_upper"])
+    B2 = max(certified_constant(sups.get("f_lower", 0.0)), certified_constant(sups["f_abs"]))
+    B3 = certified_constant(sups["f1_sandwich"])
 
     margins = {
         "g_upper": np.inf,

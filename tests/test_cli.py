@@ -247,6 +247,26 @@ def test_verify_certificates_and_slopes(tmp_path):
     assert float(fields[2]) == pytest.approx(-1.0, abs=0.05)
 
 
+def test_verify_scans_the_box_once(tmp_path, monkeypatch):
+    # the four scan certificates come from one scan_box pass over the
+    # box, and no single-lemma scan runs
+    from logcrit import inequalities
+
+    calls = []
+    for name in ("scan_box", "scan_sup_A1", "scan_sup_f", "scan_sup_A3"):
+        scan = getattr(inequalities, name)
+        monkeypatch.setattr(
+            inequalities, name, lambda *a, name=name, scan=scan: calls.append(name) or scan(*a)
+        )
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, N=3, q=2.5, t_samples=100, y_samples=100)
+    assert main(["verify", "--config", cfg, "--out", tmp]) == 0
+    assert calls == ["scan_box"]
+    with open(os.path.join(tmp, "certificates.json")) as f:
+        lemmas = [c["lemma"] for c in json.load(f)]
+    assert lemmas[:4] == ["g_upper", "f_lower", "f_abs", "f1_sandwich"]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON literal {name}")
 
@@ -281,6 +301,21 @@ def test_canonical_json_writes_non_finite_as_null():
         "c": None,
         "d": 1.5,
     }
+    # each number kind, byte for byte: a double prints %.17g whatever its
+    # type, an mpf below double range keeps its own exponent
+    for value, literal in [
+        (0.1, "0.10000000000000001"),
+        (np.float64(-2.5e-300), "-2.5e-300"),
+        (mpmath.mpf(0.75), "0.75"),
+        (mpmath.mpf("-2.27e-640"), "-2.2700000000000001e-640"),
+        (float("inf"), "null"),
+        (-np.inf, "null"),
+        (np.nan, "null"),
+        (mpmath.mpf("-inf"), "null"),
+        (mpmath.mpf("nan"), "null"),
+    ]:
+        assert canonical_json(value) == literal
+        assert canonical_json({"k": [value]}) == '{\n "k": [\n  %s\n ]\n}' % literal
 
 
 @pytest.mark.parametrize(

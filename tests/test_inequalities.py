@@ -288,68 +288,93 @@ def ref_scan_sup_A3(m, box):
     return float(max(np.max(upper), np.max(low)))
 
 
-def all_sups(scan_A1, scan_f, scan_A3, box, p, q):
-    """The four suprema of one certify run: g, f lower, |f|, f1."""
-    return (scan_A1(box, q - 2.0), *scan_f(p, box), scan_A3(q, box))
+def keyed(scan_A1, scan_f, scan_A3):
+    """The suprema of three single-lemma scans, keyed and ordered as scan_box returns them."""
+
+    def sups(box, eps, p, m):
+        out = {}
+        if eps is not None:
+            out["g_upper"] = scan_A1(box, eps)
+        if p is not None:
+            sup_low, sup_hat = scan_f(p, box)
+            if sup_low is not None:
+                out["f_lower"] = sup_low
+            out["f_abs"] = sup_hat
+        if m is not None:
+            out["f1_sandwich"] = scan_A3(m, box)
+        return out
+
+    return sups
 
 
-def same_or_both_nan(a, b):
-    return a == b or (a is not None and b is not None and np.isnan(a) and np.isnan(b))
+ref_sups = keyed(ref_scan_sup_A1, ref_scan_sup_f, ref_scan_sup_A3)
+single_sups = keyed(inequalities.scan_sup_A1, inequalities.scan_sup_f, inequalities.scan_sup_A3)
 
+
+def bits(sups):
+    """Keys and reprs of the suprema: equal when every bit is, NaN included."""
+    return [(key, repr(v)) for key, v in sups.items()]
+
+
+# both ways to scan a box: the single-lemma scans and one scan_box pass
+SCANS = pytest.mark.parametrize(
+    "scans", [single_sups, inequalities.scan_box], ids=["single", "scan_box"]
+)
 
 # (2*, q) of the certify runs (N, q) = (3, 2.5), (4, 3), (5, 2.8)
 CERTIFY_EXPONENTS = [(6.0, 2.5), (4.0, 3.0), (10.0 / 3.0, 2.8)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@SCANS
 class TestScanBlocksBitExact:
-    def check(self, box, p, q):
-        ineq = inequalities
-        got = all_sups(ineq.scan_sup_A1, ineq.scan_sup_f, ineq.scan_sup_A3, box, p, q)
-        want = all_sups(ref_scan_sup_A1, ref_scan_sup_f, ref_scan_sup_A3, box, p, q)
+    def check(self, scans, box, p, q):
+        got = scans(box, q - 2.0, p, q)
+        want = ref_sups(box, q - 2.0, p, q)
         return got, want
 
     @pytest.mark.parametrize("p, q", CERTIFY_EXPONENTS)
-    def test_certify_exponents_on_default_box(self, p, q):
-        got, want = self.check(BOX, p, q)
-        assert got == want
-        assert all(np.isfinite(v) for v in got)
+    def test_certify_exponents_on_default_box(self, scans, p, q):
+        got, want = self.check(scans, BOX, p, q)
+        assert bits(got) == bits(want)
+        assert all(np.isfinite(v) for v in got.values())
 
     @pytest.mark.parametrize("shape", [(999, 1001), (1, 1000), (1000, 1), (7, 200)])
-    def test_shapes_the_block_does_not_divide(self, shape):
+    def test_shapes_the_block_does_not_divide(self, scans, shape):
         t_samples, y_samples = shape
         assert t_samples % max(1, inequalities.BLOCK // y_samples) != 0
         box = lc.BoxSpec(0.5, 2.0, t_samples=t_samples, y_samples=y_samples)
         for p, q in CERTIFY_EXPONENTS:
-            got, want = self.check(box, p, q)
-            assert got == want
+            got, want = self.check(scans, box, p, q)
+            assert bits(got) == bits(want)
 
-    def test_rows_longer_than_a_block(self):
-        # a row splits into pieces of BLOCK columns; the blocks' points are
+    def test_rows_longer_than_a_block(self, scans):
+        # a row splits into chunks of BLOCK columns; the blocks' points are
         # those of t_grid and y_grid, bit for bit
         box = lc.BoxSpec(0.5, 2.0, t_samples=3, y_samples=2 * inequalities.BLOCK + 5)
-        blocks = list(inequalities._row_blocks(box))
-        assert len(blocks) == 9
-        assert max(t.size * y.size for t, y in blocks) == inequalities.BLOCK
-        ts = np.concatenate([t[:, 0] for t, _ in blocks[:3]])
-        ys = np.concatenate([y[0] for _, y in blocks[::3]])
+        chunks = [(y, list(ts)) for y, ts in inequalities._row_blocks(box)]
+        assert [len(ts) for _, ts in chunks] == [3, 3, 3]
+        assert max(t.size * y.size for y, ts in chunks for t in ts) == inequalities.BLOCK
+        ts = np.concatenate([t[:, 0] for t in chunks[0][1]])
+        ys = np.concatenate([y[0] for y, _ in chunks])
         assert np.array_equal(ts, box.t_grid()) and np.array_equal(ys, box.y_grid())
         for p, q in CERTIFY_EXPONENTS:
-            got, want = self.check(box, p, q)
-            assert got == want
+            got, want = self.check(scans, box, p, q)
+            assert bits(got) == bits(want)
 
-    def test_lower_bound_absent_for_p_at_most_3(self):
+    def test_lower_bound_absent_for_p_at_most_3(self, scans):
         for p in (2.5, 3.0):
-            got, want = self.check(BOX, p, 2.2)
-            assert got == want
-            assert got[1] is None
+            got, want = self.check(scans, BOX, p, 2.2)
+            assert bits(got) == bits(want)
+            assert "f_lower" not in got
 
-    def test_corollary_box(self, monkeypatch):
-        # the 400 x 400 box check_corollary builds from a solution and bubbles
+    def test_corollary_box(self, scans, monkeypatch):
+        # the 400 x 400 box check_corollary builds from a solution and
+        # bubbles, scanned once for all three lemmas
         boxes = []
-        scan = inequalities.scan_sup_A1
+        scan = inequalities.scan_box
         monkeypatch.setattr(
-            inequalities, "scan_sup_A1", lambda box, eps: boxes.append(box) or scan(box, eps)
+            inequalities, "scan_box", lambda box, *args: boxes.append(box) or scan(box, *args)
         )
         p = lc.ProblemParams(N=3, q=2.5, mu=1.0, nu=-0.5, lam=0.0, theta=-2.0)
         g = lc.build_grid(3, 1.0, 256)
@@ -359,60 +384,57 @@ class TestScanBlocksBitExact:
         (box,) = boxes
         assert (box.t_samples, box.y_samples) == (400, 400)
         for p, q in CERTIFY_EXPONENTS:
-            got, want = self.check(box, p, q)
-            assert got == want
+            got, want = self.check(scans, box, p, q)
+            assert bits(got) == bits(want)
 
-    def test_overflowing_box_keeps_nan(self):
+    def test_overflowing_box_keeps_nan(self, scans):
         box = lc.BoxSpec(0.5, 2.0, y_max=1e200)
-        got, want = self.check(box, 6.0, 3.0)
-        assert all(np.isnan(v) for v in want)
-        assert all(same_or_both_nan(a, b) for a, b in zip(got, want))
+        got, want = self.check(scans, box, 6.0, 3.0)
+        assert all(np.isnan(v) for v in want.values())
+        assert bits(got) == bits(want)
+
+    def test_underflowing_normalizer_keeps_its_bits(self, scans):
+        # y*y underflows to 0 on the whole y grid, so every normalizer c is
+        # 0 and x/c is -inf, inf or nan by the sign of x: the column
+        # extremes alone cannot give it, and the scan divides point by point
+        box = lc.BoxSpec(0.5, 2.0, y_max=1e-200)
+        assert np.all(box.y_grid() ** 2 == 0.0)
+        for p, q in CERTIFY_EXPONENTS:
+            got, want = self.check(scans, box, p, q)
+            assert bits(got) == bits(want)
 
     @pytest.mark.parametrize(
-        "scan, ref, box",
+        "exponents, box",
         [
             # (t+y)^2 overflows and log1p(y/t) underflows to 0 at t = 1e300
-            (
-                lambda box: inequalities.scan_sup_A1(box, 0.5),
-                lambda box: ref_scan_sup_A1(box, 0.5),
-                dict(C1=1.0, C2=1e300, y_max=1e-30),
-            ),
+            ((0.5, None, None), dict(C1=1.0, C2=1e300, y_max=1e-30)),
             # t^6 and 6 t^5 y both overflow at t = 1e60, y > 3e7
-            (
-                lambda box: inequalities.scan_sup_f(6.0, box),
-                lambda box: ref_scan_sup_f(6.0, box),
-                dict(C1=1.0, C2=1e60, y_max=1e9),
-            ),
+            ((None, 6.0, None), dict(C1=1.0, C2=1e60, y_max=1e9)),
             # t^3 and 3 t^2 y both overflow at t = 1e103, y > 6e101
-            (
-                lambda box: inequalities.scan_sup_A3(3.0, box),
-                lambda box: ref_scan_sup_A3(3.0, box),
-                dict(C1=1.0, C2=1e103, y_max=1e102),
-            ),
+            ((None, None, 3.0), dict(C1=1.0, C2=1e103, y_max=1e102)),
         ],
         ids=["A1", "f", "A3"],
     )
-    def test_nan_only_in_the_last_block(self, scan, ref, box):
+    def test_nan_only_in_the_last_block(self, scans, exponents, box):
         # one t row per block: the t = C1 row is finite, the t = C2 row is
         # the last block and holds every NaN
         head = lc.BoxSpec(**box, t_samples=1, y_samples=inequalities.BLOCK)
         full = lc.BoxSpec(**box, t_samples=2, y_samples=inequalities.BLOCK)
-        assert np.all(np.isfinite(ref(head)))
-        want = np.atleast_1d(ref(full))
-        assert np.any(np.isnan(want))
-        got = np.atleast_1d(scan(full))
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.array_equal(got, want, equal_nan=True)
+        assert all(np.isfinite(v) for v in ref_sups(head, *exponents).values())
+        want = ref_sups(full, *exponents)
+        assert any(np.isnan(v) for v in want.values())
+        assert bits(scans(full, *exponents)) == bits(want)
 
 
-def test_scan_memory_stays_below_one_full_grid():
+@SCANS
+def test_scan_memory_stays_below_one_full_grid(scans):
     # the full-array scan peaked at about 32 MB (four 8 MB grids alive at
     # once); a block scan holds a few block-sized temporaries.  A box of
     # one t row splits the row, and builds its y axis block by block too
     for box in (BOX, lc.BoxSpec(0.5, 2.0, t_samples=1, y_samples=10**6)):
         tracemalloc.start()
         try:
-            inequalities.scan_sup_f(6.0, box)
+            scans(box, 0.5, 6.0, 2.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
