@@ -15,25 +15,22 @@ functions between the grid nodes.  All three functions are evaluated in
 cancellation-stable forms (log1p/expm1) because the interesting margins
 sit at y several orders below t.
 
-scan_box scans a box once for all three lemmas.  It evaluates the box in
-blocks of at most BLOCK elements (whole t-grid rows, or pieces of one row
-when a row is longer), and builds the grid points of each block as it
-goes, so its temporaries stay in cache instead of streaming full
-t_samples x y_samples arrays through memory, and a long axis is never
-held whole.  Each grid point gets one L = log1p(y/t), and g, f and f1
-all follow from it through the same ufunc sequence as the pointwise
-forms.  Each term is reduced over t to its column maximum and minimum,
-carried across the t blocks of one y chunk, and each lemma's
-normalization is applied to those column extremes instead of to every
-point.  The suprema are bit-identical to a full-array scan's because
-IEEE rounding is monotone: for finite k and finite c > 0, x -> (x - k)/c
-is nondecreasing and x -> (k - x)/c nonincreasing, and each gives NaN
-only at a NaN, so the largest defect is the defect of the column max
-(or min), and np.max/np.min propagate NaN as the full-array max does.
-Where that premise fails in a y chunk (y*y underflows to 0, or a bound
-leaves double range), the chunk is normalized point by point.  The
-single-lemma scans scan_sup_A1, scan_sup_f and scan_sup_A3 are scan_box
-restricted to one family.
+scan_box scans a box once for all three lemmas, and only at the two end
+points of its t grid.  Each function is nondecreasing in t for every
+y > 0:
+
+    dg/dt      = 4 [(t+y) log1p(y/t) - y] >= 0,  as (1+s) log(1+s) >= s;
+    df1(m)/dt  = m f1(m-1) >= 0 for m > 2,  by convexity of x^{m-1};
+
+and f(p) = f1(p) - y^p has the t-derivative of f1(p).  Each bound's
+normalization depends on y alone, so each defect is monotone in t, and
+its supremum over the t grid sits at t = C1 or t = C2.  The scan builds
+the y grid in chunks of at most BLOCK points, so a long axis is never
+held whole, and evaluates the two t end points against each chunk.
+Each point gets one L = log1p(y/t), and g, f and f1 all follow from it
+through the same ufunc sequence as the pointwise forms.  The single-lemma
+scans scan_sup_A1, scan_sup_f and scan_sup_A3 are scan_box restricted to
+one family.
 """
 
 import math
@@ -44,7 +41,7 @@ import numpy as np
 HEADROOM = 1.1
 _COROLLARY_BOX_SAMPLES = 400  # t and y samples of check_corollary's box
 Y_GRID_FLOOR = 1e-6
-BLOCK = 1 << 14  # grid points per scan block: 128 kB per float64 temporary
+BLOCK = 1 << 14  # y samples per scan chunk: 256 kB per two-row float64 temporary
 # box size cap, 100 times the default box: three scans of it take seconds,
 # where an unbounded box (1e6 x 1e6) would run for hours
 _MAX_POINTS = 10**8
@@ -119,29 +116,21 @@ def _linspace_part(start, stop, num, lo, hi):
 
 
 def _row_blocks(box):
-    """The box grid by y chunks: pairs of a (1, cols) y row and its (rows, 1) t blocks.
+    """The box's y grid as (1, cols) rows of at most BLOCK columns each.
 
-    Chunks of at most BLOCK y-grid columns, each against t blocks of
-    max(1, BLOCK // y_samples) t-grid rows, cover every grid point once.
-    Both axes are built one piece at a time, bit for bit as box.t_grid()
-    and box.y_grid() (a geomspace: 10 to the power of a linspace of
-    exponents, with exact end points) give them, so no array holds more
-    than BLOCK points of an axis.
+    The chunks are built one at a time, bit for bit as box.y_grid() (a
+    geomspace: 10 to the power of a linspace of exponents, with exact end
+    points) gives them, so no array holds more than BLOCK points of it.
     """
     y_lo, n_y = box._y_min(), box.y_samples
     log_lo, log_hi = np.log10(y_lo), np.log10(box.y_max)
-    rows = max(1, BLOCK // n_y)
     for col in range(0, n_y, BLOCK):
         y = 10.0 ** _linspace_part(log_lo, log_hi, n_y, col, col + BLOCK)
         if col == 0:
             y[0] = y_lo
         if col + BLOCK >= n_y > 1:
             y[-1] = box.y_max
-        ts = (
-            _linspace_part(box.C1, box.C2, box.t_samples, row, row + rows)[:, None]
-            for row in range(0, box.t_samples, rows)
-        )
-        yield y[None, :], ts
+        yield y[None, :]
 
 
 # -- stable scalar forms ------------------------------------------------
@@ -218,27 +207,26 @@ def _bounds(box, y, eps, p, m):
     return bounds
 
 
-def _carry(acc, key, ufunc, value):
-    acc[key] = value if key not in acc else ufunc(acc[key], value)
-
-
 def scan_box(box, eps, p, m):
     """Suprema of the lemmas' normalized defects over the box grid, in one pass.
 
     Returns a dict with "g_upper" (scanned when eps is given), "f_lower"
     (when p > 3), "f_abs" (when p is given) and "f1_sandwich" (when m is
-    given); None skips a family.  Each grid point gets one L = log1p(y/t),
-    from which g, f and f1 follow.
+    given); None skips a family.
 
-    Each term is reduced over t to its column maximum and minimum,
-    carried across the t blocks of a y chunk, and normalized only there.
-    The bits are those of a full-array scan because IEEE rounding is
-    monotone: with k and c > 0 finite, x -> (x - k)/c is nondecreasing
-    and x -> (k - x)/c nonincreasing, NaN only at a NaN, so the max of
-    the defects is the defect of the column max (or min).  For the same
-    reason f's - y^p is applied to f1's extremes, and max |f| is
-    max(|max f|, |min f|).  A chunk where some k, c or y^p is not finite,
-    or some c is 0 (y*y underflows), is normalized point by point.
+    Only the t end points t_grid()[0] = C1 and t_grid()[-1] = C2 are
+    evaluated (C1 alone when t_samples is 1).  g, f and f1 are
+    nondecreasing in t for every y > 0:
+
+        dg/dt     = 4 [(t+y) log1p(y/t) - y] >= 0
+        df1(m)/dt = m f1(m-1) >= 0,  and f(p) has the t-derivative of f1(p)
+
+    and each normalizer depends on y alone, so every defect is monotone
+    in t and its supremum over the t grid sits at an end point:
+    g_upper, f1_upper and the upper side of f_abs at C2, f_lower,
+    f1_lower and the lower side of f_abs at C1.  Each point gets one
+    L = log1p(y/t), from which g, f and f1 follow.  A box that leaves
+    double range gives NaN suprema without floating-point warnings.
     """
     if eps is not None and not (eps > 0):
         raise ValueError("eps must be positive")
@@ -246,42 +234,23 @@ def scan_box(box, eps, p, m):
         raise ValueError("exponent p must exceed 2")
     if m is not None and not (m > 2):
         raise ValueError("exponent m must exceed 2")
+    t = np.array([box.C1, box.C2][: box.t_samples])[:, None]
     chunk_sups = {}
-    for y, ts in _row_blocks(box):
-        bounds = _bounds(box, y, eps, p, m)
-        yp = None if p is None else y**p
-        exact = all(
-            np.all(np.isfinite(k)) and np.all(np.isfinite(c) & (c > 0))
-            for _, _, _, k, c in bounds
-        ) and (yp is None or np.all(np.isfinite(yp)))
-        cols = {}  # column extremes of each term, or column sups of each defect
-        for t in ts:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for y in _row_blocks(box):
+            # first, so an overflowing f_abs scale raises before any term
+            bounds = _bounds(box, y, eps, p, m)
             L = np.log1p(y / t)
             terms = {}
             if eps is not None:
                 terms["g"] = _g(t, y, L)
             if p is not None:
-                terms["f"] = _f1(p, t, y, L)  # f1 at exponent p: f + y^p
+                terms["f"] = _f1(p, t, y, L) - y**p
+                terms["|f|"] = np.abs(terms["f"])
             if m is not None:
                 terms["f1"] = _f1(m, t, y, L)
-            if exact:
-                for name, x in terms.items():
-                    _carry(cols, (name, 1), np.maximum, np.max(x, axis=0))
-                    if name != "g":  # only g_upper reads g
-                        _carry(cols, (name, -1), np.minimum, np.min(x, axis=0))
-            else:
-                if p is not None:
-                    terms["f"] = terms["f"] - yp
-                    terms["|f|"] = np.abs(terms["f"])
-                for key, term, sign, k, c in bounds:
-                    _carry(cols, key, np.maximum, np.max(_defect(terms[term], sign, k, c), axis=0))
-        if exact and p is not None:
-            fmax, fmin = cols["f", 1] - yp, cols["f", -1] - yp
-            cols["f", 1], cols["f", -1] = fmax, fmin
-            cols["|f|", 1] = np.maximum(np.abs(fmax), np.abs(fmin))
-        for key, term, sign, k, c in bounds:
-            col = _defect(cols[term, sign], sign, k, c) if exact else cols[key]
-            chunk_sups.setdefault(key, []).append(np.max(col))
+            for key, term, sign, k, c in bounds:
+                chunk_sups.setdefault(key, []).append(np.max(_defect(terms[term], sign, k, c)))
     sups = {key: float(np.max(v)) for key, v in chunk_sups.items()}
     if m is not None:
         # as in a full-array scan, a NaN in the upper defect propagates
@@ -369,8 +338,9 @@ def check_corollary(p, u0, bubbles, t_n):
     The support mask comes from the bubbles themselves (they vanish at
     and beyond the taper edge), so L1/L2 are the extremes of u0 on the
     union of supports.  Constants B1, B2, B3 are certified from one
-    scan_box pass over the box [L1, L2], on 400 points per axis.  With
-    eps = q - 2 the bounds are:
+    scan_box pass over the box [L1, L2] x (0, y_max] of 400 x 400 grid
+    points, which evaluates its two t end points against the 400 y
+    samples.  With eps = q - 2 the bounds are:
 
         g(u0, y)        <=  y^{2+eps} + B1 y^2
         f(2s, u0, y)    >=  (2s/2) L1 y^{2s-1} - B2 y^2     (only 2s > 3)

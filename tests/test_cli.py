@@ -271,7 +271,6 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON literal {name}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_overflowing_box_writes_valid_json(tmp_path, capsys):
     # at y_max = 1e200 every scan overflows to a nan supremum
     tmp = str(tmp_path)
@@ -287,6 +286,26 @@ def test_verify_overflowing_box_writes_valid_json(tmp_path, capsys):
     err = capsys.readouterr().err
     for lemma in scans:
         assert f"certificate {lemma}: scan supremum nan is not finite" in err
+
+
+def test_verify_overflowing_box_prints_no_numpy_warnings(tmp_path):
+    # the certificate lines alone report a box that leaves double range
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, N=4, q=3.0, y_max=1e200, t_samples=100, y_samples=100)
+    src = os.path.dirname(os.path.dirname(lc.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "logcrit.cli", "verify", "--config", cfg, "--out", tmp],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        f"certificate {lemma}: scan supremum nan is not finite "
+        "(the scan left double range on this box)"
+        for lemma in ("g_upper", "f_lower", "f_abs", "f1_sandwich")
+    ]
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_canonical_json_writes_non_finite_as_null():
@@ -329,6 +348,9 @@ def test_canonical_json_writes_non_finite_as_null():
         (dict(C2=float("inf")), "C2"),
         (dict(y_max=float("inf")), "y_max"),
         (dict(C2=1e300), "C2"),
+        # past the cancellation range: C2 / y_min = 1e66
+        (dict(C1=0.5, C2=1e60), "C2"),
+        (dict(y_max=1e-12), "C2"),
     ],
 )
 def test_verify_rejects_bad_box_keys(tmp_path, capsys, box, key):
@@ -507,6 +529,18 @@ def test_path_cells_cap_boundary(tmp_path):
     over = load_config(write_config(tmp, "over.json", M=2**20, P=65))
     with pytest.raises(ConfigError, match=r"^P: need P \* M <= 67108864, got 68157440$"):
         validate_numerics(over)
+
+
+def test_scan_span_cap_boundary(tmp_path):
+    # C2 / y_min may reach 1e10 exactly (y_min = 1e-6 here); past it the
+    # box is a config error for verify only, the command that scans it
+    tmp = str(tmp_path)
+    p = lc.ProblemParams(N=4, q=3.0, mu=1.0, nu=0.0, lam=0.0, theta=-1.0)
+    validate_numerics(load_config(write_config(tmp, "at.json", C2=1e4)), p)
+    over = load_config(write_config(tmp, "over.json", C2=1.0000001e4))
+    with pytest.raises(ConfigError, match=r"^C2: need C2 / y_min <= 1e\+10 "):
+        validate_numerics(over, p)
+    validate_numerics(over)
 
 
 def test_integral_float_keys_are_accepted(tmp_path):

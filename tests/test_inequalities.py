@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logcrit as lc
 from logcrit import inequalities
@@ -349,15 +351,17 @@ class TestScanBlocksBitExact:
             assert bits(got) == bits(want)
 
     def test_rows_longer_than_a_block(self, scans):
-        # a row splits into chunks of BLOCK columns; the blocks' points are
-        # those of t_grid and y_grid, bit for bit
+        # the y axis splits into chunks of BLOCK columns; their points are
+        # those of y_grid, bit for bit
         box = lc.BoxSpec(0.5, 2.0, t_samples=3, y_samples=2 * inequalities.BLOCK + 5)
-        chunks = [(y, list(ts)) for y, ts in inequalities._row_blocks(box)]
-        assert [len(ts) for _, ts in chunks] == [3, 3, 3]
-        assert max(t.size * y.size for y, ts in chunks for t in ts) == inequalities.BLOCK
-        ts = np.concatenate([t[:, 0] for t in chunks[0][1]])
-        ys = np.concatenate([y[0] for y, _ in chunks])
-        assert np.array_equal(ts, box.t_grid()) and np.array_equal(ys, box.y_grid())
+        chunks = list(inequalities._row_blocks(box))
+        assert [y.shape for y in chunks] == [
+            (1, inequalities.BLOCK),
+            (1, inequalities.BLOCK),
+            (1, 5),
+        ]
+        ys = np.concatenate([y[0] for y in chunks])
+        assert np.array_equal(ys, box.y_grid())
         for p, q in CERTIFY_EXPONENTS:
             got, want = self.check(scans, box, p, q)
             assert bits(got) == bits(want)
@@ -395,8 +399,7 @@ class TestScanBlocksBitExact:
 
     def test_underflowing_normalizer_keeps_its_bits(self, scans):
         # y*y underflows to 0 on the whole y grid, so every normalizer c is
-        # 0 and x/c is -inf, inf or nan by the sign of x: the column
-        # extremes alone cannot give it, and the scan divides point by point
+        # 0 and x/c is -inf, inf or nan by the sign of x
         box = lc.BoxSpec(0.5, 2.0, y_max=1e-200)
         assert np.all(box.y_grid() ** 2 == 0.0)
         for p, q in CERTIFY_EXPONENTS:
@@ -416,8 +419,7 @@ class TestScanBlocksBitExact:
         ids=["A1", "f", "A3"],
     )
     def test_nan_only_in_the_last_block(self, scans, exponents, box):
-        # one t row per block: the t = C1 row is finite, the t = C2 row is
-        # the last block and holds every NaN
+        # the t = C1 row is finite, and the t = C2 row holds every NaN
         head = lc.BoxSpec(**box, t_samples=1, y_samples=inequalities.BLOCK)
         full = lc.BoxSpec(**box, t_samples=2, y_samples=inequalities.BLOCK)
         assert all(np.isfinite(v) for v in ref_sups(head, *exponents).values())
@@ -426,11 +428,49 @@ class TestScanBlocksBitExact:
         assert bits(scans(full, *exponents)) == bits(want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-4.0, max_value=8.0),
+    st.floats(min_value=1e-3, max_value=10.0),
+)
+def test_terms_nondecreasing_in_t(log_t2, log_ratio, step):
+    # the premise of the end-point scan, on the stable forms it evaluates:
+    # at fixed y > 0 each term is no larger at t1 than at t2 = t1 (1 + step),
+    # for t2/y = 10^log_ratio up to 1e8
+    t2 = 10.0**log_t2
+    t1 = t2 / (1.0 + step)
+    y = t2 / 10.0**log_ratio
+    assert lc.g_term(t1, y) <= lc.g_term(t2, y)
+    for p, q in CERTIFY_EXPONENTS:
+        assert lc.f_term(p, t1, y) <= lc.f_term(p, t2, y)
+        assert lc.f1_term(q, t1, y) <= lc.f1_term(q, t2, y)
+
+
+@pytest.mark.parametrize("box", [BOX, lc.BoxSpec(0.5, 2.0, t_samples=1)], ids=["default", "one_t"])
+def test_scan_evaluates_only_the_t_end_points(monkeypatch, box):
+    # each family is evaluated at t = C1 and t = C2 against every y sample,
+    # and at t = C1 alone when that is the whole t grid
+    points = {}
+    g, f1 = inequalities._g, inequalities._f1
+
+    def count(key, t, y, L):
+        points[key] = points.get(key, 0) + np.broadcast(t, y, L).size
+
+    monkeypatch.setattr(inequalities, "_g", lambda t, y, L: count("g", t, y, L) or g(t, y, L))
+    monkeypatch.setattr(
+        inequalities, "_f1", lambda m, t, y, L: count(m, t, y, L) or f1(m, t, y, L)
+    )
+    inequalities.scan_box(box, 0.5, 6.0, 2.5)
+    n = min(box.t_samples, 2) * box.y_samples
+    assert points == {"g": n, 6.0: n, 2.5: n}
+
+
 @SCANS
 def test_scan_memory_stays_below_one_full_grid(scans):
     # the full-array scan peaked at about 32 MB (four 8 MB grids alive at
-    # once); a block scan holds a few block-sized temporaries.  A box of
-    # one t row splits the row, and builds its y axis block by block too
+    # once); a chunked scan holds a few chunk-sized temporaries, and builds
+    # a long y axis chunk by chunk
     for box in (BOX, lc.BoxSpec(0.5, 2.0, t_samples=1, y_samples=10**6)):
         tracemalloc.start()
         try:
