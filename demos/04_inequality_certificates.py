@@ -27,7 +27,7 @@ box = BoxSpec(C1=0.5, C2=2.0)
 A1 = find_A1(box, eps=0.5)
 A2, A2_hat = find_f_constants(6.0, box)
 A3 = find_A3(2.5, box)
-print(f"box [0.5, 2] x (0, 1e3], {box.t_samples} x {box.y_samples} points")
+print(f"box [0.5, 2] x (0, 1e3], 2 x {box.y_samples} points (t = {box.C1:g} and t = {box.C2:g})")
 print(f"  g  bound:   g <= y^2.5 + A1 y^2          with A1     = {A1:.5f}")
 print(f"  f  bounds:  lower constant A2            = {A2:.5f}")
 print(f"              |f| constant  A2_hat         = {A2_hat:.5f}")

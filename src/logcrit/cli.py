@@ -64,7 +64,6 @@ CONFIG_KEYS = {
     "C1": (0.5, "number"),
     "C2": (2.0, "number"),
     "y_max": (1e3, "number"),
-    "t_samples": (1000, "integer"),
     "y_samples": (1000, "integer"),
     # sweep ranges (lists of values; empty = not swept)
     "sweep_lambda": ([], ("number", "numbers")),
@@ -377,7 +376,7 @@ def cmd_solve(cfg, args):
 def _inequality_certificates(p, box):
     """The scan certificates on box, and each lemma's scan supremum."""
     box_payload = asdict(box)
-    grid_sizes = [box.t_samples, box.y_samples]
+    grid_sizes = [box.y_samples]
     sups = inequalities.scan_box(box, p.q - 2.0, p.two_star, p.q)
     certs = []
     for lemma, sup in sups.items():

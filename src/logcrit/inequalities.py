@@ -15,8 +15,8 @@ functions between the grid nodes.  All three functions are evaluated in
 cancellation-stable forms (log1p/expm1) because the interesting margins
 sit at y several orders below t.
 
-scan_box scans a box once for all three lemmas, and only at the two end
-points of its t grid.  Each function is nondecreasing in t for every
+scan_box scans a box once for all three lemmas, and only at the two t
+end points C1 and C2.  Each function is nondecreasing in t for every
 y > 0:
 
     dg/dt      = 4 [(t+y) log1p(y/t) - y] >= 0,  as (1+s) log(1+s) >= s;
@@ -24,7 +24,7 @@ y > 0:
 
 and f(p) = f1(p) - y^p has the t-derivative of f1(p).  Each bound's
 normalization depends on y alone, so each defect is monotone in t, and
-its supremum over the t grid sits at t = C1 or t = C2.  The scan builds
+its supremum over t in [C1, C2] sits at t = C1 or t = C2.  The scan builds
 the y grid in chunks of at most BLOCK points, so a long axis is never
 held whole, and evaluates the two t end points against each chunk.
 Each point gets one L = log1p(y/t), and g, f and f1 all follow from it
@@ -39,22 +39,24 @@ from dataclasses import dataclass
 import numpy as np
 
 HEADROOM = 1.1
-_COROLLARY_BOX_SAMPLES = 400  # t and y samples of check_corollary's box
 Y_GRID_FLOOR = 1e-6
 BLOCK = 1 << 14  # y samples per scan chunk: 256 kB per two-row float64 temporary
-# box size cap, 100 times the default box: three scans of it take seconds,
-# where an unbounded box (1e6 x 1e6) would run for hours
+# cap on the points a scan evaluates, 2 per y sample: one scan_box of 2^20
+# y samples takes 0.11-0.13 s on a 2-core Xeon, and the cap (5e7 y samples)
+# is 48 times that box
 _MAX_POINTS = 10**8
 
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """Scan box [C1, C2] x (0, y_max] with a geometric y grid from 1e-6."""
+    """Scan box [C1, C2] x (0, y_max] with a geometric y grid from 1e-6.
+
+    A scan evaluates t = C1 and t = C2 against each of the y_samples.
+    """
 
     C1: float
     C2: float
     y_max: float = 1e3
-    t_samples: int = 1000
     y_samples: int = 1000
 
     def __post_init__(self):
@@ -65,21 +67,19 @@ class BoxSpec:
             raise ValueError("C1: need 0 < C1 < C2")
         if not (self.y_max > 0):
             raise ValueError("y_max: need a positive number")
-        for key in ("t_samples", "y_samples"):
-            n = getattr(self, key)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-                raise ValueError(f"{key}: need a positive integer")
-        points = int(self.t_samples) * int(self.y_samples)
+        n = self.y_samples
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError("y_samples: need a positive integer")
+        points = 2 * int(n)
         if points < 1000:
-            raise ValueError("t_samples, y_samples: need at least 1000 grid points in total")
+            raise ValueError(
+                f"y_samples: need at least 1000 scanned points (2 per y sample), got {points}"
+            )
         if points > _MAX_POINTS:
             raise ValueError(
-                f"t_samples, y_samples: need at most {_MAX_POINTS:.0e} grid points "
-                f"in total, got {points}"
+                f"y_samples: need at most {_MAX_POINTS:.0e} scanned points "
+                f"(2 per y sample), got {points}"
             )
-
-    def t_grid(self):
-        return np.linspace(self.C1, self.C2, self.t_samples)
 
     def y_grid(self):
         return np.geomspace(self._y_min(), self.y_max, self.y_samples)
@@ -214,15 +214,14 @@ def scan_box(box, eps, p, m):
     (when p > 3), "f_abs" (when p is given) and "f1_sandwich" (when m is
     given); None skips a family.
 
-    Only the t end points t_grid()[0] = C1 and t_grid()[-1] = C2 are
-    evaluated (C1 alone when t_samples is 1).  g, f and f1 are
+    Only the t end points C1 and C2 are evaluated.  g, f and f1 are
     nondecreasing in t for every y > 0:
 
         dg/dt     = 4 [(t+y) log1p(y/t) - y] >= 0
         df1(m)/dt = m f1(m-1) >= 0,  and f(p) has the t-derivative of f1(p)
 
     and each normalizer depends on y alone, so every defect is monotone
-    in t and its supremum over the t grid sits at an end point:
+    in t and its supremum over [C1, C2] sits at an end point:
     g_upper, f1_upper and the upper side of f_abs at C2, f_lower,
     f1_lower and the lower side of f_abs at C1.  Each point gets one
     L = log1p(y/t), from which g, f and f1 follow.  A box that leaves
@@ -234,7 +233,7 @@ def scan_box(box, eps, p, m):
         raise ValueError("exponent p must exceed 2")
     if m is not None and not (m > 2):
         raise ValueError("exponent m must exceed 2")
-    t = np.array([box.C1, box.C2][: box.t_samples])[:, None]
+    t = np.array([box.C1, box.C2])[:, None]
     chunk_sups = {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for y in _row_blocks(box):
@@ -338,9 +337,9 @@ def check_corollary(p, u0, bubbles, t_n):
     The support mask comes from the bubbles themselves (they vanish at
     and beyond the taper edge), so L1/L2 are the extremes of u0 on the
     union of supports.  Constants B1, B2, B3 are certified from one
-    scan_box pass over the box [L1, L2] x (0, y_max] of 400 x 400 grid
-    points, which evaluates its two t end points against the 400 y
-    samples.  With eps = q - 2 the bounds are:
+    scan_box pass over the box [L1, L2] x (0, y_max], which evaluates its
+    two t end points against BoxSpec's default 1000 y samples.  With
+    eps = q - 2 the bounds are:
 
         g(u0, y)        <=  y^{2+eps} + B1 y^2
         f(2s, u0, y)    >=  (2s/2) L1 y^{2s-1} - B2 y^2     (only 2s > 3)
@@ -371,13 +370,7 @@ def check_corollary(p, u0, bubbles, t_n):
         L2 = L1 * (1.0 + 1e-12)
 
     y_top = max(t * float(np.max(b)) for t, b in zip(t_n, bubbles))
-    box = BoxSpec(
-        C1=L1,
-        C2=L2,
-        y_max=max(1.05 * y_top, 1e-3),
-        t_samples=_COROLLARY_BOX_SAMPLES,
-        y_samples=_COROLLARY_BOX_SAMPLES,
-    )
+    box = BoxSpec(C1=L1, C2=L2, y_max=max(1.05 * y_top, 1e-3))
     ts = p.two_star
     sups = scan_box(box, eps, ts, p.q)
     B1 = certified_constant(sups["g_upper"])

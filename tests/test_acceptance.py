@@ -202,12 +202,13 @@ def test_criterion_6_fiber_profile_of_the_minimizer():
 
 def test_criterion_7_inequality_certificates():
     t0 = time.perf_counter()
-    box = lc.BoxSpec(0.5, 2.0)  # 1000 x 1000 = 1e6 scan points
+    box = lc.BoxSpec(0.5, 2.0)  # 1000 y samples, scanned at t = 0.5 and 2
     eps = 0.5
     A1 = lc.find_A1(box, eps)
     _, A2h = lc.find_f_constants(6.0, box)
     A3 = lc.find_A3(2.5, box)
-    t = box.t_grid()[:, None]
+    # the margins are checked on the full 1000 x 1000 grid, t interior included
+    t = np.linspace(box.C1, box.C2, 1000)[:, None]
     y = box.y_grid()[None, :]
     m1 = y ** (2.0 + eps) + A1 * y**2 - lc.g_term(t, y)
     m2 = 0.5 * 36.0 * 2.0**4 * y**2 + A2h * 2.0 * y**5 - np.abs(lc.f_term(6.0, t, y))

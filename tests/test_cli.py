@@ -75,6 +75,15 @@ def test_removed_solver_tolerance_key_exits_one(tmp_path, capsys):
     assert "unknown config keys" in err and "path_gtol" in err
 
 
+def test_removed_t_samples_key_exits_one(tmp_path, capsys):
+    # a box scan reads only t = C1 and t = C2, so the t grid has no size
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, t_samples=1000)
+    assert main(["verify", "--config", cfg, "--out", tmp]) == 1
+    assert capsys.readouterr().err == "config error: unknown config keys: t_samples\n"
+    assert os.listdir(tmp) == ["cfg.json"]
+
+
 def test_malformed_json_exits_one(tmp_path, capsys):
     tmp = str(tmp_path)
     cfg = os.path.join(tmp, "bad.json")
@@ -236,7 +245,8 @@ def test_verify_certificates_and_slopes(tmp_path):
         if cert["lemma"].endswith("_gap_decay"):
             assert set(cert["box"]) == {"n_list", "r0"}
         else:
-            assert set(cert["box"]) == {"C1", "C2", "y_max", "t_samples", "y_samples"}
+            assert set(cert["box"]) == {"C1", "C2", "y_max", "y_samples"}
+            assert cert["grid_sizes"] == [cert["box"]["y_samples"]]
 
     with open(os.path.join(tmp, "slopes.csv")) as f:
         lines = f.read().splitlines()
@@ -259,7 +269,7 @@ def test_verify_scans_the_box_once(tmp_path, monkeypatch):
             inequalities, name, lambda *a, name=name, scan=scan: calls.append(name) or scan(*a)
         )
     tmp = str(tmp_path)
-    cfg = write_config(tmp, N=3, q=2.5, t_samples=100, y_samples=100)
+    cfg = write_config(tmp, N=3, q=2.5, y_samples=500)
     assert main(["verify", "--config", cfg, "--out", tmp]) == 0
     assert calls == ["scan_box"]
     with open(os.path.join(tmp, "certificates.json")) as f:
@@ -274,7 +284,7 @@ def _reject_constant(name):
 def test_verify_overflowing_box_writes_valid_json(tmp_path, capsys):
     # at y_max = 1e200 every scan overflows to a nan supremum
     tmp = str(tmp_path)
-    cfg = write_config(tmp, N=4, q=3.0, y_max=1e200, t_samples=100, y_samples=100)
+    cfg = write_config(tmp, N=4, q=3.0, y_max=1e200, y_samples=500)
     assert main(["verify", "--config", cfg, "--out", tmp]) == 3
     with open(os.path.join(tmp, "certificates.json")) as f:
         certs = json.load(f, parse_constant=_reject_constant)
@@ -291,7 +301,7 @@ def test_verify_overflowing_box_writes_valid_json(tmp_path, capsys):
 def test_verify_overflowing_box_prints_no_numpy_warnings(tmp_path):
     # the certificate lines alone report a box that leaves double range
     tmp = str(tmp_path)
-    cfg = write_config(tmp, N=4, q=3.0, y_max=1e200, t_samples=100, y_samples=100)
+    cfg = write_config(tmp, N=4, q=3.0, y_max=1e200, y_samples=500)
     src = os.path.dirname(os.path.dirname(lc.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -340,9 +350,10 @@ def test_canonical_json_writes_non_finite_as_null():
 @pytest.mark.parametrize(
     "box, key",
     [
-        (dict(t_samples=-1000, y_samples=-1000), "t_samples"),
+        (dict(y_samples=-1000), "y_samples"),
         (dict(y_samples=0), "y_samples"),
-        (dict(t_samples=1000.5), "t_samples"),
+        (dict(y_samples=499), "y_samples"),
+        (dict(y_samples=1000.5), "y_samples"),
         (dict(y_samples="1000"), "y_samples"),
         (dict(C1=float("nan")), "C1"),
         (dict(C2=float("inf")), "C2"),
@@ -361,7 +372,7 @@ def test_verify_rejects_bad_box_keys(tmp_path, capsys, box, key):
     assert not os.path.exists(os.path.join(tmp, "certificates.json"))
 
 
-@pytest.mark.parametrize("key", ["N", "M", "n", "P", "t_samples", "y_samples"])
+@pytest.mark.parametrize("key", ["N", "M", "n", "P", "y_samples"])
 @pytest.mark.parametrize(
     "value",
     [
@@ -545,16 +556,16 @@ def test_scan_span_cap_boundary(tmp_path):
 
 def test_integral_float_keys_are_accepted(tmp_path):
     tmp = str(tmp_path)
-    cfg = write_config(tmp, N=4.0, M=64.0, n=4.0, P=32.0, t_samples=1000.0, y_samples=1e3)
+    cfg = write_config(tmp, N=4.0, M=64.0, n=4.0, P=32.0, y_samples=1e3)
     assert main(["regions", "--config", cfg, "--out", tmp]) == 0
 
 
 def test_verify_rejects_an_oversized_box(tmp_path, capsys):
     tmp = str(tmp_path)
-    cfg = write_config(tmp, N=4, q=3.0, t_samples=10**6, y_samples=10**6)
+    cfg = write_config(tmp, N=4, q=3.0, y_samples=5 * 10**7 + 1)
     assert main(["verify", "--config", cfg, "--out", tmp]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: t_samples, y_samples: need at most")
+    assert err.startswith("config error: y_samples: need at most")
     assert os.listdir(tmp) == ["cfg.json"]
 
 

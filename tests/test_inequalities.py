@@ -10,7 +10,7 @@ from logcrit import inequalities
 
 BOX = lc.BoxSpec(0.5, 2.0)
 
-# frozen finder outputs on the [0.5, 2] x (0, 1e3] box at 1000 x 1000
+# frozen finder outputs on the [0.5, 2] x (0, 1e3] box at 1000 y samples
 FROZEN_A1_EPS_HALF = 4.823824165511649
 FROZEN_F6_ABS = 227.72400383260273
 FROZEN_F4_ABS = 4.395599999999463
@@ -69,7 +69,7 @@ def test_frozen_finder_constants():
 
 
 def test_constants_stable_under_grid_doubling():
-    fine = lc.BoxSpec(0.5, 2.0, t_samples=2000, y_samples=2000)
+    fine = lc.BoxSpec(0.5, 2.0, y_samples=2000)
     assert lc.find_A1(fine, 0.5) == pytest.approx(lc.find_A1(BOX, 0.5), rel=0.05)
     assert lc.find_A3(2.5, fine) == pytest.approx(lc.find_A3(2.5, BOX), rel=0.05)
     _, hat_f = lc.find_f_constants(6.0, fine)
@@ -112,7 +112,7 @@ def test_finders_share_one_headroom_rule(monkeypatch):
     monkeypatch.setattr(
         inequalities, "certified_constant", lambda sup: sups.append(sup) or certify(sup)
     )
-    box = lc.BoxSpec(0.5, 2.0, t_samples=40, y_samples=40)
+    box = lc.BoxSpec(0.5, 2.0, y_samples=500)
     A1 = lc.find_A1(box, 0.5)
     A2, A2_hat = lc.find_f_constants(6.0, box)
     A3 = lc.find_A3(2.5, box)
@@ -138,17 +138,17 @@ def test_finder_rejections():
         lc.BoxSpec(0.0, 1.0)
     with pytest.raises(ValueError, match="y_max"):
         lc.BoxSpec(0.5, 2.0, y_max=-1.0)
-    with pytest.raises(ValueError, match="1000 grid points"):
-        lc.BoxSpec(0.5, 2.0, t_samples=10, y_samples=10)
+    with pytest.raises(ValueError, match="^y_samples: need at least 1000 scanned points"):
+        lc.BoxSpec(0.5, 2.0, y_samples=10)
 
 
 @pytest.mark.parametrize(
     "kw, key",
     [
-        (dict(t_samples=-1000, y_samples=-1000), "t_samples"),
-        (dict(t_samples=0, y_samples=1000), "t_samples"),
+        (dict(y_samples=-1000), "y_samples"),
+        (dict(y_samples=0), "y_samples"),
         (dict(y_samples=1000.5), "y_samples"),
-        (dict(t_samples=True), "t_samples"),
+        (dict(y_samples=True), "y_samples"),
         (dict(C1=float("nan")), "C1"),
         (dict(C2=float("inf")), "C2"),
         (dict(y_max=float("inf")), "y_max"),
@@ -162,14 +162,15 @@ def test_box_rejects_bad_keys(kw, key):
 
 
 def test_box_size_is_bounded():
-    # 1e12 points would scan for hours; the bound is 1e8, 100 default boxes
-    for t_samples, y_samples in ((10**6, 10**6), (10**4, 10**4 + 1), (1, 10**8 + 1)):
-        with pytest.raises(ValueError, match="^t_samples, y_samples: need at most"):
-            lc.BoxSpec(0.5, 2.0, t_samples=t_samples, y_samples=y_samples)
-    # int64 counts whose product wraps around are still rejected
-    with pytest.raises(ValueError, match="at most"):
-        lc.BoxSpec(0.5, 2.0, t_samples=np.int64(2**32), y_samples=np.int64(2**32))
-    assert lc.BoxSpec(0.5, 2.0, t_samples=10**4, y_samples=10**4).t_samples == 10**4
+    # a scan evaluates 2 points per y sample, and needs between 1000 and
+    # 1e8 of them: 500 <= y_samples <= 5e7.  Building a box scans nothing.
+    with pytest.raises(ValueError, match="^y_samples: need at least 1000 scanned points"):
+        lc.BoxSpec(0.5, 2.0, y_samples=499)
+    assert lc.BoxSpec(0.5, 2.0, y_samples=500).y_samples == 500
+    for y_samples in (5 * 10**7 + 1, 10**12, np.int64(2**62)):
+        with pytest.raises(ValueError, match="^y_samples: need at most"):
+            lc.BoxSpec(0.5, 2.0, y_samples=y_samples)
+    assert lc.BoxSpec(0.5, 2.0, y_samples=5 * 10**7).y_samples == 5 * 10**7
 
 
 def test_box_constant_overflow_names_C2():
@@ -256,19 +257,25 @@ def test_corollary_high_dimension_drops_f_lower():
 
 
 # -- block evaluation of the scans ----------------------------------------
-# Reference copies of the full-array scans that evaluate the whole
-# t_samples x y_samples grid at once.
+# Reference copies of the full-array scans that evaluate a whole t grid of
+# t_samples points in [C1, C2] against the y grid at once.
+
+REF_T_SAMPLES = 1000
 
 
-def ref_scan_sup_A1(box, eps):
-    t = box.t_grid()[:, None]
+def ref_t_grid(box, t_samples):
+    return np.linspace(box.C1, box.C2, t_samples)[:, None]
+
+
+def ref_scan_sup_A1(box, eps, t_samples=REF_T_SAMPLES):
+    t = ref_t_grid(box, t_samples)
     y = box.y_grid()[None, :]
     ratio = (lc.g_term(t, y) - y ** (2.0 + eps)) / (y * y)
     return float(np.max(ratio))
 
 
-def ref_scan_sup_f(p, box):
-    t = box.t_grid()[:, None]
+def ref_scan_sup_f(p, box, t_samples=REF_T_SAMPLES):
+    t = ref_t_grid(box, t_samples)
     y = box.y_grid()[None, :]
     f = lc.f_term(p, t, y)
     sup_low = None
@@ -281,8 +288,8 @@ def ref_scan_sup_f(p, box):
     return sup_low, float(np.max(ratio_hat))
 
 
-def ref_scan_sup_A3(m, box):
-    t = box.t_grid()[:, None]
+def ref_scan_sup_A3(m, box, t_samples=REF_T_SAMPLES):
+    t = ref_t_grid(box, t_samples)
     y = box.y_grid()[None, :]
     f1 = lc.f1_term(m, t, y)
     upper = (f1 - 2.0 * y**m) / (y * y)
@@ -291,19 +298,22 @@ def ref_scan_sup_A3(m, box):
 
 
 def keyed(scan_A1, scan_f, scan_A3):
-    """The suprema of three single-lemma scans, keyed and ordered as scan_box returns them."""
+    """The suprema of three single-lemma scans, keyed and ordered as scan_box returns them.
 
-    def sups(box, eps, p, m):
+    Keyword arguments (a reference scan's t_samples) go to each scan.
+    """
+
+    def sups(box, eps, p, m, **kw):
         out = {}
         if eps is not None:
-            out["g_upper"] = scan_A1(box, eps)
+            out["g_upper"] = scan_A1(box, eps, **kw)
         if p is not None:
-            sup_low, sup_hat = scan_f(p, box)
+            sup_low, sup_hat = scan_f(p, box, **kw)
             if sup_low is not None:
                 out["f_lower"] = sup_low
             out["f_abs"] = sup_hat
         if m is not None:
-            out["f1_sandwich"] = scan_A3(m, box)
+            out["f1_sandwich"] = scan_A3(m, box, **kw)
         return out
 
     return sups
@@ -330,9 +340,9 @@ CERTIFY_EXPONENTS = [(6.0, 2.5), (4.0, 3.0), (10.0 / 3.0, 2.8)]
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @SCANS
 class TestScanBlocksBitExact:
-    def check(self, scans, box, p, q):
+    def check(self, scans, box, p, q, t_samples=REF_T_SAMPLES):
         got = scans(box, q - 2.0, p, q)
-        want = ref_sups(box, q - 2.0, p, q)
+        want = ref_sups(box, q - 2.0, p, q, t_samples=t_samples)
         return got, want
 
     @pytest.mark.parametrize("p, q", CERTIFY_EXPONENTS)
@@ -341,19 +351,22 @@ class TestScanBlocksBitExact:
         assert bits(got) == bits(want)
         assert all(np.isfinite(v) for v in got.values())
 
-    @pytest.mark.parametrize("shape", [(999, 1001), (1, 1000), (1000, 1), (7, 200)])
-    def test_shapes_the_block_does_not_divide(self, scans, shape):
-        t_samples, y_samples = shape
-        assert t_samples % max(1, inequalities.BLOCK // y_samples) != 0
-        box = lc.BoxSpec(0.5, 2.0, t_samples=t_samples, y_samples=y_samples)
+    @pytest.mark.parametrize(
+        "y_samples",
+        [500, 1001, inequalities.BLOCK - 1, inequalities.BLOCK + 1, 2 * inequalities.BLOCK + 5],
+    )
+    def test_shapes_the_block_does_not_divide(self, scans, y_samples):
+        # a 7-point reference t grid keeps the long rows' reference small
+        assert y_samples % inequalities.BLOCK != 0
+        box = lc.BoxSpec(0.5, 2.0, y_samples=y_samples)
         for p, q in CERTIFY_EXPONENTS:
-            got, want = self.check(scans, box, p, q)
+            got, want = self.check(scans, box, p, q, t_samples=7)
             assert bits(got) == bits(want)
 
     def test_rows_longer_than_a_block(self, scans):
         # the y axis splits into chunks of BLOCK columns; their points are
         # those of y_grid, bit for bit
-        box = lc.BoxSpec(0.5, 2.0, t_samples=3, y_samples=2 * inequalities.BLOCK + 5)
+        box = lc.BoxSpec(0.5, 2.0, y_samples=2 * inequalities.BLOCK + 5)
         chunks = list(inequalities._row_blocks(box))
         assert [y.shape for y in chunks] == [
             (1, inequalities.BLOCK),
@@ -363,7 +376,7 @@ class TestScanBlocksBitExact:
         ys = np.concatenate([y[0] for y in chunks])
         assert np.array_equal(ys, box.y_grid())
         for p, q in CERTIFY_EXPONENTS:
-            got, want = self.check(scans, box, p, q)
+            got, want = self.check(scans, box, p, q, t_samples=3)
             assert bits(got) == bits(want)
 
     def test_lower_bound_absent_for_p_at_most_3(self, scans):
@@ -373,8 +386,8 @@ class TestScanBlocksBitExact:
             assert "f_lower" not in got
 
     def test_corollary_box(self, scans, monkeypatch):
-        # the 400 x 400 box check_corollary builds from a solution and
-        # bubbles, scanned once for all three lemmas
+        # the box check_corollary builds from a solution and bubbles,
+        # scanned once for all three lemmas
         boxes = []
         scan = inequalities.scan_box
         monkeypatch.setattr(
@@ -386,7 +399,7 @@ class TestScanBlocksBitExact:
         b = lc.truncated_bubble(lc.BubbleSpec(N=3, n=8, r0=0.25), g)
         lc.check_corollary(p, u0, [b], [0.3])
         (box,) = boxes
-        assert (box.t_samples, box.y_samples) == (400, 400)
+        assert box.y_samples == 1000
         for p, q in CERTIFY_EXPONENTS:
             got, want = self.check(scans, box, p, q)
             assert bits(got) == bits(want)
@@ -419,13 +432,13 @@ class TestScanBlocksBitExact:
         ids=["A1", "f", "A3"],
     )
     def test_nan_only_in_the_last_block(self, scans, exponents, box):
-        # the t = C1 row is finite, and the t = C2 row holds every NaN
-        head = lc.BoxSpec(**box, t_samples=1, y_samples=inequalities.BLOCK)
-        full = lc.BoxSpec(**box, t_samples=2, y_samples=inequalities.BLOCK)
-        assert all(np.isfinite(v) for v in ref_sups(head, *exponents).values())
-        want = ref_sups(full, *exponents)
+        # the t = C1 row is finite, and the t = C2 row holds every NaN; the
+        # one- and two-point reference t grids are [C1] and [C1, C2]
+        box = lc.BoxSpec(**box, y_samples=inequalities.BLOCK)
+        assert all(np.isfinite(v) for v in ref_sups(box, *exponents, t_samples=1).values())
+        want = ref_sups(box, *exponents, t_samples=2)
         assert any(np.isnan(v) for v in want.values())
-        assert bits(scans(full, *exponents)) == bits(want)
+        assert bits(scans(box, *exponents)) == bits(want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -447,10 +460,8 @@ def test_terms_nondecreasing_in_t(log_t2, log_ratio, step):
         assert lc.f1_term(q, t1, y) <= lc.f1_term(q, t2, y)
 
 
-@pytest.mark.parametrize("box", [BOX, lc.BoxSpec(0.5, 2.0, t_samples=1)], ids=["default", "one_t"])
-def test_scan_evaluates_only_the_t_end_points(monkeypatch, box):
-    # each family is evaluated at t = C1 and t = C2 against every y sample,
-    # and at t = C1 alone when that is the whole t grid
+def test_scan_evaluates_only_the_t_end_points(monkeypatch):
+    # each family is evaluated at t = C1 and t = C2 against every y sample
     points = {}
     g, f1 = inequalities._g, inequalities._f1
 
@@ -461,21 +472,23 @@ def test_scan_evaluates_only_the_t_end_points(monkeypatch, box):
     monkeypatch.setattr(
         inequalities, "_f1", lambda m, t, y, L: count(m, t, y, L) or f1(m, t, y, L)
     )
-    inequalities.scan_box(box, 0.5, 6.0, 2.5)
-    n = min(box.t_samples, 2) * box.y_samples
+    inequalities.scan_box(BOX, 0.5, 6.0, 2.5)
+    n = 2 * BOX.y_samples
     assert points == {"g": n, 6.0: n, 2.5: n}
 
 
 @SCANS
 def test_scan_memory_stays_below_one_full_grid(scans):
-    # the full-array scan peaked at about 32 MB (four 8 MB grids alive at
-    # once); a chunked scan holds a few chunk-sized temporaries, and builds
-    # a long y axis chunk by chunk
-    for box in (BOX, lc.BoxSpec(0.5, 2.0, t_samples=1, y_samples=10**6)):
+    # the full-array scan of the 1000 x 1000 default box peaked at about
+    # 32 MB (four 8 MB grids alive at once), and a whole-array end-point
+    # scan of 1e6 y samples holds 16 MB per (2, 1e6) temporary; a chunked
+    # scan holds a few chunk-sized temporaries, and builds a long y axis
+    # chunk by chunk, so it stays below one 8 MB grid of 1e6 points
+    for box in (BOX, lc.BoxSpec(0.5, 2.0, y_samples=10**6)):
         tracemalloc.start()
         try:
             scans(box, 0.5, 6.0, 2.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < box.t_samples * box.y_samples * 8
+        assert peak < 10**6 * 8
