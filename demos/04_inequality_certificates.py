@@ -6,7 +6,10 @@ The energy expansion of u0 + t U_n rests on three pointwise bounds for
 the functions g, f, f1 of (t, y).  The finders scan a box, return the
 smallest certifying constants with headroom, and the bounds are then
 re-checked on the solution-plus-bubble data produced by the solver.
+The demo exits 1 when any corollary verdict is not ok.
 """
+
+import sys
 
 import numpy as np
 
@@ -53,6 +56,9 @@ print(f"  worst: {verdict.worst_bound} at {verdict.worst_margin:.6f}")
 print()
 
 # the margins stay positive as the bubble amplitudes shrink
+verdicts = [verdict]
 for fac in (0.1, 0.01):
     v = check_corollary(p, u0, bubbles, t_n=[0.8 * fac, 0.4 * fac, 0.2 * fac])
     print(f"amplitudes x{fac}: ok = {v.ok}, worst margin = {v.worst_margin:.2e}")
+    verdicts.append(v)
+sys.exit(0 if all(v.ok for v in verdicts) else 1)

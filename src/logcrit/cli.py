@@ -95,10 +95,6 @@ SCALAR_KINDS = {
 MAX_CELLS = 2**20
 # the largest (P, M) stack of ray samples the ridge check may build
 MAX_PATH_CELLS = 64 * MAX_CELLS
-# the largest C2 / y_min a certificate box may span: float g carries a
-# relative error of about 2^-52 t/y, so about 6 digits are left at 1e10
-# (the default box spans 2e6)
-MAX_SCAN_T_OVER_Y = 1e10
 
 # sweep.csv columns; the first five are the row's problem parameters
 SWEEP_COLUMNS = (
@@ -251,9 +247,8 @@ def validate_numerics(cfg, p=None):
 
     With the problem p, also reject fit_p exponents outside [1, 2*), a
     verify fit grid of more than MAX_CELLS cells, a box whose f_abs
-    constant (2*^2/2) C2^(2*-2) overflows a double, and a box whose
-    C2 / y_min exceeds MAX_SCAN_T_OVER_Y, where rounding swamps the
-    scanned g.
+    constant (2*^2/2) C2^(2*-2) overflows a double, and a box past the
+    cancellation range of BoxSpec.check_span.
     """
     if cfg["M"] < 8:
         raise ConfigError("M: need at least 8 mesh cells")
@@ -283,14 +278,9 @@ def validate_numerics(cfg, p=None):
         box = inequalities.BoxSpec(**{f.name: cfg[f.name] for f in fields(inequalities.BoxSpec)})
         if p is not None:
             box.abs_scale(p.two_star)
+            box.check_span()
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    y_min = box._y_min()
-    if p is not None and box.C2 / y_min > MAX_SCAN_T_OVER_Y:
-        raise ConfigError(
-            f"C2: need C2 / y_min <= {MAX_SCAN_T_OVER_Y:.0e} (y_min = {y_min:g}, "
-            f"the first y sample), got {box.C2 / y_min:.3g}: rounding swamps the scanned g"
-        )
     return box
 
 

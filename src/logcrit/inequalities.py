@@ -31,6 +31,13 @@ Each point gets one L = log1p(y/t), and g, f and f1 all follow from it
 through the same ufunc sequence as the pointwise forms.  The single-lemma
 scans scan_sup_A1, scan_sup_f and scan_sup_A3 are scan_box restricted to
 one family.
+
+_bounds is the one table of the five bounds (g_upper, f_lower, f_abs,
+f1_upper, f1_lower), and _excesses evaluates it at any points (t, y).
+scan_box evaluates it at t = C1 and t = C2 against the y grid;
+check_corollary evaluates it at (u0, t_n U_n) on each bubble's support,
+with the constants that scan_box certified.  Both reject a box past the
+cancellation range (BoxSpec.check_span: C2 / y_min at most 1e10).
 """
 
 import math
@@ -45,6 +52,10 @@ BLOCK = 1 << 14  # y samples per scan chunk: 256 kB per two-row float64 temporar
 # y samples takes 0.11-0.13 s on a 2-core Xeon, and the cap (5e7 y samples)
 # is 48 times that box
 _MAX_POINTS = 10**8
+# the largest C2 / y_min a box may span: float g carries a relative error
+# of about 2^-52 t/y, so about 6 digits are left at 1e10 (the default box
+# spans 2e6)
+MAX_SCAN_T_OVER_Y = 1e10
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,19 @@ class BoxSpec:
 
     def y_grid(self):
         return np.geomspace(self._y_min(), self.y_max, self.y_samples)
+
+    def check_span(self):
+        """Raise ValueError naming C2 when C2 / y_min exceeds MAX_SCAN_T_OVER_Y.
+
+        Not a __post_init__ check: a box past the range still scans, to NaN
+        or to rounding noise, so how a scan handles overflow stays testable.
+        """
+        y_min = self._y_min()
+        if self.C2 / y_min > MAX_SCAN_T_OVER_Y:
+            raise ValueError(
+                f"C2: need C2 / y_min <= {MAX_SCAN_T_OVER_Y:.0e} (y_min = {y_min:g}, "
+                f"the first y sample), got {self.C2 / y_min:.3g}: rounding swamps the scanned g"
+            )
 
     def _y_min(self):
         """First point of the y grid: Y_GRID_FLOOR, or y_max/10 if that is lower."""
@@ -187,13 +211,8 @@ def pointwise_log_bound_margin(s, C1):
 # -- the box scan --------------------------------------------------------
 
 
-def _defect(x, sign, k, c):
-    """A bound's normalized defect: (x - k)/c, or (k - x)/c when sign < 0."""
-    return ((x - k) if sign > 0 else (k - x)) / c
-
-
 def _bounds(box, y, eps, p, m):
-    """(key, term, sign, k, c) of each bound scanned at the y row."""
+    """(key, term, sign, k, c) of each bound at the y values: the one table of the bounds."""
     bounds = []
     if eps is not None:
         bounds.append(("g_upper", "g", 1, y ** (2.0 + eps), y * y))
@@ -205,6 +224,28 @@ def _bounds(box, y, eps, p, m):
         bounds.append(("f1_upper", "f1", 1, 2.0 * y**m, y * y))
         bounds.append(("f1_lower", "f1", -1, 0.5 * y**m, y * y))
     return bounds
+
+
+def _excesses(box, t, y, eps, p, m):
+    """(key, excess, c) of each bound at the points (t, y), in _bounds order.
+
+    The excess is term - k for an upper bound and k - term for a lower
+    one, so the bound holds with constant C wherever excess <= C c.
+    """
+    # first, so an overflowing f_abs scale raises before any term
+    bounds = _bounds(box, y, eps, p, m)
+    L = np.log1p(y / t)
+    terms = {}
+    if eps is not None:
+        terms["g"] = _g(t, y, L)
+    if p is not None:
+        terms["f"] = _f1(p, t, y, L) - y**p
+        terms["|f|"] = np.abs(terms["f"])
+    if m is not None:
+        terms["f1"] = _f1(m, t, y, L)
+    for key, term, sign, k, c in bounds:
+        x = terms[term]
+        yield key, (x - k) if sign > 0 else (k - x), c
 
 
 def scan_box(box, eps, p, m):
@@ -237,19 +278,8 @@ def scan_box(box, eps, p, m):
     chunk_sups = {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for y in _row_blocks(box):
-            # first, so an overflowing f_abs scale raises before any term
-            bounds = _bounds(box, y, eps, p, m)
-            L = np.log1p(y / t)
-            terms = {}
-            if eps is not None:
-                terms["g"] = _g(t, y, L)
-            if p is not None:
-                terms["f"] = _f1(p, t, y, L) - y**p
-                terms["|f|"] = np.abs(terms["f"])
-            if m is not None:
-                terms["f1"] = _f1(m, t, y, L)
-            for key, term, sign, k, c in bounds:
-                chunk_sups.setdefault(key, []).append(np.max(_defect(terms[term], sign, k, c)))
+            for key, excess, c in _excesses(box, t, y, eps, p, m):
+                chunk_sups.setdefault(key, []).append(np.max(excess / c))
     sups = {key: float(np.max(v)) for key, v in chunk_sups.items()}
     if m is not None:
         # as in a full-array scan, a NaN in the upper defect propagates
@@ -332,14 +362,16 @@ class CorollaryVerdict:
 
 
 def check_corollary(p, u0, bubbles, t_n):
-    """Verify the four pointwise bounds for g, f, f1 at y = t_n U_n, t = u0.
+    """Check the scan_box bounds on g, f, f1 at t = u0, y = t_n U_n.
 
     The support mask comes from the bubbles themselves (they vanish at
     and beyond the taper edge), so L1/L2 are the extremes of u0 on the
     union of supports.  Constants B1, B2, B3 are certified from one
     scan_box pass over the box [L1, L2] x (0, y_max], which evaluates its
-    two t end points against BoxSpec's default 1000 y samples.  With
-    eps = q - 2 the bounds are:
+    two t end points against BoxSpec's default 1000 y samples; the box
+    must pass BoxSpec.check_span.  The same bound table (_bounds) is then
+    evaluated at every (u0, t_n U_n) point of each bubble's support.
+    With eps = q - 2 the bounds are:
 
         g(u0, y)        <=  y^{2+eps} + B1 y^2
         f(2s, u0, y)    >=  (2s/2) L1 y^{2s-1} - B2 y^2     (only 2s > 3)
@@ -348,7 +380,9 @@ def check_corollary(p, u0, bubbles, t_n):
 
     Margins are normalized by y^2 (both sides scale like y^2 near the
     taper edge), so they stay bounded away from 0 as t_n shrinks.
-    Returns the worst margin over all nodes, scales, and bounds.
+    Returns the worst margin over all nodes, scales, and bounds.  A NaN
+    margin (a constant or a term that left double range) is the worst:
+    it makes ok False and worst_bound names it.
     """
     u0 = np.asarray(u0, dtype=float)
     if np.any(u0 <= 0):
@@ -357,13 +391,15 @@ def check_corollary(p, u0, bubbles, t_n):
     t_n = [float(t) for t in t_n]
     if len(bubbles) != len(t_n):
         raise ValueError("need one scale factor per bubble")
+    if not all(0.0 < t < math.inf for t in t_n):
+        raise ValueError(f"t_n: need positive finite scale factors, got {t_n}")
+    masks = [b > 0 for b in bubbles]
+    for i, mask in enumerate(masks):
+        if not np.any(mask):
+            raise ValueError(f"bubbles[{i}] vanishes identically")
     eps = p.q - 2.0
 
-    support = np.zeros(u0.shape, dtype=bool)
-    for b in bubbles:
-        support |= b > 0
-    if not np.any(support):
-        raise ValueError("all bubbles vanish identically")
+    support = np.logical_or.reduce(masks)
     L1 = float(np.min(u0[support]))
     L2 = float(np.max(u0[support]))
     if L1 == L2:
@@ -371,67 +407,29 @@ def check_corollary(p, u0, bubbles, t_n):
 
     y_top = max(t * float(np.max(b)) for t, b in zip(t_n, bubbles))
     box = BoxSpec(C1=L1, C2=L2, y_max=max(1.05 * y_top, 1e-3))
+    box.check_span()
     ts = p.two_star
     sups = scan_box(box, eps, ts, p.q)
     B1 = certified_constant(sups["g_upper"])
-    B2 = max(certified_constant(sups.get("f_lower", 0.0)), certified_constant(sups["f_abs"]))
+    # np.max, unlike max, keeps a NaN in either f constant
+    B2 = float(np.max([certified_constant(sups.get("f_lower", 0.0)),
+                       certified_constant(sups["f_abs"])]))
     B3 = certified_constant(sups["f1_sandwich"])
+    B = {"g_upper": B1, "f_lower": B2, "f_abs": B2, "f1_upper": B3, "f1_lower": B3}
 
-    margins = {
-        "g_upper": np.inf,
-        "f_lower": np.inf,
-        "f_abs": np.inf,
-        "f1_upper": np.inf,
-        "f1_lower": np.inf,
-    }
-    for t_fac, b in zip(t_n, bubbles):
-        mask = b > 0
-        t = u0[mask]
-        y = t_fac * b[mask]
-        y2 = y * y
-        gval = g_term(t, y)
-        fval = f_term(ts, t, y)
-        f1val = f1_term(p.q, t, y)
-        margins["g_upper"] = min(
-            margins["g_upper"],
-            float(np.min((y ** (2.0 + eps) + B1 * y2 - gval) / y2)),
-        )
-        if ts > 3:
-            margins["f_lower"] = min(
-                margins["f_lower"],
-                float(
-                    np.min((fval - 0.5 * ts * L1 * y ** (ts - 1.0) + B2 * y2) / y2)
-                ),
-            )
-        margins["f_abs"] = min(
-            margins["f_abs"],
-            float(
-                np.min(
-                    (
-                        0.5 * ts * ts * L2 ** (ts - 2.0) * y2
-                        + B2 * L2 * y ** (ts - 1.0)
-                        - np.abs(fval)
-                    )
-                    / y2
-                )
-            ),
-        )
-        margins["f1_upper"] = min(
-            margins["f1_upper"],
-            float(np.min((2.0 * y**p.q + B3 * y2 - f1val) / y2)),
-        )
-        margins["f1_lower"] = min(
-            margins["f1_lower"],
-            float(np.min((f1val - 0.5 * y**p.q + B3 * y2) / y2)),
-        )
-    if ts <= 3:
-        del margins["f_lower"]  # no lower-bound certificate in high dimension
+    margins = {}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t_fac, b, mask in zip(t_n, bubbles, masks):
+            t, y = u0[mask], t_fac * b[mask]
+            for key, excess, c in _excesses(box, t, y, eps, ts, p.q):
+                margin = np.min((B[key] * c - excess) / (y * y))
+                margins[key] = float(np.minimum(margins.get(key, np.inf), margin))
 
-    worst_bound = min(margins, key=lambda k: margins[k])
+    worst_bound = min(margins, key=lambda k: -np.inf if math.isnan(margins[k]) else margins[k])
     worst = margins[worst_bound]
     return CorollaryVerdict(
         ok=bool(worst >= 0.0),
-        worst_margin=float(worst),
+        worst_margin=worst,
         worst_bound=worst_bound,
         L1=L1,
         L2=L2,

@@ -200,6 +200,55 @@ def test_log_bound_margin_nonnegative_everywhere():
         assert np.min(m) >= -1e-12
 
 
+def ref_corollary(p, u0, bubbles, t_n):
+    """check_corollary's constants (B1, B2, B3) and margins, written out by hand."""
+    ts, q, eps = p.two_star, p.q, p.q - 2.0
+    support = np.any([b > 0 for b in bubbles], axis=0)
+    L1, L2 = float(np.min(u0[support])), float(np.max(u0[support]))
+    if L1 == L2:
+        L2 = L1 * (1.0 + 1e-12)
+    y_top = max(t * float(np.max(b)) for t, b in zip(t_n, bubbles))
+    sups = inequalities.scan_box(lc.BoxSpec(L1, L2, y_max=max(1.05 * y_top, 1e-3)), eps, ts, q)
+    certify = inequalities.certified_constant
+    B1 = certify(sups["g_upper"])
+    B2 = max(certify(sups.get("f_lower", 0.0)), certify(sups["f_abs"]))
+    B3 = certify(sups["f1_sandwich"])
+    margins = {key: np.inf for key in ("g_upper", "f_lower", "f_abs", "f1_upper", "f1_lower")}
+    for t_fac, b in zip(t_n, bubbles):
+        mask = b > 0
+        t, y = u0[mask], t_fac * b[mask]
+        y2 = y * y
+        gval, fval, f1val = lc.g_term(t, y), lc.f_term(ts, t, y), lc.f1_term(q, t, y)
+        for key, margin in (
+            ("g_upper", y ** (2.0 + eps) + B1 * y2 - gval),
+            ("f_lower", fval - 0.5 * ts * L1 * y ** (ts - 1.0) + B2 * y2),
+            (
+                "f_abs",
+                0.5 * ts * ts * L2 ** (ts - 2.0) * y2 + B2 * L2 * y ** (ts - 1.0) - np.abs(fval),
+            ),
+            ("f1_upper", 2.0 * y**q + B3 * y2 - f1val),
+            ("f1_lower", f1val - 0.5 * y**q + B3 * y2),
+        ):
+            margins[key] = min(margins[key], float(np.min(margin / y2)))
+    if ts <= 3:
+        del margins["f_lower"]
+    return (B1, B2, B3), margins
+
+
+def assert_matches_ref_corollary(p, u0, bubbles, t_n):
+    """check_corollary equals its hand-written reference up to rounding in the margins."""
+    v = lc.check_corollary(p, u0, bubbles, t_n)
+    constants, margins = ref_corollary(p, u0, bubbles, t_n)
+    assert (v.B1, v.B2, v.B3) == constants
+    assert list(v.margins) == list(margins)
+    for key, margin in margins.items():
+        assert v.margins[key] == pytest.approx(margin, rel=1e-12, abs=0.0)
+    assert v.worst_bound == min(margins, key=margins.get)
+    assert v.worst_margin == v.margins[v.worst_bound]
+    assert v.ok == (v.worst_margin >= 0)
+    return v
+
+
 def test_corollary_on_computed_minimizer(solved_a, params_a):
     report, _, g = solved_a
     bubbles = [
@@ -207,7 +256,7 @@ def test_corollary_on_computed_minimizer(solved_a, params_a):
     ]
     floor = 1e-3  # corollary wants u0 > 0; lift the boundary zeros
     u0 = np.maximum(report.u0, floor)
-    verdict = lc.check_corollary(params_a, u0, bubbles, [0.8, 0.4, 0.2])
+    verdict = assert_matches_ref_corollary(params_a, u0, bubbles, [0.8, 0.4, 0.2])
     assert verdict.ok
     assert verdict.worst_margin > 0
     assert 0 < verdict.L1 < verdict.L2
@@ -224,9 +273,7 @@ def test_corollary_on_computed_minimizer(solved_a, params_a):
     # relaxes the g bound monotonically
     g_margins = [verdict.margins["g_upper"]]
     for fac in (0.1, 0.01, 0.001):
-        v = lc.check_corollary(
-            params_a, u0, bubbles, [0.8 * fac, 0.4 * fac, 0.2 * fac]
-        )
+        v = assert_matches_ref_corollary(params_a, u0, bubbles, [0.8 * fac, 0.4 * fac, 0.2 * fac])
         assert v.ok
         g_margins.append(v.margins["g_upper"])
     assert all(a <= b + 1e-12 for a, b in zip(g_margins, g_margins[1:]))
@@ -242,6 +289,58 @@ def test_corollary_rejections(params_a):
         lc.check_corollary(params_a, u0, [b, b], [0.5])
     with pytest.raises(ValueError, match="vanish"):
         lc.check_corollary(params_a, u0, [np.zeros(256)], [0.5])
+    # one vanishing bubble beside a live one hit an empty reduction
+    with pytest.raises(ValueError, match=r"^bubbles\[1\] vanishes identically$"):
+        lc.check_corollary(params_a, u0, [b, np.zeros(256)], [0.5, 0.5])
+
+
+def corollary_case_a():
+    """A bubble of scale 8 and u0 = 0.5 (1 + 0.1 r) on a 256-cell grid."""
+    g = lc.build_grid(3, 1.0, 256)
+    b = lc.truncated_bubble(lc.BubbleSpec(N=3, n=8, r0=0.25), g)
+    return 0.5 * (1.0 + 0.1 * g.r), b
+
+
+@pytest.mark.parametrize("t", [0.0, -0.5, np.inf, np.nan])
+def test_corollary_rejects_nonpositive_or_nonfinite_scale(params_a, t):
+    # a zero scale gave every margin inf and ok = True
+    u0, b = corollary_case_a()
+    with pytest.raises(ValueError, match="^t_n: need positive finite scale factors"):
+        lc.check_corollary(params_a, u0, [b], [t])
+
+
+@pytest.mark.parametrize(
+    "t, nan_constants, worst_bound",
+    [(1e60, ("B2",), "f_lower"), (1e200, ("B1", "B2", "B3"), "g_upper")],
+)
+def test_corollary_fails_on_nan(params_a, t, nan_constants, worst_bound):
+    # the f scans leave double range at t_n = 1e60, and every scan does at
+    # 1e200; the verdict passed on such NaN constants.  Now it fails, on
+    # the first NaN margin
+    u0, b = corollary_case_a()
+    v = lc.check_corollary(params_a, u0, [b], [t])
+    assert [key for key in ("B1", "B2", "B3") if np.isnan(getattr(v, key))] == list(nan_constants)
+    assert not v.ok
+    assert np.isnan(v.worst_margin)
+    assert v.worst_bound == worst_bound
+
+
+def test_box_span_cap_boundary():
+    # C2 / y_min may reach 1e10 exactly; y_min is 1e-6, or y_max / 10
+    lc.BoxSpec(0.5, 1e4).check_span()
+    with pytest.raises(ValueError, match=r"^C2: need C2 / y_min <= 1e\+10 "):
+        lc.BoxSpec(0.5, 1.0000001e4).check_span()
+    lc.BoxSpec(0.5, 1e4, y_max=1e-5).check_span()
+    with pytest.raises(ValueError, match=r"y_min = 1e-07,"):
+        lc.BoxSpec(0.5, 1e4, y_max=1e-6).check_span()
+
+
+def test_corollary_rejects_box_past_cancellation_range(params_a):
+    # u0 near 1e10 spans C2 / y_min = 1.05e16, where the scanned B2 was
+    # rounding noise (3.1e48) and the verdict still passed
+    u0, b = corollary_case_a()
+    with pytest.raises(ValueError, match=r"^C2: need C2 / y_min <= 1e\+10 .* got 1\.05e\+16"):
+        lc.check_corollary(params_a, 2e10 * u0, [b], [0.5])
 
 
 def test_corollary_high_dimension_drops_f_lower():
@@ -251,7 +350,7 @@ def test_corollary_high_dimension_drops_f_lower():
     g = lc.build_grid(6, 1.0, 256)
     b = lc.truncated_bubble(lc.BubbleSpec(N=6, n=8, r0=0.25), g)
     u0 = np.full(256, 0.5)
-    v = lc.check_corollary(p, u0, [b], [0.1])
+    v = assert_matches_ref_corollary(p, u0, [b], [0.1])
     assert "f_lower" not in v.margins
     assert v.ok
 
