@@ -370,7 +370,8 @@ def check_corollary(p, u0, bubbles, t_n):
     scan_box pass over the box [L1, L2] x (0, y_max], which evaluates its
     two t end points against BoxSpec's default 1000 y samples; the box
     must pass BoxSpec.check_span.  The same bound table (_bounds) is then
-    evaluated at every (u0, t_n U_n) point of each bubble's support.
+    evaluated at every (u0, t_n U_n) point of each bubble's support, where
+    u0 / (t_n U_n) must stay within the same range, MAX_SCAN_T_OVER_Y.
     With eps = q - 2 the bounds are:
 
         g(u0, y)        <=  y^{2+eps} + B1 y^2
@@ -408,6 +409,16 @@ def check_corollary(p, u0, bubbles, t_n):
     y_top = max(t * float(np.max(b)) for t, b in zip(t_n, bubbles))
     box = BoxSpec(C1=L1, C2=L2, y_max=max(1.05 * y_top, 1e-3))
     box.check_span()
+    # the evaluated points reach far below the box's y_min, so they need
+    # the same cancellation range as the box
+    for i, (t_fac, b, mask) in enumerate(zip(t_n, bubbles, masks)):
+        with np.errstate(over="ignore", divide="ignore"):
+            span = float(np.max(u0[mask] / (t_fac * b[mask])))
+        if span > MAX_SCAN_T_OVER_Y:
+            raise ValueError(
+                f"bubbles[{i}]: need u0 / (t_n U_n) <= {MAX_SCAN_T_OVER_Y:.0e} on its "
+                f"support, got {span:.3g}: rounding swamps the evaluated g"
+            )
     ts = p.two_star
     sups = scan_box(box, eps, ts, p.q)
     B1 = certified_constant(sups["g_upper"])

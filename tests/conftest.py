@@ -10,6 +10,9 @@ INSTANCE_B = dict(N=4, q=3.0, mu=1.0, nu=8.0, lam=-20.0, theta=-1.0, R=1.0)
 # the weak-log showcase (the CLI default): its minimizer lies below double
 # range and is solved in scaled form
 SHOWCASE = dict(N=4, q=3.0, mu=1.0, nu=0.0, lam=0.0, theta=-0.01, R=1.0)
+# the showcase with lambda = 3: a weak-log instance whose grid saddle is a
+# mesh-converged continuum solution (peak 19.21)
+INSTANCE_C = dict(N=4, q=3.0, mu=1.0, nu=0.0, lam=3.0, theta=-0.01, R=1.0)
 
 
 @pytest.fixture(scope="session")

@@ -178,9 +178,9 @@ def test_criterion_6_fiber_profile_of_the_minimizer():
     p = lc.ProblemParams(**INSTANCE_A)
     g = lc.build_grid(3, 1.0, 800)
     lam1, _ = lc.principal_eigenpair(g)
-    _, rho = lc.geometry_constants(
+    rho = lc.region_membership(
         p, lc.best_sobolev_constant(3), lam1, lc.ball_volume(3, 1.0)
-    )
+    ).rho
     u0, _ = lc.find_ball_minimizer(p, g, rho)
     prof = lc.g_profile(p, g, u0, t_max=2.0, samples=256)
     tmin = prof.t[np.argmin(prof.values)]

@@ -14,19 +14,22 @@ K = int u'^2 r^{N-1} dr and int F(u+) r^{N-1} dr, so a root's level
 I(u) = |S^{N-1}| (K/2 - int F) comes out of the same march.
 
 The tests hold the grid pipeline's saddles against the oracle: on
-instances A and B the grid level converges to the continuum level, and on
-the weak-log showcase the continuum problem has no positive solution with
-amplitude in [0.5, 3e4], where the grid saddle sits.
+instances A, B and the weak-log instance C the grid level converges to
+the continuum level, and on the weak-log showcase the continuum problem
+has no positive solution other than the ball minimizer with amplitude
+up to 3e4, where the grid saddle sits: a uniqueness theorem covers
+amplitudes below u* = 0.1, and the oracle [u*, 3e4].
 """
 
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
 
 import logcrit as lc
-from conftest import INSTANCE_A, INSTANCE_B, SHOWCASE
+from conftest import INSTANCE_A, INSTANCE_B, INSTANCE_C, SHOWCASE
 
 R0 = 1e-6  # the march starts here, from the series u = a - f(a) r^2/(2N)
 # the largest f(a) R0^2 / (2N a) the start accepts: past it the bubble of
@@ -37,8 +40,9 @@ SERIES_TOL = 1e-3
 CONTINUUM_ROOTS = {
     "A": (13.083254966, 4.110906248),
     "B": (36.443549175, 20.503888353),
+    "C": (19.213795326, 24.591745010),
 }
-INSTANCES = {"A": INSTANCE_A, "B": INSTANCE_B}
+INSTANCES = {"A": INSTANCE_A, "B": INSTANCE_B, "C": INSTANCE_C}
 
 
 def _nonlinearity(p):
@@ -122,7 +126,7 @@ def the_root(name):
     return root
 
 
-@pytest.mark.parametrize("name", ["A", "B"])
+@pytest.mark.parametrize("name", ["A", "B", "C"])
 def test_oracle_finds_the_reference_root(name):
     a, level = the_root(name)
     want_a, want_level = CONTINUUM_ROOTS[name]
@@ -143,11 +147,83 @@ def test_grid_level_converges_to_the_continuum_level(name, request):
     assert float(np.max(fine.u_mp)) == pytest.approx(a, rel=1e-2)
 
 
+def test_instance_c_grid_level_converges_to_the_continuum_level():
+    # the weak-log instance C: its grid saddles at M = 400, 800, 1600
+    # approach the continuum level, the error falling about 4x per
+    # doubling (7.9e-4, 2.0e-4, 4.9e-5), and each is the continuum root
+    p = lc.ProblemParams(**INSTANCE_C)
+    a, level = the_root("C")
+    errors = []
+    for M in (400, 800, 1600):
+        report, _, g = lc.solve_problem(p, M=M)
+        errors.append(abs(report.c_M - level))
+        assert float(np.max(report.u_mp)) == pytest.approx(a, rel=1e-2)
+        verdict = lc.verify_two_level_structure(
+            p, g, report.v0, report.u_mp, report, s0=report.s0
+        )
+        assert verdict.ok, verdict.failures
+    assert errors[0] < 1e-3 * level
+    assert errors[0] > 3.0 * errors[1] and errors[1] > 3.0 * errors[2]
+
+
+def test_instance_c_passes_the_criterion_4_checks():
+    # criterion 4's five checks, applied to C at M = 400: unlike the
+    # showcase (lambda = 0), C has a continuum saddle below c_rho + S^2/4
+    p = lc.ProblemParams(**INSTANCE_C)
+    t0 = time.perf_counter()
+    report, _, g = lc.solve_problem(p, M=400)
+    dt = time.perf_counter() - t0
+    S = lc.best_sobolev_constant(4)
+    log_norm_u0 = math.log(math.sqrt(g.h1_seminorm_sq(report.v0))) + report.s0
+    checks = {
+        "ordering": report.c_rho < 0.0 < report.c_M,
+        "residuals": report.residual0 < 1e-8 and report.residual_mp < 1e-8,
+        "ball": log_norm_u0 < math.log(report.rho),
+        "gap": report.c_M < report.c_rho + 0.25 * S**2,
+        "time": dt < 300.0,
+    }
+    assert all(checks.values()), checks
+
+
+def uniqueness_floor(p):
+    """The root u* of h(u) = (2*-2) mu u^{2*-2} + (q-2) nu u^{q-2} + 2 theta.
+
+    h(u) is u times the derivative of f(u)/u.  For nu >= 0 and theta < 0,
+    h increases from 2 theta < 0 at u = 0 to infinity, so it has one root.
+    """
+    from scipy.optimize import brentq
+
+    if not (p.nu >= 0.0 and p.theta < 0.0):
+        raise ValueError("u* needs nu >= 0 and theta < 0")
+
+    def h(u):
+        return (p.two_star - 2.0) * p.mu * u ** (p.two_star - 2.0) + (
+            p.q - 2.0
+        ) * p.nu * u ** (p.q - 2.0) + 2.0 * p.theta
+
+    hi = 1.0
+    while h(hi) <= 0.0:
+        hi *= 2.0
+    return brentq(h, 0.0, hi, xtol=1e-15)
+
+
 def test_showcase_has_no_positive_solution_in_range():
-    # u(R; a) stays positive over [0.5, 3e4]; above a = 20 it tracks the
-    # Aubin-Talenti bubble's tail 8/a
+    """No positive solution other than the ball minimizer peaks in (0, 3e4].
+
+    Below u*: f(u)/u = mu u^{2*-2} + nu u^{q-2} + lambda + theta ln u^2
+    strictly decreases on (0, u*], since h < 0 there.  By the uniqueness
+    theorem of Brezis and Oswald (Nonlinear Anal. 1986), through the
+    inequality of Diaz and Saa (C. R. Acad. Sci. Paris 1987), two positive
+    solutions whose peaks are both at most u* coincide.  The ball minimizer
+    is one (its amplitude lies below double range), so every other
+    positive solution peaks above u*.  From u* to 3e4 the oracle finds no
+    sign change of u(R; a); above a = 20 it tracks the Aubin-Talenti
+    bubble's tail 8/a.
+    """
     p = lc.ProblemParams(**SHOWCASE)
-    assert continuum_roots(p, 0.5, 3e4, 60) == []
+    u_star = uniqueness_floor(p)
+    assert u_star == pytest.approx(math.sqrt(-p.theta / p.mu), rel=1e-12)  # 0.1
+    assert continuum_roots(p, u_star, 3e4, 60) == []
 
 
 def test_showcase_grid_saddle_has_no_continuum_counterpart(solved_showcase, params_showcase):

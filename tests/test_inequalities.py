@@ -343,6 +343,24 @@ def test_corollary_rejects_box_past_cancellation_range(params_a):
         lc.check_corollary(params_a, 2e10 * u0, [b], [0.5])
 
 
+@pytest.mark.parametrize("t", [1e-100, 1e-160, 1e-200])
+def test_corollary_rejects_points_past_cancellation_range(params_a, t):
+    # the box passes its span check, but u0 / (t_n U_n) reaches 3.7e101
+    # and beyond at the evaluated points; the verdicts were rounding
+    # failures: a margin of -4.8e85 at 1e-100, -inf at 1e-160, NaN at 1e-200
+    u0, b = corollary_case_a()
+    with pytest.raises(ValueError, match=r"^bubbles\[0\]: need u0 / \(t_n U_n\) <= 1e\+10 "):
+        lc.check_corollary(params_a, u0, [b], [t])
+
+
+def test_corollary_point_span_names_the_bubble(params_a):
+    # t_n = 1e-6 spans 3.7e7 and is checked; the error names the bubble past the range
+    u0, b = corollary_case_a()
+    assert lc.check_corollary(params_a, u0, [b], [1e-6]).ok
+    with pytest.raises(ValueError, match=r"^bubbles\[1\]: .* got 3\.69e\+101"):
+        lc.check_corollary(params_a, u0, [b, b], [1e-6, 1e-100])
+
+
 def test_corollary_high_dimension_drops_f_lower():
     # 2* = 4 at N = 4 fails the p > 3 requirement only for the lower
     # bound at... 4 > 3 so it is kept; N = 6 has 2* = 3 and drops it
