@@ -179,13 +179,15 @@ def expected_lp_exponent(N, p):
 
 
 def scale_ladder(n_list):
-    """n_list as ints: at least 5 positive scales whose step ratios agree
-    within 1%, for a stable decay fit; raises ValueError otherwise."""
+    """n_list as ints: at least 5 distinct positive scales whose step ratios
+    agree within 1%, for a stable decay fit; raises ValueError otherwise."""
     n_list = [int(n) for n in n_list]
     if len(n_list) < 5:
         raise ValueError("need at least 5 scales for a stable fit")
     if min(n_list) < 1:
         raise ValueError("scales must be positive integers")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError("scales must be distinct")
     ratios = [n_list[i + 1] / n_list[i] for i in range(len(n_list) - 1)]
     if max(ratios) / min(ratios) > 1.01:
         raise ValueError("scales must form a geometric progression")

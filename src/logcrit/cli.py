@@ -268,6 +268,8 @@ def validate_numerics(cfg, p=None):
         bubbles.scale_ladder(cfg["n_list"])
     except ValueError as e:
         raise ConfigError(f"n_list: {e}") from e
+    if not cfg["fit_p"]:
+        raise ConfigError("fit_p: need at least one exponent")
     if p is not None:
         if not all(1.0 <= pexp < p.two_star for pexp in cfg["fit_p"]):
             raise ConfigError(f"fit_p: need exponents in [1, {p.two_star:g})")

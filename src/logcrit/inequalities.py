@@ -24,13 +24,13 @@ y > 0:
 
 and f(p) = f1(p) - y^p has the t-derivative of f1(p).  Each bound's
 normalization depends on y alone, so each defect is monotone in t, and
-its supremum over t in [C1, C2] sits at t = C1 or t = C2.  The scan builds
-the y grid in chunks of at most BLOCK points, so a long axis is never
-held whole, and evaluates the two t end points against each chunk.
-Each point gets one L = log1p(y/t), and g, f and f1 all follow from it
-through the same ufunc sequence as the pointwise forms.  The single-lemma
-scans scan_sup_A1, scan_sup_f and scan_sup_A3 are scan_box restricted to
-one family.
+its supremum over t in [C1, C2] sits at t = C1 or t = C2.  The scan
+evaluates the two t end points against the whole y grid in one pass; the
+box caps the grid at MAX_Y_SAMPLES, so the pass holds a few (2, y_samples)
+temporaries.  Each point gets one L = log1p(y/t), and g, f and f1 all
+follow from it through the same ufunc sequence as the pointwise forms.
+The single-lemma scans scan_sup_A1, scan_sup_f and scan_sup_A3 are
+scan_box restricted to one family.
 
 _bounds is the one table of the five bounds (g_upper, f_lower, f_abs,
 f1_upper, f1_lower), and _excesses evaluates it at any points (t, y).
@@ -47,11 +47,11 @@ import numpy as np
 
 HEADROOM = 1.1
 Y_GRID_FLOOR = 1e-6
-BLOCK = 1 << 14  # y samples per scan chunk: 256 kB per two-row float64 temporary
-# cap on the points a scan evaluates, 2 per y sample: one scan_box of 2^20
-# y samples takes 0.11-0.13 s on a 2-core Xeon, and the cap (5e7 y samples)
-# is 48 times that box
-_MAX_POINTS = 10**8
+# y_samples bounds: at least 1000 scanned points, 2 per y sample; at most
+# 2^14 samples, where a whole-array scan peaks near 3.3 MB (about 200 bytes
+# per y sample) and its suprema agree with a 1e7-sample scan to 1.2e-7
+MIN_Y_SAMPLES = 500
+MAX_Y_SAMPLES = 1 << 14
 # the largest C2 / y_min a box may span: float g carries a relative error
 # of about 2^-52 t/y, so about 6 digits are left at 1e10 (the default box
 # spans 2e6)
@@ -62,7 +62,8 @@ MAX_SCAN_T_OVER_Y = 1e10
 class BoxSpec:
     """Scan box [C1, C2] x (0, y_max] with a geometric y grid from 1e-6.
 
-    A scan evaluates t = C1 and t = C2 against each of the y_samples.
+    A scan evaluates t = C1 and t = C2 against each of the y_samples,
+    which must lie in [MIN_Y_SAMPLES, MAX_Y_SAMPLES] = [500, 16384].
     """
 
     C1: float
@@ -79,18 +80,12 @@ class BoxSpec:
         if not (self.y_max > 0):
             raise ValueError("y_max: need a positive number")
         n = self.y_samples
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError("y_samples: need a positive integer")
-        points = 2 * int(n)
-        if points < 1000:
-            raise ValueError(
-                f"y_samples: need at least 1000 scanned points (2 per y sample), got {points}"
-            )
-        if points > _MAX_POINTS:
-            raise ValueError(
-                f"y_samples: need at most {_MAX_POINTS:.0e} scanned points "
-                f"(2 per y sample), got {points}"
-            )
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError("y_samples: need an integer")
+        if n < MIN_Y_SAMPLES:
+            raise ValueError(f"y_samples: need at least {MIN_Y_SAMPLES} y samples, got {n}")
+        if n > MAX_Y_SAMPLES:
+            raise ValueError(f"y_samples: need at most {MAX_Y_SAMPLES} y samples, got {n}")
 
     def y_grid(self):
         return np.geomspace(self._y_min(), self.y_max, self.y_samples)
@@ -124,37 +119,6 @@ class BoxSpec:
         if not math.isfinite(scale):
             raise ValueError(f"C2: (p^2/2) C2^(p-2) overflows at p = {p:g}")
         return scale
-
-
-def _linspace_part(start, stop, num, lo, hi):
-    """np.linspace(start, stop, num)[lo:hi], computed without the other points.
-
-    numpy's arithmetic, k * step + start with step = (stop - start)/(num - 1)
-    and the last point set to stop, so the values are bit-identical.
-    """
-    part = np.arange(lo, min(hi, num), dtype=float)
-    part = part * ((stop - start) / max(num - 1, 1)) + start
-    if hi >= num > 1:
-        part[-1] = stop
-    return part
-
-
-def _row_blocks(box):
-    """The box's y grid as (1, cols) rows of at most BLOCK columns each.
-
-    The chunks are built one at a time, bit for bit as box.y_grid() (a
-    geomspace: 10 to the power of a linspace of exponents, with exact end
-    points) gives them, so no array holds more than BLOCK points of it.
-    """
-    y_lo, n_y = box._y_min(), box.y_samples
-    log_lo, log_hi = np.log10(y_lo), np.log10(box.y_max)
-    for col in range(0, n_y, BLOCK):
-        y = 10.0 ** _linspace_part(log_lo, log_hi, n_y, col, col + BLOCK)
-        if col == 0:
-            y[0] = y_lo
-        if col + BLOCK >= n_y > 1:
-            y[-1] = box.y_max
-        yield y[None, :]
 
 
 # -- stable scalar forms ------------------------------------------------
@@ -275,15 +239,13 @@ def scan_box(box, eps, p, m):
     if m is not None and not (m > 2):
         raise ValueError("exponent m must exceed 2")
     t = np.array([box.C1, box.C2])[:, None]
-    chunk_sups = {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for y in _row_blocks(box):
-            for key, excess, c in _excesses(box, t, y, eps, p, m):
-                chunk_sups.setdefault(key, []).append(np.max(excess / c))
-    sups = {key: float(np.max(v)) for key, v in chunk_sups.items()}
+        sups = {
+            key: float(np.max(excess / c))
+            for key, excess, c in _excesses(box, t, box.y_grid()[None, :], eps, p, m)
+        }
     if m is not None:
-        # as in a full-array scan, a NaN in the upper defect propagates
-        # while a NaN only in the lower one does not
+        # a NaN in the upper defect propagates, a NaN only in the lower one does not
         sups["f1_sandwich"] = float(max(sups.pop("f1_upper"), sups.pop("f1_lower")))
     return sups
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import logcrit as lc
-from logcrit.bubbles import DEFAULT_N_LIST
+from logcrit.bubbles import DEFAULT_N_LIST, scale_ladder
 
 GAP_N_LIST = (16, 32, 64, 128, 256)
 
@@ -139,6 +139,10 @@ def test_fit_input_validation():
         lc.fit_norm_exponent(g, (4, 8, 16, 32), 2.0)
     with pytest.raises(ValueError, match="geometric"):
         lc.fit_norm_exponent(g, (4, 8, 16, 32, 50), 2.0)
+    with pytest.raises(ValueError, match="distinct"):
+        lc.fit_norm_exponent(g, (128, 128, 128, 128, 128), 2.0)
+    # a descending ladder is still a ladder
+    assert scale_ladder((32, 16, 8, 4, 2)) == [32, 16, 8, 4, 2]
     with pytest.raises(ValueError, match="p must lie"):
         lc.fit_norm_exponent(g, (2, 4, 8, 16, 32), 6.0)
     with pytest.raises(ValueError, match="p must lie"):

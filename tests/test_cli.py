@@ -448,7 +448,9 @@ def test_bad_r0_is_a_config_error(tmp_path, capsys, command, r0, why):
         (dict(n_list=[16, 32, 64.5, 128, 256]), "n_list: need an integer"),
         (dict(n_list=[16, 32, 48, 64, 80]), "n_list: scales must form a geometric progression"),
         (dict(n_list=[16, 32, 64, 128]), "n_list: need at least 5 scales for a stable fit"),
+        (dict(n_list=[128, 128, 128, 128, 128]), "n_list: scales must be distinct"),
         (dict(fit_p=2.0), "fit_p: need a list of exponents"),
+        (dict(fit_p=[]), "fit_p: need at least one exponent"),
         (dict(fit_p=[2.0, "abc"]), "fit_p: need a number"),
         (dict(N=4, q=3.0, fit_p=[7.0]), "fit_p: need exponents in [1, 4)"),
         (dict(sweep_solve="false"), "sweep_solve: need true or false"),
@@ -479,6 +481,8 @@ SWEEP_RANGE_KEYS = ["sweep_lambda", "sweep_mu", "sweep_nu", "sweep_q", "sweep_th
         (dict(fit_p=2.0), "fit_p: need a list of exponents"),
         (dict(fit_p=[True]), "fit_p: need a number"),
         (dict(fit_p=["2.0"]), "fit_p: need a number"),
+        (dict(n_list=[128, 128, 128, 128, 128]), "n_list: scales must be distinct"),
+        (dict(fit_p=[]), "fit_p: need at least one exponent"),
         (dict(out=5), "out: need a path"),
         (dict(out=None), "out: need a path"),
     ]
@@ -562,10 +566,10 @@ def test_integral_float_keys_are_accepted(tmp_path):
 
 def test_verify_rejects_an_oversized_box(tmp_path, capsys):
     tmp = str(tmp_path)
-    cfg = write_config(tmp, N=4, q=3.0, y_samples=5 * 10**7 + 1)
+    cfg = write_config(tmp, N=4, q=3.0, y_samples=16385)
     assert main(["verify", "--config", cfg, "--out", tmp]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: y_samples: need at most")
+    assert err == "config error: y_samples: need at most 16384 y samples, got 16385\n"
     assert os.listdir(tmp) == ["cfg.json"]
 
 

@@ -16,6 +16,9 @@ FROZEN_F6_ABS = 227.72400383260273
 FROZEN_F4_ABS = 4.395599999999463
 FROZEN_A3_M3 = 6.599998899165082
 
+# (2*, q) of the certify runs (N, q) = (3, 2.5), (4, 3), (5, 2.8)
+CERTIFY_EXPONENTS = [(6.0, 2.5), (4.0, 3.0), (10.0 / 3.0, 2.8)]
+
 
 def test_closed_form_point_values():
     # g(1,1) = 4 ln 4 - 2, f(4,1,1) = 10, f1(3,1,1) = 4
@@ -68,13 +71,20 @@ def test_frozen_finder_constants():
     assert lc.find_A3(3.0, BOX) == pytest.approx(FROZEN_A3_M3, rel=1e-12)
 
 
-def test_constants_stable_under_grid_doubling():
-    fine = lc.BoxSpec(0.5, 2.0, y_samples=2000)
+@pytest.mark.parametrize("y_samples", [2000, inequalities.MAX_Y_SAMPLES])
+def test_constants_stable_under_grid_doubling(y_samples):
+    # the cap's rationale: at 2^14 y samples the certify exponents' suprema
+    # sit within 1e-4 of the default box's (measured 1.7e-5), far inside
+    # the 10% HEADROOM, so a denser float scan would certify nothing more
+    fine = lc.BoxSpec(0.5, 2.0, y_samples=y_samples)
     assert lc.find_A1(fine, 0.5) == pytest.approx(lc.find_A1(BOX, 0.5), rel=0.05)
     assert lc.find_A3(2.5, fine) == pytest.approx(lc.find_A3(2.5, BOX), rel=0.05)
     _, hat_f = lc.find_f_constants(6.0, fine)
     _, hat_c = lc.find_f_constants(6.0, BOX)
     assert hat_f == pytest.approx(hat_c, rel=0.05)
+    for p, q in CERTIFY_EXPONENTS:
+        coarse = inequalities.scan_box(BOX, q - 2.0, p, q)
+        assert inequalities.scan_box(fine, q - 2.0, p, q) == pytest.approx(coarse, rel=1e-4)
 
 
 def test_constants_monotone_in_box():
@@ -138,7 +148,7 @@ def test_finder_rejections():
         lc.BoxSpec(0.0, 1.0)
     with pytest.raises(ValueError, match="y_max"):
         lc.BoxSpec(0.5, 2.0, y_max=-1.0)
-    with pytest.raises(ValueError, match="^y_samples: need at least 1000 scanned points"):
+    with pytest.raises(ValueError, match="^y_samples: need at least 500 y samples"):
         lc.BoxSpec(0.5, 2.0, y_samples=10)
 
 
@@ -162,15 +172,16 @@ def test_box_rejects_bad_keys(kw, key):
 
 
 def test_box_size_is_bounded():
-    # a scan evaluates 2 points per y sample, and needs between 1000 and
-    # 1e8 of them: 500 <= y_samples <= 5e7.  Building a box scans nothing.
-    with pytest.raises(ValueError, match="^y_samples: need at least 1000 scanned points"):
+    # a scan evaluates 2 points per y sample, at least 1000 of them, and
+    # holds the whole y grid: 500 <= y_samples <= 2^14.  Building a box
+    # scans nothing.
+    with pytest.raises(ValueError, match="^y_samples: need at least 500 y samples, got 499"):
         lc.BoxSpec(0.5, 2.0, y_samples=499)
     assert lc.BoxSpec(0.5, 2.0, y_samples=500).y_samples == 500
-    for y_samples in (5 * 10**7 + 1, 10**12, np.int64(2**62)):
-        with pytest.raises(ValueError, match="^y_samples: need at most"):
+    assert lc.BoxSpec(0.5, 2.0, y_samples=16384).y_samples == 16384
+    for y_samples in (16385, np.int64(2**62)):
+        with pytest.raises(ValueError, match="^y_samples: need at most 16384 y samples"):
             lc.BoxSpec(0.5, 2.0, y_samples=y_samples)
-    assert lc.BoxSpec(0.5, 2.0, y_samples=5 * 10**7).y_samples == 5 * 10**7
 
 
 def test_box_constant_overflow_names_C2():
@@ -450,13 +461,10 @@ SCANS = pytest.mark.parametrize(
     "scans", [single_sups, inequalities.scan_box], ids=["single", "scan_box"]
 )
 
-# (2*, q) of the certify runs (N, q) = (3, 2.5), (4, 3), (5, 2.8)
-CERTIFY_EXPONENTS = [(6.0, 2.5), (4.0, 3.0), (10.0 / 3.0, 2.8)]
-
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @SCANS
-class TestScanBlocksBitExact:
+class TestScanBitExact:
     def check(self, scans, box, p, q, t_samples=REF_T_SAMPLES):
         got = scans(box, q - 2.0, p, q)
         want = ref_sups(box, q - 2.0, p, q, t_samples=t_samples)
@@ -468,32 +476,13 @@ class TestScanBlocksBitExact:
         assert bits(got) == bits(want)
         assert all(np.isfinite(v) for v in got.values())
 
-    @pytest.mark.parametrize(
-        "y_samples",
-        [500, 1001, inequalities.BLOCK - 1, inequalities.BLOCK + 1, 2 * inequalities.BLOCK + 5],
-    )
-    def test_shapes_the_block_does_not_divide(self, scans, y_samples):
-        # a 7-point reference t grid keeps the long rows' reference small
-        assert y_samples % inequalities.BLOCK != 0
+    @pytest.mark.parametrize("y_samples", [500, 1001, 16383, 16384])
+    def test_y_sample_counts(self, scans, y_samples):
+        # the floor, odd counts and the cap; a 7-point reference t grid
+        # keeps the long rows' reference small
         box = lc.BoxSpec(0.5, 2.0, y_samples=y_samples)
         for p, q in CERTIFY_EXPONENTS:
             got, want = self.check(scans, box, p, q, t_samples=7)
-            assert bits(got) == bits(want)
-
-    def test_rows_longer_than_a_block(self, scans):
-        # the y axis splits into chunks of BLOCK columns; their points are
-        # those of y_grid, bit for bit
-        box = lc.BoxSpec(0.5, 2.0, y_samples=2 * inequalities.BLOCK + 5)
-        chunks = list(inequalities._row_blocks(box))
-        assert [y.shape for y in chunks] == [
-            (1, inequalities.BLOCK),
-            (1, inequalities.BLOCK),
-            (1, 5),
-        ]
-        ys = np.concatenate([y[0] for y in chunks])
-        assert np.array_equal(ys, box.y_grid())
-        for p, q in CERTIFY_EXPONENTS:
-            got, want = self.check(scans, box, p, q, t_samples=3)
             assert bits(got) == bits(want)
 
     def test_lower_bound_absent_for_p_at_most_3(self, scans):
@@ -548,10 +537,10 @@ class TestScanBlocksBitExact:
         ],
         ids=["A1", "f", "A3"],
     )
-    def test_nan_only_in_the_last_block(self, scans, exponents, box):
+    def test_nan_only_in_the_t_C2_row(self, scans, exponents, box):
         # the t = C1 row is finite, and the t = C2 row holds every NaN; the
         # one- and two-point reference t grids are [C1] and [C1, C2]
-        box = lc.BoxSpec(**box, y_samples=inequalities.BLOCK)
+        box = lc.BoxSpec(**box, y_samples=inequalities.MAX_Y_SAMPLES)
         assert all(np.isfinite(v) for v in ref_sups(box, *exponents, t_samples=1).values())
         want = ref_sups(box, *exponents, t_samples=2)
         assert any(np.isnan(v) for v in want.values())
@@ -597,11 +586,10 @@ def test_scan_evaluates_only_the_t_end_points(monkeypatch):
 @SCANS
 def test_scan_memory_stays_below_one_full_grid(scans):
     # the full-array scan of the 1000 x 1000 default box peaked at about
-    # 32 MB (four 8 MB grids alive at once), and a whole-array end-point
-    # scan of 1e6 y samples holds 16 MB per (2, 1e6) temporary; a chunked
-    # scan holds a few chunk-sized temporaries, and builds a long y axis
-    # chunk by chunk, so it stays below one 8 MB grid of 1e6 points
-    for box in (BOX, lc.BoxSpec(0.5, 2.0, y_samples=10**6)):
+    # 32 MB (four 8 MB grids alive at once); the end-point scan holds a few
+    # (2, y_samples) temporaries, about 200 bytes per y sample, so even the
+    # largest box stays below one 8 MB grid of 1e6 points
+    for box in (BOX, lc.BoxSpec(0.5, 2.0, y_samples=inequalities.MAX_Y_SAMPLES)):
         tracemalloc.start()
         try:
             scans(box, 0.5, 6.0, 2.5)
