@@ -10,13 +10,13 @@ exactly at p = N/(N-2).  All rates are recovered here by log-log fits.
 """
 
 from logcrit import (
+    best_sobolev_constant,
     build_grid,
     expected_lp_exponent,
     fit_gap_exponent,
     fit_grid_for,
     fit_norm_exponent,
     log_corrected,
-    sobolev_constant_closed_form,
 )
 from logcrit.bubbles import DEFAULT_N_LIST
 
@@ -27,7 +27,7 @@ for N in (3, 4, 5):
     s_grad, _, _ = fit_gap_exponent(N, (16, 32, 64, 128, 256), 0.25, "grad")
     s_crit, _, _ = fit_gap_exponent(N, (16, 32, 64, 128, 256), 0.25, "crit")
     print(
-        f"{N:>3} {sobolev_constant_closed_form(N):>10.5f} "
+        f"{N:>3} {best_sobolev_constant(N):>10.5f} "
         f"{s_grad:>11.4f} {s_crit:>11.4f}"
     )
 print("expected: grad ~ -(N-2), crit ~ -N")

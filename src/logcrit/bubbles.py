@@ -10,8 +10,8 @@ origin with
     |U_n|_{2s}^{2s}  = S^{N/2} + O(n^{-N})
     |U_n|_p^p        = O(n^{-min{(N-2)p/2, N-(N-2)p/2}})
 
-up to ln n corrections at p = N/(N-2), and for p = 2 exactly at N = 4.
-The decay fits below verify these rates empirically.
+up to a ln n factor at p = N/(N-2), which is p = 2 at N = 4.  The decay
+fits below verify these rates empirically.
 
 Only the reference quadratures (bubble_h1_quadrature, bubble_lp_quadrature)
 use scipy.integrate, and they import it at their first call: sampling U_n
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import sphere_area
+from .grid import best_sobolev_constant, sphere_area
 
 # Large n needs both fine grids (core width 1/n) and a wide window;
 # this geometric ladder keeps every fitted slope within the 5% band
@@ -46,14 +46,33 @@ class BubbleSpec:
             raise ValueError("truncation radius r0 must be positive")
 
 
+def _profile(spec):
+    """The closed forms r -> u_{1/n}(r) and r -> u_{1/n}'(r) of spec's profile.
+
+    Each takes a scalar or an array r >= 0.
+    """
+    N, n = spec.N, spec.n
+    m = (N - 2.0) / 2.0
+    amp = (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
+    coef = amp * n**m * (-m)
+
+    def u(r):
+        return amp * (n / (1.0 + (n * r) ** 2)) ** m
+
+    def du(r):
+        # amp n^m * d/dr (1 + n^2 r^2)^{-m}
+        return coef * (1.0 + (n * r) ** 2) ** (-m - 1.0) * 2.0 * n * n * r
+
+    return u, du
+
+
 def bubble_value(spec, r):
     """The untruncated profile u_{1/n} at radius r (scalar or array)."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    N, n = spec.N, spec.n
-    amp = (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
-    val = amp * (n / (1.0 + (n * r) ** 2)) ** ((N - 2.0) / 2.0)
+    u, _ = _profile(spec)
+    val = u(r)
     if val.ndim == 0:
         return float(val)
     return val
@@ -83,65 +102,46 @@ def truncated_bubble(spec, g):
 # spans ~1/n), so the decay-rate checks integrate the closed form.
 
 
-def bubble_h1_quadrature(spec):
-    """|grad U_n|_2^2 by adaptive quadrature of the closed form."""
+def _support_quadrature(spec, core, taper):
+    """sigma_{N-1} (int_0^{r0} core + int_{r0}^{2 r0} taper) by adaptive quadrature.
+
+    [0, r0] is split at the core width, min(1/n, r0).
+    """
     from scipy.integrate import quad
 
-    N, n, r0 = spec.N, spec.n, spec.r0
-    amp = (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
-    m = (N - 2.0) / 2.0
+    r0 = spec.r0
+    tol = dict(epsabs=1e-15, epsrel=1e-13, limit=300)
+    cut = min(1.0 / spec.n, r0)
+    a, _ = quad(core, 0.0, cut, **tol)
+    b = quad(core, cut, r0, **tol)[0] if cut < r0 else 0.0
+    c, _ = quad(taper, r0, 2.0 * r0, **tol)
+    return sphere_area(spec.N) * (a + b + c)
 
-    def du_core(r):
-        # d/dr u_{1/n}: amp n^m * d/dr (1+n^2r^2)^{-m}
-        return amp * n**m * (-m) * (1.0 + (n * r) ** 2) ** (-m - 1.0) * 2.0 * n * n * r
 
-    def u_val(r):
-        return amp * (n / (1.0 + (n * r) ** 2)) ** m
+def bubble_h1_quadrature(spec):
+    """|grad U_n|_2^2 by adaptive quadrature of the closed form."""
+    u, du = _profile(spec)
+    k, r0 = spec.N - 1.0, spec.r0
 
-    def integrand_core(r):
-        return du_core(r) ** 2 * r ** (N - 1.0)
+    def taper(r):
+        # d/dr of ((2 r0 - r) / r0) u(r)
+        d = (-1.0 / r0) * u(r) + ((2.0 * r0 - r) / r0) * du(r)
+        return d**2 * r**k
 
-    def integrand_taper(r):
-        t = (2.0 * r0 - r) / r0
-        dt = -1.0 / r0
-        du = dt * u_val(r) + t * du_core(r)
-        return du**2 * r ** (N - 1.0)
-
-    cut = min(1.0 / n, r0)
-    a, _ = quad(integrand_core, 0.0, cut, epsabs=1e-15, epsrel=1e-13, limit=300)
-    b = 0.0
-    if cut < r0:
-        b, _ = quad(integrand_core, cut, r0, epsabs=1e-15, epsrel=1e-13, limit=300)
-    c, _ = quad(integrand_taper, r0, 2.0 * r0, epsabs=1e-15, epsrel=1e-13, limit=300)
-    return sphere_area(N) * (a + b + c)
+    return _support_quadrature(spec, lambda r: du(r) ** 2 * r**k, taper)
 
 
 def bubble_lp_quadrature(spec, p):
     """int U_n^p over R^N by adaptive quadrature of the closed form."""
-    from scipy.integrate import quad
-
     if not (p > 0):
         raise ValueError("exponent p must be positive")
-    N, n, r0 = spec.N, spec.n, spec.r0
-    amp = (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
-    m = (N - 2.0) / 2.0
-
-    def u_val(r):
-        return amp * (n / (1.0 + (n * r) ** 2)) ** m
-
-    def integrand_core(r):
-        return u_val(r) ** p * r ** (N - 1.0)
-
-    def integrand_taper(r):
-        return (((2.0 * r0 - r) / r0) * u_val(r)) ** p * r ** (N - 1.0)
-
-    cut = min(1.0 / n, r0)
-    a, _ = quad(integrand_core, 0.0, cut, epsabs=1e-15, epsrel=1e-13, limit=300)
-    b = 0.0
-    if cut < r0:
-        b, _ = quad(integrand_core, cut, r0, epsabs=1e-15, epsrel=1e-13, limit=300)
-    c, _ = quad(integrand_taper, r0, 2.0 * r0, epsabs=1e-15, epsrel=1e-13, limit=300)
-    return sphere_area(N) * (a + b + c)
+    u, _ = _profile(spec)
+    k, r0 = spec.N - 1.0, spec.r0
+    return _support_quadrature(
+        spec,
+        lambda r: u(r) ** p * r**k,
+        lambda r: (((2.0 * r0 - r) / r0) * u(r)) ** p * r**k,
+    )
 
 
 # -- decay-rate fits ----------------------------------------------------
@@ -167,10 +167,8 @@ def fit_loglog(ns, vals):
 
 
 def log_corrected(N, p):
-    """Whether |U_n|_p^p carries a ln n factor: p = N/(N-2), or p = 2 at N = 4."""
-    if abs(p - N / (N - 2.0)) < 1e-12:
-        return True
-    return False
+    """Whether |U_n|_p^p carries the ln n factor: p = N/(N-2)."""
+    return abs(p - N / (N - 2.0)) < 1e-12
 
 
 def expected_lp_exponent(N, p):
@@ -223,9 +221,7 @@ def fit_gap_exponent(N, n_list, r0, which):
     both are evaluated by adaptive quadrature since the gaps sit far below
     grid resolution at large n.  Returns (slope, intercept, residual).
     """
-    from .grid import sobolev_constant_closed_form
-
-    target = sobolev_constant_closed_form(N) ** (N / 2.0)
+    target = best_sobolev_constant(N) ** (N / 2.0)
     gaps = []
     for n in n_list:
         spec = BubbleSpec(N=N, n=int(n), r0=r0)

@@ -3,7 +3,8 @@
 load_config parses each config key once, by its kind in CONFIG_KEYS, so the
 subcommands read typed values; validate_numerics makes the range checks.
 Exit codes: 0 success; 1 config error (a bad key or value, an integer
-beyond 2^53 in magnitude, a grid over MAX_CELLS cells, a ridge check over
+beyond 2^53 in magnitude, a grid over MAX_CELLS cells, a mesh or a bubble
+quadrature that leaves double range at large N, a ridge check over
 MAX_PATH_CELLS ray-sample cells, a bad certificate box, or the N >= 6,
 nu <= 0 hypothesis gate, which a solving sweep applies to every row it
 solves); 2 solve
@@ -245,7 +246,9 @@ def _solve_failure(e):
 def validate_numerics(cfg, p=None):
     """Reject out-of-range numeric and list keys; returns the certificate scan box.
 
-    With the problem p, also reject fit_p exponents outside [1, 2*), a
+    Rejects an (N, R, M) mesh whose origin cell volume is not a normal
+    double, which at M = 400 on the unit ball means N >= 94.  With the
+    problem p, also reject fit_p exponents outside [1, 2*), a
     verify fit grid of more than MAX_CELLS cells, a box whose f_abs
     constant (2*^2/2) C2^(2*-2) overflows a double, and a box past the
     cancellation range of BoxSpec.check_span.
@@ -264,6 +267,19 @@ def validate_numerics(cfg, p=None):
         )
     if cfg["r0"] is not None and not (0.0 < 4.0 * cfg["r0"] <= cfg["R"]):
         raise ConfigError("r0: need 0 < 4*r0 <= R")
+    N, R, M = cfg["N"], cfg["R"], cfg["M"]
+    if N >= 3 and R > 0:
+        # the grid's smallest weight, its origin cell |B(0, R / 2M)|: the
+        # operator divides by it, so it must be a normal double
+        try:
+            cell = ball_volume(N, R / M / 2.0)
+        except OverflowError:  # |S^{N-1}| or (R / 2M)^N leaves double range
+            cell = math.nan
+        if not (sys.float_info.min <= cell < math.inf):
+            raise ConfigError(
+                f"N = {N}: the origin cell of the {M}-cell mesh on B(0, {R:g}) "
+                "has a volume outside the normal doubles"
+            )
     try:
         bubbles.scale_ladder(cfg["n_list"])
     except ValueError as e:
@@ -392,7 +408,12 @@ def _decay_certificates(p, r0):
         ("grad_norm_gap_decay", "grad", -0.9 * (p.N - 2.0)),
         ("critical_norm_gap_decay", "crit", -(p.N - 1.0)),
     ):
-        slope, _, _ = bubbles.fit_gap_exponent(p.N, GAP_N_LIST, r0, norm)
+        try:
+            slope, _, _ = bubbles.fit_gap_exponent(p.N, GAP_N_LIST, r0, norm)
+        except OverflowError as e:  # the float integrands; N >= 73 at the default r0
+            raise ConfigError(f"N = {p.N}: the bubble quadrature leaves double range") from e
+        except ValueError:  # a gap of exactly 0, below double resolution: no slope
+            slope = math.nan
         certs.append(
             {
                 "lemma": lemma,
@@ -408,11 +429,11 @@ def _decay_certificates(p, r0):
 def cmd_verify(cfg, args):
     p = problem_from(cfg)
     box = validate_numerics(cfg, p)
-    out = _outdir(cfg, args)
     r0 = p.R / 4.0 if cfg["r0"] is None else cfg["r0"]
 
     certs, sups = _inequality_certificates(p, box)
     certs += _decay_certificates(p, r0)
+    out = _outdir(cfg, args)
     write_text(os.path.join(out, "certificates.json"), canonical_json(certs))
 
     n_list = cfg["n_list"]

@@ -8,16 +8,18 @@ cell faces.
 
 Each grid builds its banded operator -Laplacian once (RadialGrid.band),
 runs the principal eigen-iteration once (RadialGrid.eigenpair) and
-evaluates the sharp Sobolev constant S(N) once (RadialGrid.sobolev); all
-three are cached on the instance, read-only, and shared by every solver
-stage that works on the grid.  Every tridiagonal system goes through
-solve_tridiagonal, a direct call of LAPACK gtsv.
+evaluates the sharp Sobolev constant S(N) once (RadialGrid.sobolev), as
+its closed form rounded once to a double; all three are cached on the
+instance, read-only, and shared by every solver stage that works on the
+grid.  Every tridiagonal system goes through solve_tridiagonal, a direct
+call of LAPACK gtsv.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gamma, pi
 
+import mpmath
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
@@ -66,7 +68,7 @@ class RadialGrid:
         sig = sphere_area(self.N)
         r = h * np.arange(self.M)
         w = sig * r ** (self.N - 1) * h
-        w[0] = sig * (h / 2.0) ** self.N / self.N  # exact ball of radius h/2
+        w[0] = ball_volume(self.N, h / 2.0)  # exact ball of radius h/2
         # trapezoid half-weight of the boundary node, folded into the last
         # stored node so the weight sum reproduces the ball volume to O(h^2)
         w[-1] += sig * self.R ** (self.N - 1) * h / 2.0
@@ -277,81 +279,25 @@ def principal_eigenpair(grid):
 
 # -- sharp Sobolev constant -------------------------------------------
 
-
-# _sobolev_quadrature(N) for N = 3..12, as the doubles it returns.  They
-# differ from the correctly rounded closed form in the last bits at some N
-# (N = 4: 10.26039864129491 against 10.260398641294913), so the table keeps
-# the quadrature's values and every level computed from S stays the same.
-_SOBOLEV_TABLE = {
-    3: 5.477904089531332,
-    4: 10.26039864129491,
-    5: 14.811911720005936,
-    6: 19.259456665473206,
-    7: 23.65151570098242,
-    8: 28.01052756003957,
-    9: 32.348284265627,
-    10: 36.671569821051456,
-    11: 40.98456137996557,
-    12: 45.289970737295825,
-}
+# A context of its own: setting the shared mpmath precision would race
+# with other threads that use mpmath.
+_MP40 = mpmath.MPContext()
+_MP40.dps = 40
 
 
 def best_sobolev_constant(N):
     """Best constant S(N) in ||grad u||_2^2 >= S ||u||_{2*}^2 on R^N.
 
-    For N <= 12 the value of _sobolev_quadrature(N) from a table, so that a
-    solve does not load scipy.integrate; for larger N the quadrature itself.
+    The closed form pi N (N-2) (Gamma(N/2) / Gamma(N))^{2/N} (Aubin 1976;
+    Talenti 1976), evaluated at 40 digits and rounded once: the correctly
+    rounded double for every N.
     """
     if N < 3:
         raise ValueError("dimension N must be >= 3")
-    S = _SOBOLEV_TABLE.get(N)
-    return S if S is not None else _sobolev_quadrature(N)
-
-
-def _sobolev_quadrature(N):
-    """S(N) as the Rayleigh quotient of the radial profile (1 + r^2)^{-(N-2)/2}.
-
-    Evaluated by adaptive quadrature on [0, 200] plus closed asymptotic
-    tails.  The profile decays like r^{-(N-2)} so both integrals converge
-    for N >= 3.
-    """
-    from scipy.integrate import quad
-
-    m = (N - 2) / 2.0
-    sig = sphere_area(N)
-    ts = 2.0 * N / (N - 2.0)
-
-    def grad2(r):
-        # |d/dr (1+r^2)^{-m}|^2 r^{N-1}
-        return (2.0 * m * r * (1.0 + r * r) ** (-m - 1.0)) ** 2 * r ** (N - 1.0)
-
-    def upow(r):
-        return (1.0 + r * r) ** (-m * ts) * r ** (N - 1.0)
-
-    cut = 200.0
-    num, _ = quad(grad2, 0.0, cut, limit=400, epsabs=1e-14, epsrel=1e-13)
-    den, _ = quad(upow, 0.0, cut, limit=400, epsabs=1e-14, epsrel=1e-13)
-    # tails from the expansion (1+r^2)^{-N} = r^{-2N}(1 - N/r^2 + N(N+1)/(2r^4) - ...)
-    # grad2(r) = 4 m^2 r^{N+1} (1+r^2)^{-N}
-    num_tail = 4.0 * m * m * (
-        cut ** (N - 2 * N + 2) / (2 * N - N - 2)
-        - N * cut ** (N - 2 * N) / (2 * N - N)
-        + N * (N + 1) / 2.0 * cut ** (N - 2 * N - 2) / (2 * N - N + 2)
+    mp = _MP40
+    return float(
+        mp.pi * N * (N - 2) * (mp.gamma(mp.mpf(N) / 2) / mp.gamma(N)) ** (mp.mpf(2) / N)
     )
-    # upow(r) = r^{N-1} (1+r^2)^{-N} similarly
-    den_tail = (
-        cut ** (N - 2 * N) / (2 * N - N)
-        - N * cut ** (N - 2 * N - 2) / (2 * N - N + 2)
-        + N * (N + 1) / 2.0 * cut ** (N - 2 * N - 4) / (2 * N - N + 4)
-    )
-    num = sig * (num + num_tail)
-    den = sig * (den + den_tail)
-    return num / den ** ((N - 2.0) / N)
-
-
-def sobolev_constant_closed_form(N):
-    """pi N (N-2) (Gamma(N/2) / Gamma(N))^{2/N}; reference for the quadrature."""
-    return pi * N * (N - 2) * (gamma(N / 2.0) / gamma(float(N))) ** (2.0 / N)
 
 
 # -- CSV round trip ----------------------------------------------------

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,3 +53,22 @@ def random_dirichlet_profile(g, rng, floor=0.0):
     """Random positive profile vanishing at the boundary like 1 - (r/R)^2."""
     bump = 1.0 - (g.r / g.R) ** 2
     return floor + np.abs(rng.standard_normal(g.M)) * bump
+
+
+def sobolev_rayleigh_quotient(N):
+    """S(N) as the Rayleigh quotient of (1 + r^2)^{-(N-2)/2}, by mpmath.quad at 30 digits.
+
+    An independent reference for best_sobolev_constant: no Gamma-function
+    closed form, only the two integrals of the quotient.
+    """
+    with mpmath.workdps(30):
+        mpf, inf = mpmath.mpf, mpmath.inf
+        # r = e^s turns r^{N-1} (1 + r^2)^{-N} dr into (2 cosh s)^{-N} ds;
+        # the 2^{-N} stays out of the integrands, whose peaks are then O(1),
+        # because quad's tolerance is absolute
+        i2 = mpmath.quad(lambda s: mpmath.exp(2 * s) * mpmath.cosh(s) ** -N, [-inf, 0, inf])
+        i0 = mpmath.quad(lambda s: mpmath.cosh(s) ** -N, [-inf, 0, inf])
+        sig = 2 * mpmath.pi ** (mpf(N) / 2) / mpmath.gamma(mpf(N) / 2)
+        grad = sig * (N - 2) ** 2 * i2 / mpf(2) ** N  # |u'|^2 = (N-2)^2 r^2 (1+r^2)^{-N}
+        crit = sig * i0 / mpf(2) ** N  # u^{2*} = (1+r^2)^{-N}
+        return float(grad / crit ** (mpf(N - 2) / N))

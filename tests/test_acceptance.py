@@ -24,7 +24,13 @@ import pytest
 import logcrit as lc
 from logcrit.bubbles import DEFAULT_N_LIST
 from logcrit.cli import main
-from conftest import INSTANCE_A, INSTANCE_B, SHOWCASE, random_dirichlet_profile
+from conftest import (
+    INSTANCE_A,
+    INSTANCE_B,
+    SHOWCASE,
+    random_dirichlet_profile,
+    sobolev_rayleigh_quotient,
+)
 
 
 def report_line(num, desc, ok, detail):
@@ -66,7 +72,7 @@ def test_criterion_2_sobolev_constant():
     worst = 0.0
     for N in (3, 4, 5):
         got = lc.best_sobolev_constant(N)
-        ref = lc.sobolev_constant_closed_form(N)
+        ref = sobolev_rayleigh_quotient(N)
         worst = max(worst, abs(got - ref) / ref)
     dt = time.perf_counter() - t0
     ok = worst <= 1e-3 and dt < 1.0

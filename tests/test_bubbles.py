@@ -82,7 +82,7 @@ def test_quadrature_matches_grid_integration():
 
 def test_sobolev_quotient_approaches_optimum_from_above():
     for N in (3, 4, 5):
-        S = lc.sobolev_constant_closed_form(N)
+        S = lc.best_sobolev_constant(N)
         prev = None
         for n in (8, 32, 128):
             spec = lc.BubbleSpec(N=N, n=n, r0=0.25)

