@@ -20,7 +20,7 @@ from logcrit import (
 )
 from logcrit.bubbles import DEFAULT_N_LIST
 
-# gap decay toward the optimal constant, by adaptive quadrature
+# gap decay toward the optimal constant, from the closed-form gaps
 print("decay of | |grad U_n|^2 - S^{N/2} |  and  | |U_n|_{2*}^{2*} - S^{N/2} |")
 print(f"{'N':>3} {'S':>10} {'grad slope':>11} {'crit slope':>11}")
 for N in (3, 4, 5):

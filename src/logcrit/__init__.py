@@ -9,8 +9,6 @@ solvers (two-level pipeline), cli (batch front end).
 
 from .bubbles import (
     BubbleSpec,
-    bubble_h1_quadrature,
-    bubble_lp_quadrature,
     bubble_value,
     expected_lp_exponent,
     fit_gap_exponent,
@@ -84,8 +82,6 @@ __all__ = [
     "ball_volume",
     "bessel_lambda1",
     "best_sobolev_constant",
-    "bubble_h1_quadrature",
-    "bubble_lp_quadrature",
     "bubble_value",
     "build_grid",
     "check_corollary",

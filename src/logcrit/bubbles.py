@@ -13,16 +13,17 @@ origin with
 up to a ln n factor at p = N/(N-2), which is p = 2 at N = 4.  The decay
 fits below verify these rates empirically.
 
-Only the reference quadratures (bubble_h1_quadrature, bubble_lp_quadrature)
-use scipy.integrate, and they import it at their first call: sampling U_n
-on a grid, as a solve does, never loads it.
+The two critical-norm gaps have a closed form (norm_gaps), which imports
+scipy.special at its first call: sampling U_n on a grid, as a solve does,
+never loads it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import best_sobolev_constant, sphere_area
+from .grid import sphere_area
 
 # Large n needs both fine grids (core width 1/n) and a wide window;
 # this geometric ladder keeps every fitted slope within the 5% band
@@ -46,33 +47,14 @@ class BubbleSpec:
             raise ValueError("truncation radius r0 must be positive")
 
 
-def _profile(spec):
-    """The closed forms r -> u_{1/n}(r) and r -> u_{1/n}'(r) of spec's profile.
-
-    Each takes a scalar or an array r >= 0.
-    """
-    N, n = spec.N, spec.n
-    m = (N - 2.0) / 2.0
-    amp = (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
-    coef = amp * n**m * (-m)
-
-    def u(r):
-        return amp * (n / (1.0 + (n * r) ** 2)) ** m
-
-    def du(r):
-        # amp n^m * d/dr (1 + n^2 r^2)^{-m}
-        return coef * (1.0 + (n * r) ** 2) ** (-m - 1.0) * 2.0 * n * n * r
-
-    return u, du
-
-
 def bubble_value(spec, r):
     """The untruncated profile u_{1/n} at radius r (scalar or array)."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    u, _ = _profile(spec)
-    val = u(r)
+    N, n = spec.N, spec.n
+    amp = (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
+    val = amp * (n / (1.0 + (n * r) ** 2)) ** ((N - 2.0) / 2.0)
     if val.ndim == 0:
         return float(val)
     return val
@@ -97,51 +79,67 @@ def truncated_bubble(spec, g):
     return bubble_value(spec, g.r) * _taper(spec, g.r)
 
 
-# -- reference norms by adaptive quadrature ----------------------------
-# Grid quadrature cannot resolve the O(n^{-N}) gap at large n (the core
-# spans ~1/n), so the decay-rate checks integrate the closed form.
+# -- critical-norm gaps in closed form -----------------------------------
+# The untruncated profile has sigma int_0^inf |u'|^2 r^{N-1} dr =
+# sigma int_0^inf u^{2s} r^{N-1} dr = S^{N/2} exactly, so each critical
+# norm of U_n differs from S^{N/2} by sigma_{N-1} times (its taper piece on
+# [r0, 2 r0] minus the core tail on [r0, inf)).  In x = n r both pieces
+# depend on X = n r0 alone: the tail is an incomplete beta function of
+# t0 = 1/(1 + X^2) and the taper an integral over [X, 2X].  No S^{N/2} is
+# subtracted, so the gap keeps its relative precision at every n.
+
+TAPER_NODES = 48  # Gauss-Legendre nodes of the taper piece
 
 
-def _support_quadrature(spec, core, taper):
-    """sigma_{N-1} (int_0^{r0} core + int_{r0}^{2 r0} taper) by adaptive quadrature.
+@functools.cache
+def _taper_rule():
+    """Gauss-Legendre nodes and weights on [1, 2], built at the first call; read-only."""
+    from numpy.polynomial.legendre import leggauss
 
-    [0, r0] is split at the core width, min(1/n, r0).
+    xi, w = leggauss(TAPER_NODES)
+    rule = (1.5 + 0.5 * xi, 0.5 * w)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def norm_gaps(N, n_list, r0, which):
+    """The gaps |grad U_n|_2^2 - S^{N/2} (which = "grad") or
+    |U_n|_{2s}^{2s} - S^{N/2} (which = "crit"), one per n in n_list.
+
+    scipy.special is imported here, at the first call.  Raises
+    OverflowError when a gap leaves double range.
     """
-    from scipy.integrate import quad
+    from scipy.special import beta, betainc
 
-    r0 = spec.r0
-    tol = dict(epsabs=1e-15, epsrel=1e-13, limit=300)
-    cut = min(1.0 / spec.n, r0)
-    a, _ = quad(core, 0.0, cut, **tol)
-    b = quad(core, cut, r0, **tol)[0] if cut < r0 else 0.0
-    c, _ = quad(taper, r0, 2.0 * r0, **tol)
-    return sphere_area(spec.N) * (a + b + c)
-
-
-def bubble_h1_quadrature(spec):
-    """|grad U_n|_2^2 by adaptive quadrature of the closed form."""
-    u, du = _profile(spec)
-    k, r0 = spec.N - 1.0, spec.r0
-
-    def taper(r):
-        # d/dr of ((2 r0 - r) / r0) u(r)
-        d = (-1.0 / r0) * u(r) + ((2.0 * r0 - r) / r0) * du(r)
-        return d**2 * r**k
-
-    return _support_quadrature(spec, lambda r: du(r) ** 2 * r**k, taper)
-
-
-def bubble_lp_quadrature(spec, p):
-    """int U_n^p over R^N by adaptive quadrature of the closed form."""
-    if not (p > 0):
-        raise ValueError("exponent p must be positive")
-    u, _ = _profile(spec)
-    k, r0 = spec.N - 1.0, spec.r0
-    return _support_quadrature(
-        spec,
-        lambda r: u(r) ** p * r**k,
-        lambda r: (((2.0 * r0 - r) / r0) * u(r)) ** p * r**k,
-    )
+    if which not in ("grad", "crit"):
+        raise ValueError("which must be 'grad' or 'crit'")
+    for n in n_list:
+        BubbleSpec(N=N, n=int(n), r0=r0)  # rejects a bad N, n or r0
+    m = (N - 2.0) / 2.0
+    X = np.array([int(n) for n in n_list], dtype=float) * r0
+    y, w = _taper_rule()
+    x = X[:, None] * y  # the taper nodes on [X, 2X]
+    tau = 2.0 - y  # the cut-off factor (2 r0 - r) / r0
+    t0 = 1.0 / (1.0 + X * X)
+    with np.errstate(all="ignore"):
+        amp = np.float64(N * (N - 2.0)) ** (m / 2.0)
+        s = x / (1.0 + x * x)  # at most 1/2: its powers cannot overflow
+        if which == "grad":
+            # [d/dx tau (1 + x^2)^{-m}]^2 x^{N-1}, and the tail of |u'|^2 r^{N-1}
+            taper = s ** (N - 2.0) * x * (1.0 / X[:, None] + 2.0 * m * tau * s) ** 2
+            a, b = N / 2.0 - 1.0, N / 2.0 + 1.0
+            scale, tail_scale = amp**2, 4.0 * m * m
+        else:
+            # tau^{2s} (1 + x^2)^{-N} x^{N-1}, and the tail of u^{2s} r^{N-1}
+            taper = tau ** (2.0 * N / (N - 2.0)) * s ** (N - 1.0) / (1.0 + x * x)
+            a = b = N / 2.0
+            scale, tail_scale = amp ** (2.0 * N / (N - 2.0)), 1.0
+        tail = tail_scale * 0.5 * betainc(a, b, t0) * beta(a, b)
+        gaps = sphere_area(N) * scale * (X * (taper @ w) - tail)
+    if not np.all(np.isfinite(gaps)):
+        raise OverflowError("a bubble norm gap leaves double range")
+    return gaps
 
 
 # -- decay-rate fits ----------------------------------------------------
@@ -218,21 +216,10 @@ def fit_gap_exponent(N, n_list, r0, which):
     """Fit the decay exponent of |value - S^{N/2}| for the two critical norms.
 
     which = "grad" uses |grad U_n|_2^2, which = "crit" uses |U_n|_{2s}^{2s};
-    both are evaluated by adaptive quadrature since the gaps sit far below
-    grid resolution at large n.  Returns (slope, intercept, residual).
+    the gaps sit far below grid resolution at large n, so norm_gaps gives
+    them in closed form.  Returns (slope, intercept, residual).
     """
-    target = best_sobolev_constant(N) ** (N / 2.0)
-    gaps = []
-    for n in n_list:
-        spec = BubbleSpec(N=N, n=int(n), r0=r0)
-        if which == "grad":
-            v = bubble_h1_quadrature(spec)
-        elif which == "crit":
-            v = bubble_lp_quadrature(spec, 2.0 * N / (N - 2.0))
-        else:
-            raise ValueError("which must be 'grad' or 'crit'")
-        gaps.append(abs(v - target))
-    return fit_loglog(n_list, gaps)
+    return fit_loglog(n_list, np.abs(norm_gaps(N, n_list, r0, which)))
 
 
 def fit_grid_for(R, n_list):

@@ -3,19 +3,20 @@
 load_config parses each config key once, by its kind in CONFIG_KEYS, so the
 subcommands read typed values; validate_numerics makes the range checks.
 Exit codes: 0 success; 1 config error (a bad key or value, an integer
-beyond 2^53 in magnitude, a grid over MAX_CELLS cells, a mesh or a bubble
-quadrature that leaves double range at large N, a ridge check over
+beyond 2^53 in magnitude, a grid over MAX_CELLS cells, a mesh, a fit
+sample or a bubble norm gap that leaves double range at large N, a mesh
+operator that leaves it at extreme R, a ridge check over
 MAX_PATH_CELLS ray-sample cells, a bad certificate box, or the N >= 6,
 nu <= 0 hypothesis gate, which a solving sweep applies to every row it
 solves); 2 solve
 precondition failed at run time (no region membership, unusable region, a
 failed ridge check of the saddle); 3 verification failure (structure
-check, gap bound, certificate margin, a non-finite scan supremum or slope
-fit) or a saddle failure (no saddle found, or one at or below its level
-floor or at the minimizer).  SOLVE_FAILURES maps each solve failure to its
-stderr prefix, its exit code and its sweep row status.  Outputs use fixed
-17-significant-digit floats and fixed orderings, so identical configs
-produce byte-identical outputs.
+check, gap bound, certificate margin, a non-finite scan supremum, or a
+slope fit off its band or not finite) or a saddle failure (no saddle
+found, or one at or below its level floor or at the minimizer).
+SOLVE_FAILURES maps each solve failure to its stderr prefix, its exit code
+and its sweep row status.  Outputs use fixed 17-significant-digit floats
+and fixed orderings, so identical configs produce byte-identical outputs.
 """
 
 import argparse
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import bubbles, inequalities, solvers
 from .energy import ProblemParams
-from .grid import ball_volume, build_grid, save_grid_function
+from .grid import ball_volume, build_grid, save_grid_function, sphere_area
 from .regions import region_membership
 
 EXIT_OK = 0
@@ -39,7 +40,7 @@ EXIT_CONFIG = 1
 EXIT_GATE = 2
 EXIT_VERIFY = 3
 
-GAP_N_LIST = (16, 32, 64, 128, 256)  # quadrature-based decay fits
+GAP_N_LIST = (16, 32, 64, 128, 256)  # scales of the closed-form gap fits
 
 # config key: (default, kind).  load_config parses each value once, by its
 # kind; a list kind is (element kind, what the list holds)
@@ -247,9 +248,11 @@ def validate_numerics(cfg, p=None):
     """Reject out-of-range numeric and list keys; returns the certificate scan box.
 
     Rejects an (N, R, M) mesh whose origin cell volume is not a normal
-    double, which at M = 400 on the unit ball means N >= 94.  With the
+    double, which at M = 400 on the unit ball means N >= 94, and one whose
+    operator divides by a cell weight times h^2 outside (0, inf).  With the
     problem p, also reject fit_p exponents outside [1, 2*), a
-    verify fit grid of more than MAX_CELLS cells, a box whose f_abs
+    verify fit grid of more than MAX_CELLS cells, a largest fit sample
+    (amp max(n_list)^m)^max(fit_p) past double range, a box whose f_abs
     constant (2*^2/2) C2^(2*-2) overflows a double, and a box past the
     cancellation range of BoxSpec.check_span.
     """
@@ -280,6 +283,19 @@ def validate_numerics(cfg, p=None):
                 f"N = {N}: the origin cell of the {M}-cell mesh on B(0, {R:g}) "
                 "has a volume outside the normal doubles"
             )
+        # the operator divides by w_i h^2: from cell h^2 at the origin up to
+        # about (3/2) |S^{N-1}| R^{N-1} h^3 at the boundary, which the factor
+        # 2 bounds with room for rounding
+        h = R / M
+        try:
+            edge = 2.0 * sphere_area(N) * R ** (N - 1) * h**3
+        except OverflowError:
+            edge = math.inf
+        if not (0.0 < cell * h * h and edge < math.inf):
+            raise ConfigError(
+                f"R = {R:g}: the {M}-cell mesh on B(0, {R:g}) divides by "
+                "cell weights times h^2 outside double range"
+            )
     try:
         bubbles.scale_ladder(cfg["n_list"])
     except ValueError as e:
@@ -292,6 +308,16 @@ def validate_numerics(cfg, p=None):
         cells = bubbles.fit_grid_for(p.R, cfg["n_list"])
         if cells > MAX_CELLS:
             raise ConfigError(f"n_list: need a fit grid of at most {MAX_CELLS} cells, got {cells}")
+        # the fit samples U_n^p up to (amp n^m)^p at the origin
+        m = (N - 2.0) / 2.0
+        log_peak = max(cfg["fit_p"]) * (
+            m / 2.0 * math.log(N * (N - 2.0)) + m * math.log(max(cfg["n_list"]))
+        )
+        if not log_peak < math.log(sys.float_info.max):
+            raise ConfigError(
+                f"N = {N}: the largest bubble sample (amp max(n_list)^m)^max(fit_p) "
+                "of the fit leaves double range"
+            )
     try:
         box = inequalities.BoxSpec(**{f.name: cfg[f.name] for f in fields(inequalities.BoxSpec)})
         if p is not None:
@@ -402,7 +428,7 @@ def _inequality_certificates(p, box):
 
 
 def _decay_certificates(p, r0):
-    """Quadrature-based decay rates of the two critical bubble norms."""
+    """Decay rates of the closed-form gaps of the two critical bubble norms."""
     certs = []
     for lemma, norm, thresh in (
         ("grad_norm_gap_decay", "grad", -0.9 * (p.N - 2.0)),
@@ -410,8 +436,8 @@ def _decay_certificates(p, r0):
     ):
         try:
             slope, _, _ = bubbles.fit_gap_exponent(p.N, GAP_N_LIST, r0, norm)
-        except OverflowError as e:  # the float integrands; N >= 73 at the default r0
-            raise ConfigError(f"N = {p.N}: the bubble quadrature leaves double range") from e
+        except OverflowError as e:  # a gap that is not finite
+            raise ConfigError(f"N = {p.N}: {e}") from e
         except ValueError:  # a gap of exactly 0, below double resolution: no slope
             slope = math.nan
         certs.append(
@@ -447,7 +473,7 @@ def cmd_verify(cfg, args):
             % (p.N, fmt_float(pexp), fmt_float(slope), fmt_float(inter), fmt_float(resid))
         )
         expected = bubbles.expected_lp_exponent(p.N, pexp)
-        if abs(slope - expected) > 0.05 * abs(expected):
+        if not abs(slope - expected) <= 0.05 * abs(expected):  # a NaN slope fails
             slope_ok = False
             print(
                 f"slope fit p={pexp:g}: {slope:.4f} vs expected {expected:g}",

@@ -1,12 +1,15 @@
+import functools
+
+import mpmath
 import numpy as np
 import pytest
 
 import logcrit as lc
-from logcrit.bubbles import DEFAULT_N_LIST, scale_ladder
+from logcrit.bubbles import DEFAULT_N_LIST, norm_gaps, scale_ladder
 
 GAP_N_LIST = (16, 32, 64, 128, 256)
 
-# frozen fit slopes (adaptive quadrature, r0 = 0.25, scales 16..256)
+# frozen fit slopes (closed-form gaps, r0 = 0.25, scales 16..256)
 FROZEN_GRAD_SLOPE = {3: -0.9804, 4: -1.9550, 5: -2.9228}
 FROZEN_CRIT_SLOPE = {3: -2.9708, 4: -3.9582, 5: -4.9441}
 # frozen grid-sampled |U_n|_2^2 slopes (scales 128..2048, M = 32768)
@@ -68,16 +71,44 @@ def test_cutoff_requires_margin_and_matching_dimension():
         lc.bubble_value(lc.BubbleSpec(N=4, n=1, r0=0.1), -0.5)
 
 
+@functools.cache
+def mp_norms(N, n, r0):
+    """(|grad U_n|_2^2, |U_n|_{2s}^{2s}) as 30-digit mpf, by mpmath.quad.
+
+    An independent reference for norm_gaps: the profile and its derivative,
+    integrated over the core [0, 1/n, r0] and the taper [r0, 2 r0], with no
+    closed form of the tail.
+    """
+    with mpmath.workdps(30):
+        N_, n_, r0 = mpmath.mpf(N), mpmath.mpf(n), mpmath.mpf(r0)
+        m, ts = (N_ - 2) / 2, 2 * N_ / (N_ - 2)
+        amp = (N_ * (N_ - 2)) ** (m / 2)
+        sig = 2 * mpmath.pi ** (N_ / 2) / mpmath.gamma(N_ / 2)
+
+        def u(r):
+            return amp * (n_ / (1 + (n_ * r) ** 2)) ** m
+
+        def du(r):
+            return -2 * m * amp * n_ ** (m + 2) * r * (1 + (n_ * r) ** 2) ** (-m - 1)
+
+        def norm(core, taper):
+            return sig * (
+                mpmath.quad(lambda r: core(r) * r ** (N_ - 1), [0, 1 / n_, r0])
+                + mpmath.quad(lambda r: taper((2 * r0 - r) / r0, r) * r ** (N_ - 1), [r0, 2 * r0])
+            )
+
+        h1 = norm(lambda r: du(r) ** 2, lambda tau, r: (tau * du(r) - u(r) / r0) ** 2)
+        crit = norm(lambda r: u(r) ** ts, lambda tau, r: (tau * u(r)) ** ts)
+        return h1, crit
+
+
 def test_quadrature_matches_grid_integration():
     spec = lc.BubbleSpec(N=4, n=16, r0=0.25)
     g = lc.build_grid(4, 1.0, 16384)
     u = lc.truncated_bubble(spec, g)
-    assert g.h1_seminorm_sq(u) == pytest.approx(
-        lc.bubble_h1_quadrature(spec), rel=1e-3
-    )
-    assert g.lp_norm_p(u, 4.0) == pytest.approx(
-        lc.bubble_lp_quadrature(spec, 4.0), rel=1e-3
-    )
+    h1, crit = mp_norms(4, 16, 0.25)
+    assert g.h1_seminorm_sq(u) == pytest.approx(float(h1), rel=1e-3)
+    assert g.lp_norm_p(u, 4.0) == pytest.approx(float(crit), rel=1e-3)
 
 
 def test_sobolev_quotient_approaches_optimum_from_above():
@@ -85,14 +116,36 @@ def test_sobolev_quotient_approaches_optimum_from_above():
         S = lc.best_sobolev_constant(N)
         prev = None
         for n in (8, 32, 128):
-            spec = lc.BubbleSpec(N=N, n=n, r0=0.25)
-            h1 = lc.bubble_h1_quadrature(spec)
-            crit = lc.bubble_lp_quadrature(spec, 2.0 * N / (N - 2.0))
-            q = h1 / crit ** ((N - 2.0) / N)
+            h1, crit = mp_norms(N, n, 0.25)
+            with mpmath.workdps(30):
+                q = float(h1 / crit ** (mpmath.mpf(N - 2) / N))
             assert q >= S * (1.0 - 1e-6)
             if prev is not None:
                 assert q <= prev * (1.0 + 1e-9)
             prev = q
+
+
+def test_norm_gaps_match_a_30_digit_quadrature():
+    # the reference subtracts S^{N/2} at 30 digits, which leaves 16 or more
+    # digits of each gap
+    for N in (3, 4, 5):
+        with mpmath.workdps(30):
+            N_ = mpmath.mpf(N)
+            S = mpmath.pi * N_ * (N_ - 2) * (mpmath.gamma(N_ / 2) / mpmath.gamma(N_)) ** (2 / N_)
+            target = S ** (N_ / 2)
+        for k, which in enumerate(("grad", "crit")):
+            gaps = norm_gaps(N, GAP_N_LIST, 0.25, which)
+            for n, gap in zip(GAP_N_LIST, gaps):
+                with mpmath.workdps(30):
+                    ref = float(mp_norms(N, n, 0.25)[k] - target)
+                assert gap == pytest.approx(ref, rel=1e-12), (N, which, n)
+
+
+def test_norm_gaps_past_double_range_raise():
+    # amp^{2s} = (N (N - 2))^{N/2} overflows from about N = 145
+    assert np.all(np.isfinite(norm_gaps(80, GAP_N_LIST, 0.25, "crit")))
+    with pytest.raises(OverflowError, match="double range"):
+        norm_gaps(200, GAP_N_LIST, 0.25, "crit")
 
 
 def test_gradient_gap_decay_rate():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import logcrit as lc
-from logcrit.cli import ConfigError, load_config, main, validate_numerics
+from logcrit.cli import ConfigError, load_config, main, problem_from, validate_numerics
 from conftest import INSTANCE_A
 
 
@@ -704,23 +704,26 @@ def test_sweep_ignores_the_base_value_of_a_swept_parameter(tmp_path):
 
 
 # Run in a fresh interpreter: the test process has loaded scipy.integrate
-# through other tests.  The printed sets are the scipy packages loaded after
-# the non-quadrature subcommands (regions also at N = 13), then after verify.
+# through other tests.  The printed sets are the scipy packages loaded by
+# import logcrit, after the other subcommands (regions also at N = 13),
+# then after verify.
 _IMPORT_PROBE = """
 import json, sys
 import logcrit, logcrit.cli
 from logcrit.cli import main
 heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+loaded = lambda: [m for m in heavy if m in sys.modules]
 cfg, cfg13, out = sys.argv[1], sys.argv[2], sys.argv[3]
+on_import = loaded()
 codes = [main([cmd, "--config", cfg, "--out", out]) for cmd in ("solve", "regions", "sweep")]
 codes.append(main(["regions", "--config", cfg13, "--out", out]))
-before = [m for m in heavy if m in sys.modules]
+before = loaded()
 codes.append(main(["verify", "--config", cfg, "--out", out]))
-print(json.dumps([codes, before, [m for m in heavy if m in sys.modules]]))
+print(json.dumps([codes, on_import, before, loaded()]))
 """
 
 
-def test_cli_loads_scipy_quadrature_only_for_verify(tmp_path):
+def test_cli_loads_neither_quadrature_nor_optimizer(tmp_path):
     tmp = str(tmp_path)
     cfg = write_config(tmp, **instance_a_config(M=128, n=16, sweep_theta=[-2.0, -1.0]))
     # N = 13: the first dimension whose S(N) did not come from a table
@@ -732,12 +735,14 @@ def test_cli_loads_scipy_quadrature_only_for_verify(tmp_path):
         [sys.executable, "-c", _IMPORT_PROBE, cfg, cfg13, tmp],
         env=env, capture_output=True, text=True, check=True,
     )
-    codes, before, after = json.loads(proc.stdout.splitlines()[-1])
+    codes, on_import, before, after = json.loads(proc.stdout.splitlines()[-1])
     assert codes[1:] == [0, 0, 0, 0]  # regions, sweep, regions at N = 13 and verify succeed
     assert codes[0] in (0, 3)  # solve ran to its outputs
     assert os.path.exists(os.path.join(tmp, "solve.json"))
-    assert before == []
-    assert "scipy.integrate" in after
+    assert on_import == before == []
+    # verify's gaps are closed forms: its incomplete beta functions load
+    # scipy.special, and nothing loads a quadrature or an optimizer
+    assert after == ["scipy.special"]
 
 
 def test_sweep_names_the_cause_of_a_failed_row(tmp_path, capsys, monkeypatch):
@@ -843,31 +848,92 @@ def test_mesh_range_boundary(tmp_path):
     validate_numerics(load_config(write_config(str(tmp_path), N=94, q=2.01, M=64)))
 
 
-@pytest.mark.parametrize("N", [73, 80])
-def test_verify_quadrature_past_double_range_is_a_config_error(tmp_path, capsys, N):
-    # the mesh holds N = 80 at M = 400, but the bubble quadrature's float
-    # integrands overflow: this ended in an OverflowError traceback
+@pytest.mark.parametrize("N", [63, 80])
+def test_verify_fit_sample_past_double_range_is_a_config_error(tmp_path, capsys, N):
+    # the mesh holds N = 80 at M = 400, but the fit's largest sample
+    # (amp 2048^m)^2 does not: from N = 63 the p = 2 fit overflowed into
+    # a NaN slope, which passed the band check
     out = str(tmp_path / "out")
     cfg = write_config(str(tmp_path), N=N, q=2.01)
     assert main(["verify", "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err == (
-        f"config error: N = {N}: the bubble quadrature leaves double range\n"
+        f"config error: N = {N}: the largest bubble sample "
+        "(amp max(n_list)^m)^max(fit_p) of the fit leaves double range\n"
     )
     assert not os.path.exists(out)
+    # N = 62 holds at the defaults, and the bound is on the largest sample:
+    # smaller scales or exponents hold N too
+    for over in (dict(N=62), dict(N=N, n_list=[2, 4, 8, 16, 32], fit_p=[1.0])):
+        cfg = load_config(write_config(str(tmp_path), q=2.01, **over))
+        validate_numerics(cfg, problem_from(cfg))
 
 
-def test_verify_vanishing_decay_gap_is_a_failed_certificate(tmp_path, capsys):
-    # at N = 13 a grad bubble norm equals S^{N/2} to the last bit, so its
-    # gap has no logarithm: the certificate has no slope and fails, where
-    # it ended in a ValueError traceback
+def test_verify_nan_slope_fails_the_band_check(tmp_path, capsys, monkeypatch):
+    # abs(nan - e) > 0.05 |e| is False, so a NaN slope passed the band
+    monkeypatch.setattr(lc.bubbles, "fit_norm_exponent", lambda *a, **k: (np.nan, 0.0, 0.0))
     out = str(tmp_path / "out")
-    cfg = write_config(str(tmp_path), N=13, q=2.01)
+    cfg = write_config(str(tmp_path), N=4, q=3.0)
     assert main(["verify", "--config", cfg, "--out", out]) == 3
-    assert "certificate margin not positive: grad_norm_gap_decay\n" in capsys.readouterr().err
+    assert capsys.readouterr().err == "slope fit p=2: nan vs expected -2\n"
+
+
+def test_verify_vanishing_decay_gap_is_a_failed_certificate(tmp_path, capsys, monkeypatch):
+    # a gap of exactly 0 has no logarithm: the certificate has no slope and
+    # fails, where it ended in a ValueError traceback
+    norm_gaps = lc.bubbles.norm_gaps
+
+    def vanishing_grad(N, n_list, r0, which):
+        gaps = norm_gaps(N, n_list, r0, which)
+        return np.zeros_like(gaps) if which == "grad" else gaps
+
+    monkeypatch.setattr(lc.bubbles, "norm_gaps", vanishing_grad)
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), N=4, q=3.0)
+    assert main(["verify", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == "certificate margin not positive: grad_norm_gap_decay\n"
     with open(os.path.join(out, "certificates.json")) as f:
         certs = {c["lemma"]: c for c in json.load(f)}
     assert certs["grad_norm_gap_decay"]["constant"] is None
     assert certs["grad_norm_gap_decay"]["margin"] is None
+    assert certs["critical_norm_gap_decay"]["margin"] > 0
+
+
+def test_verify_decay_certificates_hold_through_n_13(tmp_path, capsys):
+    # the gaps used to be a quadrature minus S^{N/2}, which cancelled to
+    # rounding noise from N = 10.  Closed-form gaps hold the certificates
+    # through N = 13; at N = 14 the true grad gap changes sign between
+    # n = 16 and n = 32, and that certificate fails on its own
+    for N in range(6, 15):
+        out = str(tmp_path / f"N{N}")
+        cfg = write_config(str(tmp_path), N=N, q=2.01)
+        code = main(["verify", "--config", cfg, "--out", out])
+        err = capsys.readouterr().err
+        if N < 14:
+            assert (N, code, err) == (N, 0, "")
+        else:
+            assert code == 3
+            assert err == "certificate margin not positive: grad_norm_gap_decay\n"
+
+
+def test_regions_at_a_radius_past_the_operator_range_is_a_config_error(tmp_path, capsys):
+    # at R = 1e80 the boundary cell weight times h^2 overflows, the operator
+    # row divides by inf, and the eigen solve ended in a LinAlgError
+    # traceback; at R = 1e-80 the origin cell's underflows to 0, and the
+    # operator held inf.  R = 1e50 is in range, and its default parameters
+    # lie in no region (exit 2)
+    for R, code in ((1e50, 2), (1e80, 1), (1e-80, 1)):
+        out = str(tmp_path / f"R{R:g}")
+        cfg = write_config(str(tmp_path), N=3, q=2.5, R=R)
+        assert main(["regions", "--config", cfg, "--out", out]) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err == (
+                f"config error: R = {R:g}: the 400-cell mesh on B(0, {R:g}) divides "
+                "by cell weights times h^2 outside double range\n"
+            )
+            assert not os.path.exists(out)
+        else:
+            assert err == "" and os.path.exists(os.path.join(out, "regions.json"))
 
 
 def test_sweep_without_ranges_exits_one(tmp_path, capsys):
