@@ -11,10 +11,8 @@ exactly at p = N/(N-2).  All rates are recovered here by log-log fits.
 
 from logcrit import (
     best_sobolev_constant,
-    build_grid,
     expected_lp_exponent,
     fit_gap_exponent,
-    fit_grid_for,
     fit_norm_exponent,
     log_corrected,
 )
@@ -33,12 +31,11 @@ for N in (3, 4, 5):
 print("expected: grad ~ -(N-2), crit ~ -N")
 print()
 
-# subcritical L2 decay, sampled on a grid fine enough to resolve the core
-print("decay of |U_n|_2^2 (grid quadrature)")
+# subcritical L2 decay, from the closed-form norms
+print("decay of |U_n|_2^2 (closed form)")
 print(f"{'N':>3} {'fitted':>9} {'expected':>9} {'ln-corrected':>13}")
 for N in (3, 4, 5):
-    g = build_grid(N, 1.0, fit_grid_for(1.0, DEFAULT_N_LIST))
-    slope, _, _ = fit_norm_exponent(g, DEFAULT_N_LIST, 2.0)
+    slope, _, _ = fit_norm_exponent(N, DEFAULT_N_LIST, 2.0, 0.25)
     print(
         f"{N:>3} {slope:>9.4f} {expected_lp_exponent(N, 2.0):>9.1f} "
         f"{str(log_corrected(N, 2.0)):>13}"

@@ -12,7 +12,6 @@ from .bubbles import (
     bubble_value,
     expected_lp_exponent,
     fit_gap_exponent,
-    fit_grid_for,
     fit_loglog,
     fit_norm_exponent,
     log_corrected,
@@ -96,7 +95,6 @@ __all__ = [
     "find_ball_minimizer",
     "find_f_constants",
     "fit_gap_exponent",
-    "fit_grid_for",
     "fit_loglog",
     "fit_norm_exponent",
     "g_profile",

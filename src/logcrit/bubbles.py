@@ -13,9 +13,9 @@ origin with
 up to a ln n factor at p = N/(N-2), which is p = 2 at N = 4.  The decay
 fits below verify these rates empirically.
 
-The two critical-norm gaps have a closed form (norm_gaps), which imports
-scipy.special at its first call: sampling U_n on a grid, as a solve does,
-never loads it.
+The norms and the two critical-norm gaps have closed forms (lp_norms,
+norm_gaps), so no fit samples a grid.  They import scipy.special at their
+first call: sampling U_n on a grid, as a solve does, never loads it.
 """
 
 import functools
@@ -25,11 +25,9 @@ import numpy as np
 
 from .grid import sphere_area
 
-# Large n needs both fine grids (core width 1/n) and a wide window;
-# this geometric ladder keeps every fitted slope within the 5% band
-# when the sampling grid has M = CORE_NODES * max(n_list) cells.
+# the scales of the L^p decay fits: a geometric ladder far enough into the
+# concentration regime that every fitted slope sits within its 5% band
 DEFAULT_N_LIST = (128, 256, 512, 1024, 2048)
-CORE_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -60,13 +58,6 @@ def bubble_value(spec, r):
     return val
 
 
-def _taper(spec, r):
-    """Cut-off factor: 1 on [0,r0], (2r0-r)/r0 on [r0,2r0], 0 beyond."""
-    r = np.asarray(r, dtype=float)
-    fac = np.clip((2.0 * spec.r0 - r) / spec.r0, 0.0, 1.0)
-    return fac
-
-
 def truncated_bubble(spec, g):
     """Sample the cut-off bubble U_n at the grid nodes.
 
@@ -76,67 +67,103 @@ def truncated_bubble(spec, g):
         raise ValueError("need 4*r0 <= R for the cut-off bubble")
     if spec.N != g.N:
         raise ValueError("bubble and grid dimensions differ")
-    return bubble_value(spec, g.r) * _taper(spec, g.r)
+    # the cut-off factor: 1 on [0, r0], (2 r0 - r) / r0 on [r0, 2 r0], 0 beyond
+    return bubble_value(spec, g.r) * np.clip((2.0 * spec.r0 - g.r) / spec.r0, 0.0, 1.0)
 
 
-# -- critical-norm gaps in closed form -----------------------------------
-# The untruncated profile has sigma int_0^inf |u'|^2 r^{N-1} dr =
-# sigma int_0^inf u^{2s} r^{N-1} dr = S^{N/2} exactly, so each critical
-# norm of U_n differs from S^{N/2} by sigma_{N-1} times (its taper piece on
-# [r0, 2 r0] minus the core tail on [r0, inf)).  In x = n r both pieces
-# depend on X = n r0 alone: the tail is an incomplete beta function of
-# t0 = 1/(1 + X^2) and the taper an integral over [X, 2X].  No S^{N/2} is
-# subtracted, so the gap keeps its relative precision at every n.
-
-TAPER_NODES = 48  # Gauss-Legendre nodes of the taper piece
+# -- norms in closed form ------------------------------------------------
+# In x = n r each norm of U_n is a power of n times a core over [0, X] (or
+# its tail over [X, inf)) and a taper piece over [X, 2X], X = n r0.  Both
+# critical norms of the untruncated profile are S^{N/2} exactly, so each
+# gap is sigma_{N-1} times (taper piece - core tail): no S^{N/2} is
+# subtracted, and the gap keeps its relative precision at every n.
 
 
 @functools.cache
 def _taper_rule():
-    """Gauss-Legendre nodes and weights on [1, 2], built at the first call; read-only."""
+    """48 Gauss-Legendre nodes and weights on [1, 2], built at the first call; read-only."""
     from numpy.polynomial.legendre import leggauss
 
-    xi, w = leggauss(TAPER_NODES)
+    xi, w = leggauss(48)
     rule = (1.5 + 0.5 * xi, 0.5 * w)
     for a in rule:
         a.setflags(write=False)
     return rule
 
 
+def _core(k, a, X, tail=False, scale=1.0):
+    """scale int_0^X x^{k-1} (1 + x^2)^{-a} dx per X, or with tail=True its
+    tail int_X^inf.  For b = a - k/2 > 0 both are incomplete beta functions
+    of t0 = 1/(1 + X^2); for b <= 0 the core is (X^k/k) (1 + X^2)^{-a}
+    2F1(a, 1; k/2 + 1; X^2/(1 + X^2)), whose 2F1 carries the ln X of b = 0.
+    """
+    from scipy.special import beta, betainc, betaincc, hyp2f1
+
+    c, b = k / 2.0, a - k / 2.0
+    t0 = 1.0 / (1.0 + X * X)
+    if tail:
+        return scale * 0.5 * betainc(b, c, t0) * beta(b, c)
+    if b > 0:
+        return scale * 0.5 * betaincc(b, c, t0) * beta(c, b)
+    T = X * X * t0
+    return scale * T**c * (1.0 + X * X) ** -b * hyp2f1(a, 1.0, c + 1.0, T) / k
+
+
+def _taper_piece(N, X, p, a):
+    """int_X^{2X} (2 - x/X)^p x^{N-1} (1 + x^2)^{-a} dx per X, with the
+    integrand written so that no factor overflows for a >= (N-2)/2."""
+    y, w = _taper_rule()
+    xx = (X[:, None] * y) ** 2
+    f = (2.0 - y) ** p * (xx / (1.0 + xx)) ** ((N - 1.0) / 2.0) * (1.0 + xx) ** ((N - 1.0) / 2.0 - a)
+    return X * (f @ w)
+
+
+def lp_norms(N, n_list, p, r0):
+    """|U_n|_p^p = sigma_{N-1} amp^p n^{a-N} (core + taper piece), a = (N-2)p/2,
+    for p in [1, 2*), one per n in n_list; a is N/2 exactly at the
+    ln-corrected p.  Raises OverflowError on a norm that is not a positive
+    normal double.
+    """
+    n = np.array([BubbleSpec(N=N, n=int(n), r0=r0).n for n in n_list], dtype=float)
+    ts = 2.0 * N / (N - 2.0)
+    if not (1.0 <= p < ts):
+        raise ValueError(f"exponent p must lie in [1, {ts:g})")
+    m = (N - 2.0) / 2.0
+    a = N / 2.0 if log_corrected(N, p) else m * p
+    X = n * r0
+    with np.errstate(all="ignore"):
+        amp = np.float64(N * (N - 2.0)) ** (m / 2.0)
+        norms = sphere_area(N) * amp**p * n ** (a - N) * (_core(N, a, X) + _taper_piece(N, X, p, a))
+    if not np.all((norms >= np.finfo(float).tiny) & (norms < np.inf)):
+        raise OverflowError("an L^p norm of the cut-off bubble leaves double range")
+    return norms
+
+
 def norm_gaps(N, n_list, r0, which):
     """The gaps |grad U_n|_2^2 - S^{N/2} (which = "grad") or
     |U_n|_{2s}^{2s} - S^{N/2} (which = "crit"), one per n in n_list.
-
-    scipy.special is imported here, at the first call.  Raises
-    OverflowError when a gap leaves double range.
+    Raises OverflowError when a gap leaves double range.
     """
-    from scipy.special import beta, betainc
-
     if which not in ("grad", "crit"):
         raise ValueError("which must be 'grad' or 'crit'")
-    for n in n_list:
-        BubbleSpec(N=N, n=int(n), r0=r0)  # rejects a bad N, n or r0
+    X = np.array([BubbleSpec(N=N, n=int(n), r0=r0).n for n in n_list], dtype=float) * r0
     m = (N - 2.0) / 2.0
-    X = np.array([int(n) for n in n_list], dtype=float) * r0
-    y, w = _taper_rule()
-    x = X[:, None] * y  # the taper nodes on [X, 2X]
-    tau = 2.0 - y  # the cut-off factor (2 r0 - r) / r0
-    t0 = 1.0 / (1.0 + X * X)
     with np.errstate(all="ignore"):
         amp = np.float64(N * (N - 2.0)) ** (m / 2.0)
-        s = x / (1.0 + x * x)  # at most 1/2: its powers cannot overflow
         if which == "grad":
-            # [d/dx tau (1 + x^2)^{-m}]^2 x^{N-1}, and the tail of |u'|^2 r^{N-1}
-            taper = s ** (N - 2.0) * x * (1.0 / X[:, None] + 2.0 * m * tau * s) ** 2
-            a, b = N / 2.0 - 1.0, N / 2.0 + 1.0
-            scale, tail_scale = amp**2, 4.0 * m * m
-        else:
-            # tau^{2s} (1 + x^2)^{-N} x^{N-1}, and the tail of u^{2s} r^{N-1}
-            taper = tau ** (2.0 * N / (N - 2.0)) * s ** (N - 1.0) / (1.0 + x * x)
-            a = b = N / 2.0
-            scale, tail_scale = amp ** (2.0 * N / (N - 2.0)), 1.0
-        tail = tail_scale * 0.5 * betainc(a, b, t0) * beta(a, b)
-        gaps = sphere_area(N) * scale * (X * (taper @ w) - tail)
+            # [d/dx tau (1 + x^2)^{-m}]^2 x^{N-1}, tau = 2 - x/X, and the
+            # tail of |u'|^2 r^{N-1}
+            y, w = _taper_rule()
+            x = X[:, None] * y
+            s = x / (1.0 + x * x)  # at most 1/2: its powers cannot overflow
+            f = s ** (N - 2.0) * x * (1.0 / X[:, None] + 2.0 * m * (2.0 - y) * s) ** 2
+            diff = X * (f @ w) - _core(N + 2, N, X, tail=True, scale=4.0 * m * m)
+            scale = amp**2
+        else:  # the p = 2* case of lp_norms' pieces
+            ts = 2.0 * N / (N - 2.0)
+            diff = _taper_piece(N, X, ts, N) - _core(N, N, X, tail=True)
+            scale = amp**ts
+        gaps = sphere_area(N) * scale * diff
     if not np.all(np.isfinite(gaps)):
         raise OverflowError("a bubble norm gap leaves double range")
     return gaps
@@ -190,38 +217,23 @@ def scale_ladder(n_list):
     return n_list
 
 
-def fit_norm_exponent(g, n_list, p, r0=None):
-    """Fit the decay exponent of |U_n|_p^p sampled on the grid.
+def fit_norm_exponent(N, n_list, p, r0):
+    """Fit the decay exponent of |U_n|_p^p, the closed form of lp_norms.
 
     n_list must pass scale_ladder; p in [1, 2*).  For the ln-corrected
     cases the values are divided by ln n.  Returns (slope, intercept, residual).
     """
     n_list = scale_ladder(n_list)
-    ts = 2.0 * g.N / (g.N - 2.0)
-    if not (1.0 <= p < ts):
-        raise ValueError(f"exponent p must lie in [1, {ts:g})")
-    if r0 is None:
-        r0 = g.R / 4.0
-    vals = []
-    for n in n_list:
-        u = truncated_bubble(BubbleSpec(N=g.N, n=n, r0=r0), g)
-        v = g.lp_norm_p(u, p)
-        if log_corrected(g.N, p):
-            v /= np.log(n)
-        vals.append(v)
+    vals = lp_norms(N, n_list, p, r0)
+    if log_corrected(N, p):
+        vals = vals / np.log(n_list)
     return fit_loglog(n_list, vals)
 
 
 def fit_gap_exponent(N, n_list, r0, which):
-    """Fit the decay exponent of |value - S^{N/2}| for the two critical norms.
-
-    which = "grad" uses |grad U_n|_2^2, which = "crit" uses |U_n|_{2s}^{2s};
-    the gaps sit far below grid resolution at large n, so norm_gaps gives
-    them in closed form.  Returns (slope, intercept, residual).
+    """Fit the decay exponent of the norm_gaps of |grad U_n|_2^2 (which =
+    "grad") or |U_n|_{2s}^{2s} (which = "crit").  Returns (slope, intercept,
+    residual).
     """
     return fit_loglog(n_list, np.abs(norm_gaps(N, n_list, r0, which)))
 
-
-def fit_grid_for(R, n_list):
-    """Mesh size that puts CORE_NODES cells across the smallest core width 1/n."""
-    return int(np.ceil(CORE_NODES * R * max(int(n) for n in n_list)))

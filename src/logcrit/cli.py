@@ -3,12 +3,12 @@
 load_config parses each config key once, by its kind in CONFIG_KEYS, so the
 subcommands read typed values; validate_numerics makes the range checks.
 Exit codes: 0 success; 1 config error (a bad key or value, an integer
-beyond 2^53 in magnitude, a grid over MAX_CELLS cells, a mesh, a fit
-sample or a bubble norm gap that leaves double range at large N, a mesh
-operator that leaves it at extreme R, a ridge check over
-MAX_PATH_CELLS ray-sample cells, a bad certificate box, or the N >= 6,
-nu <= 0 hypothesis gate, which a solving sweep applies to every row it
-solves); 2 solve
+beyond 2^53 in magnitude, a mesh over MAX_CELLS cells, a mesh, a bubble
+norm or a bubble norm gap that leaves double range at large N, a mesh
+operator or an eigen-iteration that leaves it at extreme R, a ridge check
+over MAX_PATH_CELLS ray-sample cells, a bad certificate box, or the
+N >= 6, nu <= 0 hypothesis gate, which a solving sweep applies to every
+row it solves); 2 solve
 precondition failed at run time (no region membership, unusable region, a
 failed ridge check of the saddle); 3 verification failure (structure
 check, gap bound, certificate margin, a non-finite scan supremum, or a
@@ -93,7 +93,7 @@ SCALAR_KINDS = {
     "flag": ("true or false", lambda x: isinstance(x, bool), bool),
 }
 
-# the largest grid a config may ask for, in cells: M, and verify's fit grid
+# the largest mesh a config may ask for, in cells
 MAX_CELLS = 2**20
 # the largest (P, M) stack of ray samples the ridge check may build
 MAX_PATH_CELLS = 64 * MAX_CELLS
@@ -248,13 +248,12 @@ def validate_numerics(cfg, p=None):
     """Reject out-of-range numeric and list keys; returns the certificate scan box.
 
     Rejects an (N, R, M) mesh whose origin cell volume is not a normal
-    double, which at M = 400 on the unit ball means N >= 94, and one whose
-    operator divides by a cell weight times h^2 outside (0, inf).  With the
-    problem p, also reject fit_p exponents outside [1, 2*), a
-    verify fit grid of more than MAX_CELLS cells, a largest fit sample
-    (amp max(n_list)^m)^max(fit_p) past double range, a box whose f_abs
-    constant (2*^2/2) C2^(2*-2) overflows a double, and a box past the
-    cancellation range of BoxSpec.check_span.
+    double, which at M = 400 on the unit ball means N >= 94, one whose
+    operator divides by a cell weight times h^2 outside (0, inf), and a
+    ball so small that the eigen-iteration's Rayleigh quotient overflows.
+    With the problem p, also reject fit_p exponents outside [1, 2*), a box
+    whose f_abs constant (2*^2/2) C2^(2*-2) overflows a double, and a box
+    past the cancellation range of BoxSpec.check_span.
     """
     if cfg["M"] < 8:
         raise ConfigError("M: need at least 8 mesh cells")
@@ -296,6 +295,18 @@ def validate_numerics(cfg, p=None):
                 f"R = {R:g}: the {M}-cell mesh on B(0, {R:g}) divides by "
                 "cell weights times h^2 outside double range"
             )
+        # the eigen-iteration keeps its iterate at unit weighted L^2 norm, so
+        # its largest Rayleigh-quotient term is about lambda1 / |B(0, R)| or
+        # more, where lambda1 = (j_{N/2-1,1} / R)^2 exceeds (N / 2R)^2
+        try:
+            terms = (N / (2.0 * R)) ** 2 / ball_volume(N, R)
+        except OverflowError:  # R^N leaves double range: the terms are tiny
+            terms = 0.0
+        if not terms < math.inf:
+            raise ConfigError(
+                f"R = {R:g}: the eigen-iteration on B(0, {R:g}) sums "
+                "Rayleigh-quotient terms outside double range"
+            )
     try:
         bubbles.scale_ladder(cfg["n_list"])
     except ValueError as e:
@@ -305,19 +316,6 @@ def validate_numerics(cfg, p=None):
     if p is not None:
         if not all(1.0 <= pexp < p.two_star for pexp in cfg["fit_p"]):
             raise ConfigError(f"fit_p: need exponents in [1, {p.two_star:g})")
-        cells = bubbles.fit_grid_for(p.R, cfg["n_list"])
-        if cells > MAX_CELLS:
-            raise ConfigError(f"n_list: need a fit grid of at most {MAX_CELLS} cells, got {cells}")
-        # the fit samples U_n^p up to (amp n^m)^p at the origin
-        m = (N - 2.0) / 2.0
-        log_peak = max(cfg["fit_p"]) * (
-            m / 2.0 * math.log(N * (N - 2.0)) + m * math.log(max(cfg["n_list"]))
-        )
-        if not log_peak < math.log(sys.float_info.max):
-            raise ConfigError(
-                f"N = {N}: the largest bubble sample (amp max(n_list)^m)^max(fit_p) "
-                "of the fit leaves double range"
-            )
     try:
         box = inequalities.BoxSpec(**{f.name: cfg[f.name] for f in fields(inequalities.BoxSpec)})
         if p is not None:
@@ -436,8 +434,6 @@ def _decay_certificates(p, r0):
     ):
         try:
             slope, _, _ = bubbles.fit_gap_exponent(p.N, GAP_N_LIST, r0, norm)
-        except OverflowError as e:  # a gap that is not finite
-            raise ConfigError(f"N = {p.N}: {e}") from e
         except ValueError:  # a gap of exactly 0, below double resolution: no slope
             slope = math.nan
         certs.append(
@@ -458,16 +454,14 @@ def cmd_verify(cfg, args):
     r0 = p.R / 4.0 if cfg["r0"] is None else cfg["r0"]
 
     certs, sups = _inequality_certificates(p, box)
-    certs += _decay_certificates(p, r0)
-    out = _outdir(cfg, args)
-    write_text(os.path.join(out, "certificates.json"), canonical_json(certs))
-
-    n_list = cfg["n_list"]
-    g = build_grid(p.N, p.R, bubbles.fit_grid_for(p.R, n_list))
+    try:
+        certs += _decay_certificates(p, r0)
+        fits = [bubbles.fit_norm_exponent(p.N, cfg["n_list"], e, r0) for e in cfg["fit_p"]]
+    except OverflowError as e:  # a bubble norm or norm gap outside double range
+        raise ConfigError(f"N = {p.N}: {e}") from e
     rows = ["N,p,slope,intercept,residual"]
     slope_ok = True
-    for pexp in cfg["fit_p"]:
-        slope, inter, resid = bubbles.fit_norm_exponent(g, n_list, pexp, r0=r0)
+    for pexp, (slope, inter, resid) in zip(cfg["fit_p"], fits):
         rows.append(
             "%d,%s,%s,%s,%s"
             % (p.N, fmt_float(pexp), fmt_float(slope), fmt_float(inter), fmt_float(resid))
@@ -479,6 +473,8 @@ def cmd_verify(cfg, args):
                 f"slope fit p={pexp:g}: {slope:.4f} vs expected {expected:g}",
                 file=sys.stderr,
             )
+    out = _outdir(cfg, args)
+    write_text(os.path.join(out, "certificates.json"), canonical_json(certs))
     write_text(os.path.join(out, "slopes.csv"), "\n".join(rows))
 
     bad = False

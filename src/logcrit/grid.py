@@ -98,14 +98,6 @@ class RadialGrid:
     def l2_norm_sq(self, u):
         return self.dot(u, u)
 
-    def lp_norm_p(self, u, p):
-        """Integral of |u|^p over the ball."""
-        if not (p > 0):
-            raise ValueError("exponent p must be positive")
-        u = np.asarray(u, dtype=float)
-        self._check_shape(u)
-        return float(np.dot(self.w, np.abs(u) ** p))
-
     def h1_seminorm_sq(self, u):
         """Integral of |grad u|^2, with the zero boundary value included.
 

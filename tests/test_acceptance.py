@@ -243,8 +243,7 @@ def test_criterion_8_bubble_norm_decay():
     t0 = time.perf_counter()
     slopes = {}
     for N in (3, 4, 5):
-        g = lc.build_grid(N, 1.0, lc.fit_grid_for(1.0, DEFAULT_N_LIST))
-        slopes[N], _, _ = lc.fit_norm_exponent(g, DEFAULT_N_LIST, 2.0)
+        slopes[N], _, _ = lc.fit_norm_exponent(N, DEFAULT_N_LIST, 2.0, 0.25)
     grad_ok = True
     for N in (3, 4, 5):
         s, _, _ = lc.fit_gap_exponent(N, (16, 32, 64, 128, 256), 0.25, "grad")

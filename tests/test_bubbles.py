@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 import logcrit as lc
-from logcrit.bubbles import DEFAULT_N_LIST, norm_gaps, scale_ladder
+from logcrit.bubbles import DEFAULT_N_LIST, lp_norms, norm_gaps, scale_ladder
 
 GAP_N_LIST = (16, 32, 64, 128, 256)
 
 # frozen fit slopes (closed-form gaps, r0 = 0.25, scales 16..256)
 FROZEN_GRAD_SLOPE = {3: -0.9804, 4: -1.9550, 5: -2.9228}
 FROZEN_CRIT_SLOPE = {3: -2.9708, 4: -3.9582, 5: -4.9441}
-# frozen grid-sampled |U_n|_2^2 slopes (scales 128..2048, M = 32768)
+# frozen |U_n|_2^2 slopes (scales 128..2048, r0 = 0.25), which a fit of the
+# closed form and a fit sampled on an M = 32768 grid both hold
 FROZEN_L2_SLOPE = {3: -0.9880, 4: -1.9406, 5: -1.9864}
 
 
@@ -72,18 +73,25 @@ def test_cutoff_requires_margin_and_matching_dimension():
 
 
 @functools.cache
-def mp_norms(N, n, r0):
-    """(|grad U_n|_2^2, |U_n|_{2s}^{2s}) as 30-digit mpf, by mpmath.quad.
+def mp_norm(N, n, r0, p=None):
+    """|U_n|_p^p, p defaulting to 2s, or |grad U_n|_2^2 for p = "grad", as a
+    30-digit mpf by mpmath.quad.
 
-    An independent reference for norm_gaps: the profile and its derivative,
-    integrated over the core [0, 1/n, r0] and the taper [r0, 2 r0], with no
-    closed form of the tail.
+    An independent reference for norm_gaps and lp_norms: the profile or its
+    derivative, integrated over the core [0, r0], split at the geometric
+    radii 1/n, 4/n, 16/n, ..., and over the taper [r0, 2 r0], with no closed
+    form of the core or its tail.
     """
     with mpmath.workdps(30):
         N_, n_, r0 = mpmath.mpf(N), mpmath.mpf(n), mpmath.mpf(r0)
-        m, ts = (N_ - 2) / 2, 2 * N_ / (N_ - 2)
+        m = (N_ - 2) / 2
         amp = (N_ * (N_ - 2)) ** (m / 2)
         sig = 2 * mpmath.pi ** (N_ / 2) / mpmath.gamma(N_ / 2)
+        core, r = [0], 1 / n_
+        while r < r0:
+            core.append(r)
+            r *= 4
+        core.append(r0)
 
         def u(r):
             return amp * (n_ / (1 + (n_ * r) ** 2)) ** m
@@ -91,15 +99,22 @@ def mp_norms(N, n, r0):
         def du(r):
             return -2 * m * amp * n_ ** (m + 2) * r * (1 + (n_ * r) ** 2) ** (-m - 1)
 
-        def norm(core, taper):
-            return sig * (
-                mpmath.quad(lambda r: core(r) * r ** (N_ - 1), [0, 1 / n_, r0])
-                + mpmath.quad(lambda r: taper((2 * r0 - r) / r0, r) * r ** (N_ - 1), [r0, 2 * r0])
-            )
+        if p == "grad":
+            inner = lambda r: du(r) ** 2
+            taper = lambda tau, r: (tau * du(r) - u(r) / r0) ** 2
+        else:
+            p = 2 * N_ / (N_ - 2) if p is None else mpmath.mpf(p)
+            inner = lambda r: u(r) ** p
+            taper = lambda tau, r: (tau * u(r)) ** p
+        return sig * (
+            mpmath.quad(lambda r: inner(r) * r ** (N_ - 1), core)
+            + mpmath.quad(lambda r: taper((2 * r0 - r) / r0, r) * r ** (N_ - 1), [r0, 2 * r0])
+        )
 
-        h1 = norm(lambda r: du(r) ** 2, lambda tau, r: (tau * du(r) - u(r) / r0) ** 2)
-        crit = norm(lambda r: u(r) ** ts, lambda tau, r: (tau * u(r)) ** ts)
-        return h1, crit
+
+def mp_norms(N, n, r0):
+    """(|grad U_n|_2^2, |U_n|_{2s}^{2s}) by mp_norm."""
+    return mp_norm(N, n, r0, "grad"), mp_norm(N, n, r0)
 
 
 def test_quadrature_matches_grid_integration():
@@ -108,7 +123,7 @@ def test_quadrature_matches_grid_integration():
     u = lc.truncated_bubble(spec, g)
     h1, crit = mp_norms(4, 16, 0.25)
     assert g.h1_seminorm_sq(u) == pytest.approx(float(h1), rel=1e-3)
-    assert g.lp_norm_p(u, 4.0) == pytest.approx(float(crit), rel=1e-3)
+    assert g.integrate(np.abs(u) ** 4.0) == pytest.approx(float(crit), rel=1e-3)
 
 
 def test_sobolev_quotient_approaches_optimum_from_above():
@@ -162,10 +177,44 @@ def test_critical_norm_gap_decay_rate():
         assert slope <= -(N - 1)
 
 
+def test_lp_norms_match_a_30_digit_quadrature():
+    # a sample of the N that verify accepts, at p = 1, the ln-corrected
+    # p = N/(N-2), p = 2 below 2* and p = (1 + 2*)/2
+    for N in (3, 4, 5, 6, 10, 13, 20, 40, 62):
+        ts = 2.0 * N / (N - 2.0)
+        ps = {1.0, N / (N - 2.0), (1.0 + ts) / 2.0} | ({2.0} if 2.0 < ts else set())
+        for p in sorted(ps):
+            norms = lp_norms(N, (128, 2048), p, 0.25)
+            for n, norm in zip((128, 2048), norms):
+                ref = float(mp_norm(N, n, 0.25, p))
+                assert norm == pytest.approx(ref, rel=1e-6), (N, p, n)
+
+
+def test_lp_norms_outside_the_normal_doubles_raise():
+    # at p = 1 the norm falls like n^{1 - N/2}: at N = 80 it underflows by
+    # n = 2^30; at p = 2, amp^2 = (N (N - 2))^{N/2 - 1} overflows from N = 145
+    assert lp_norms(80, (2048,), 1.0, 0.25)[0] > 0
+    with pytest.raises(OverflowError, match="double range"):
+        lp_norms(80, (2**30,), 1.0, 0.25)
+    assert lp_norms(144, (2048,), 2.0, 0.25)[0] < np.inf
+    with pytest.raises(OverflowError, match="double range"):
+        lp_norms(145, (2048,), 2.0, 0.25)
+
+
 def test_squared_l2_norm_decay_rates():
+    # N = 4 carries the ln n factor, which both fits divide out
     for N in (3, 4, 5):
-        g = lc.build_grid(N, 1.0, lc.fit_grid_for(1.0, DEFAULT_N_LIST))
-        slope, _, _ = lc.fit_norm_exponent(g, DEFAULT_N_LIST, 2.0)
+        slope, _, _ = lc.fit_norm_exponent(N, DEFAULT_N_LIST, 2.0, 0.25)
+        assert slope == pytest.approx(FROZEN_L2_SLOPE[N], abs=2e-3)
+        # the same norms sampled on a grid with 16 cells across the core 1/n
+        g = lc.build_grid(N, 1.0, 16 * max(DEFAULT_N_LIST))
+        sampled = [
+            g.integrate(lc.truncated_bubble(lc.BubbleSpec(N=N, n=n, r0=0.25), g) ** 2)
+            for n in DEFAULT_N_LIST
+        ]
+        if lc.log_corrected(N, 2.0):
+            sampled /= np.log(DEFAULT_N_LIST)
+        slope, _, _ = lc.fit_loglog(DEFAULT_N_LIST, sampled)
         assert slope == pytest.approx(FROZEN_L2_SLOPE[N], abs=2e-3)
 
 
@@ -181,25 +230,19 @@ def test_expected_exponents_and_log_corrections():
     assert not lc.log_corrected(5, 2.0)
 
 
-def test_fit_grid_matches_core_resolution():
-    assert lc.fit_grid_for(1.0, DEFAULT_N_LIST) == 32768
-    assert lc.fit_grid_for(1.0, (4, 8)) == 128
-
-
 def test_fit_input_validation():
-    g = lc.build_grid(3, 1.0, 256)
     with pytest.raises(ValueError, match="5 scales"):
-        lc.fit_norm_exponent(g, (4, 8, 16, 32), 2.0)
+        lc.fit_norm_exponent(3, (4, 8, 16, 32), 2.0, 0.25)
     with pytest.raises(ValueError, match="geometric"):
-        lc.fit_norm_exponent(g, (4, 8, 16, 32, 50), 2.0)
+        lc.fit_norm_exponent(3, (4, 8, 16, 32, 50), 2.0, 0.25)
     with pytest.raises(ValueError, match="distinct"):
-        lc.fit_norm_exponent(g, (128, 128, 128, 128, 128), 2.0)
+        lc.fit_norm_exponent(3, (128, 128, 128, 128, 128), 2.0, 0.25)
     # a descending ladder is still a ladder
     assert scale_ladder((32, 16, 8, 4, 2)) == [32, 16, 8, 4, 2]
     with pytest.raises(ValueError, match="p must lie"):
-        lc.fit_norm_exponent(g, (2, 4, 8, 16, 32), 6.0)
+        lc.fit_norm_exponent(3, (2, 4, 8, 16, 32), 6.0, 0.25)
     with pytest.raises(ValueError, match="p must lie"):
-        lc.fit_norm_exponent(g, (2, 4, 8, 16, 32), 0.5)
+        lc.fit_norm_exponent(3, (2, 4, 8, 16, 32), 0.5, 0.25)
     with pytest.raises(ValueError, match="degenerate"):
         lc.fit_loglog([3.0, 3.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="positive"):

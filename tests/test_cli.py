@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import logcrit as lc
-from logcrit.cli import ConfigError, load_config, main, problem_from, validate_numerics
+from logcrit.cli import ConfigError, load_config, main, validate_numerics
 from conftest import INSTANCE_A
 
 
@@ -581,11 +581,6 @@ def test_verify_rejects_an_oversized_box(tmp_path, capsys):
         ("sweep", dict(M=2**21), "M: need at most 1048576 mesh cells, got 2097152"),
         ("solve", dict(P=10**7), "P: need P * M <= 67108864, got 4000000000"),
         ("sweep", dict(P=10**7), "P: need P * M <= 67108864, got 4000000000"),
-        (
-            "verify",
-            dict(n_list=[8192, 16384, 32768, 65536, 131072]),
-            "n_list: need a fit grid of at most 1048576 cells, got 2097152",
-        ),
     ],
 )
 def test_grids_over_the_cap_are_config_errors(tmp_path, capsys, monkeypatch, command, over, why):
@@ -848,24 +843,42 @@ def test_mesh_range_boundary(tmp_path):
     validate_numerics(load_config(write_config(str(tmp_path), N=94, q=2.01, M=64)))
 
 
-@pytest.mark.parametrize("N", [63, 80])
+# the deepest scales of the fit below: at p = 1, |U_n|_p^p falls like n^{1 - N/2}
+DEEP_N_LIST = [2**26, 2**27, 2**28, 2**29, 2**30]
+
+
+@pytest.mark.parametrize("N", [70, 80])
 def test_verify_fit_sample_past_double_range_is_a_config_error(tmp_path, capsys, N):
-    # the mesh holds N = 80 at M = 400, but the fit's largest sample
-    # (amp 2048^m)^2 does not: from N = 63 the p = 2 fit overflowed into
-    # a NaN slope, which passed the band check
+    # the closed-form norm |U_n|_1 at n = 2^30 underflows from N = 70, where
+    # the fit would take the logarithm of 0
     out = str(tmp_path / "out")
-    cfg = write_config(str(tmp_path), N=N, q=2.01)
+    cfg = write_config(str(tmp_path), N=N, q=2.01, n_list=DEEP_N_LIST, fit_p=[1.0])
     assert main(["verify", "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err == (
-        f"config error: N = {N}: the largest bubble sample "
-        "(amp max(n_list)^m)^max(fit_p) of the fit leaves double range\n"
+        f"config error: N = {N}: an L^p norm of the cut-off bubble leaves double range\n"
     )
     assert not os.path.exists(out)
-    # N = 62 holds at the defaults, and the bound is on the largest sample:
-    # smaller scales or exponents hold N too
-    for over in (dict(N=62), dict(N=N, n_list=[2, 4, 8, 16, 32], fit_p=[1.0])):
-        cfg = load_config(write_config(str(tmp_path), q=2.01, **over))
-        validate_numerics(cfg, problem_from(cfg))
+    # N = 69 holds these scales, and N = 80 holds the default ones, which the
+    # largest grid sample (amp 2048^m)^2 refused from N = 63
+    for over in (dict(N=69, n_list=DEEP_N_LIST, fit_p=[1.0]), dict(N=80)):
+        out = str(tmp_path / f"N{over['N']}")
+        cfg = write_config(str(tmp_path), q=2.01, **over)
+        assert main(["verify", "--config", cfg, "--out", out]) != 1
+        capsys.readouterr()
+        assert os.path.exists(os.path.join(out, "slopes.csv"))
+
+
+def test_verify_builds_no_grid(tmp_path, monkeypatch):
+    # the L^p decay fits use the closed form of lp_norms, as the gaps do
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(lc.grid, "RadialGrid", refuse)
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), N=4, q=3.0)
+    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "slopes.csv")) as f:
+        assert f.readline() == "N,p,slope,intercept,residual\n"
 
 
 def test_verify_nan_slope_fails_the_band_check(tmp_path, capsys, monkeypatch):
@@ -919,18 +932,23 @@ def test_regions_at_a_radius_past_the_operator_range_is_a_config_error(tmp_path,
     # at R = 1e80 the boundary cell weight times h^2 overflows, the operator
     # row divides by inf, and the eigen solve ended in a LinAlgError
     # traceback; at R = 1e-80 the origin cell's underflows to 0, and the
-    # operator held inf.  R = 1e50 is in range, and its default parameters
-    # lie in no region (exit 2)
-    for R, code in ((1e50, 2), (1e80, 1), (1e-80, 1)):
+    # operator held inf.  At R = 1e-62 the eigen-iteration's Rayleigh-quotient
+    # terms, about lambda1 / |B(0, R)| ~ R^{-(N+2)}, overflowed, and it ended
+    # in a "did not converge" RuntimeError traceback.  R = 1e50 and 1e-61 are
+    # in range; at R = 1e50 the default parameters lie in no region (exit 2)
+    divisors = "the 400-cell mesh on B(0, {R}) divides by cell weights times h^2"
+    eigen = "the eigen-iteration on B(0, {R}) sums Rayleigh-quotient terms"
+    for R, code, why in (
+        (1e50, 2, None), (1e-61, 0, None),
+        (1e80, 1, divisors), (1e-80, 1, divisors), (1e-62, 1, eigen),
+    ):
         out = str(tmp_path / f"R{R:g}")
         cfg = write_config(str(tmp_path), N=3, q=2.5, R=R)
         assert main(["regions", "--config", cfg, "--out", out]) == code
         err = capsys.readouterr().err
         if code == 1:
-            assert err == (
-                f"config error: R = {R:g}: the 400-cell mesh on B(0, {R:g}) divides "
-                "by cell weights times h^2 outside double range\n"
-            )
+            what = why.format(R=f"{R:g}")
+            assert err == f"config error: R = {R:g}: {what} outside double range\n"
             assert not os.path.exists(out)
         else:
             assert err == "" and os.path.exists(os.path.join(out, "regions.json"))
