@@ -164,7 +164,7 @@ def norm_gaps(N, n_list, r0, which):
             diff = _taper_piece(N, X, ts, N) - _core(N, N, X, tail=True)
             scale = amp**ts
         gaps = sphere_area(N) * scale * diff
-    if not np.all(np.isfinite(gaps)):
+    if not np.isfinite(gaps).all():
         raise OverflowError("a bubble norm gap leaves double range")
     return gaps
 
@@ -221,11 +221,14 @@ def fit_norm_exponent(N, n_list, p, r0):
     """Fit the decay exponent of |U_n|_p^p, the closed form of lp_norms.
 
     n_list must pass scale_ladder; p in [1, 2*).  For the ln-corrected
-    cases the values are divided by ln n.  Returns (slope, intercept, residual).
+    cases the values are divided by ln n, so every scale must exceed 1.
+    Returns (slope, intercept, residual).
     """
     n_list = scale_ladder(n_list)
     vals = lp_norms(N, n_list, p, r0)
     if log_corrected(N, p):
+        if min(n_list) < 2:
+            raise ValueError("scales must exceed 1 for the ln-corrected exponent")
         vals = vals / np.log(n_list)
     return fit_loglog(n_list, vals)
 

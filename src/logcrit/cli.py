@@ -5,11 +5,12 @@ subcommands read typed values; validate_numerics makes the range checks.
 Exit codes: 0 success; 1 config error (a bad key or value, an integer
 beyond 2^53 in magnitude, a mesh over MAX_CELLS cells, a mesh, a bubble
 norm or a bubble norm gap that leaves double range at large N, a mesh
-operator or an eigen-iteration that leaves it at extreme R, a ridge check
-over MAX_PATH_CELLS ray-sample cells, a bad certificate box, or the
-N >= 6, nu <= 0 hypothesis gate, which a solving sweep applies to every
-row it solves); 2 solve
-precondition failed at run time (no region membership, unusable region, a
+operator or an eigen-iteration that leaves it at extreme R, whether
+validate_numerics' bound or the eigen-iteration itself finds it, a ridge
+check over MAX_PATH_CELLS ray-sample cells, a bad certificate box, a scale
+of 1 in an ln-corrected fit, or the N >= 6, nu <= 0 hypothesis gate, which
+a solving sweep applies to every row it solves); 2 solve precondition
+failed at run time (no region membership, unusable region, a
 failed ridge check of the saddle); 3 verification failure (structure
 check, gap bound, certificate margin, a non-finite scan supremum, or a
 slope fit off its band or not finite) or a saddle failure (no saddle
@@ -17,9 +18,15 @@ found, or one at or below its level floor or at the minimizer).
 SOLVE_FAILURES maps each solve failure to its stderr prefix, its exit code
 and its sweep row status.  Outputs use fixed 17-significant-digit floats
 and fixed orderings, so identical configs produce byte-identical outputs.
+
+A sweep does per row only the work that varies by row: each column value
+is formatted once per sweep, each row's ProblemParams is built from its
+five values with N and R, and every row shares one grid.  main builds its
+argument parser once per process.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,7 +39,7 @@ import numpy as np
 
 from . import bubbles, inequalities, solvers
 from .energy import ProblemParams
-from .grid import ball_volume, build_grid, save_grid_function, sphere_area
+from .grid import EigenRangeError, ball_volume, build_grid, save_grid_function, sphere_area
 from .regions import region_membership
 
 EXIT_OK = 0
@@ -251,7 +258,8 @@ def validate_numerics(cfg, p=None):
     double, which at M = 400 on the unit ball means N >= 94, one whose
     operator divides by a cell weight times h^2 outside (0, inf), and a
     ball so small that the eigen-iteration's Rayleigh quotient overflows.
-    With the problem p, also reject fit_p exponents outside [1, 2*), a box
+    With the problem p, also reject fit_p exponents outside [1, 2*), a scale
+    of 1 in n_list when a fit_p exponent is ln-corrected (ln 1 = 0), a box
     whose f_abs constant (2*^2/2) C2^(2*-2) overflows a double, and a box
     past the cancellation range of BoxSpec.check_span.
     """
@@ -303,10 +311,7 @@ def validate_numerics(cfg, p=None):
         except OverflowError:  # R^N leaves double range: the terms are tiny
             terms = 0.0
         if not terms < math.inf:
-            raise ConfigError(
-                f"R = {R:g}: the eigen-iteration on B(0, {R:g}) sums "
-                "Rayleigh-quotient terms outside double range"
-            )
+            raise _eigen_range_error(R)
     try:
         bubbles.scale_ladder(cfg["n_list"])
     except ValueError as e:
@@ -316,6 +321,11 @@ def validate_numerics(cfg, p=None):
     if p is not None:
         if not all(1.0 <= pexp < p.two_star for pexp in cfg["fit_p"]):
             raise ConfigError(f"fit_p: need exponents in [1, {p.two_star:g})")
+        if min(cfg["n_list"]) < 2 and any(bubbles.log_corrected(p.N, e) for e in cfg["fit_p"]):
+            raise ConfigError(
+                f"n_list: every scale must exceed 1 when fit_p holds the ln-corrected "
+                f"exponent {p.N / (p.N - 2.0):g}, whose fit divides by ln n"
+            )
     try:
         box = inequalities.BoxSpec(**{f.name: cfg[f.name] for f in fields(inequalities.BoxSpec)})
         if p is not None:
@@ -324,6 +334,25 @@ def validate_numerics(cfg, p=None):
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return box
+
+
+def _eigen_range_error(R):
+    """The config error of a ball on which the eigen-iteration leaves double range."""
+    return ConfigError(
+        f"R = {R:g}: the eigen-iteration on B(0, {R:g}) sums "
+        "Rayleigh-quotient terms outside double range"
+    )
+
+
+def _geometry(p, M):
+    """(S, lambda1, volume) of the M-cell grid on p's ball, for region_membership."""
+    g = build_grid(p.N, p.R, M)
+    S = g.sobolev
+    try:
+        lam1, _ = g.eigenpair
+    except EigenRangeError as e:
+        raise _eigen_range_error(p.R) from e
+    return S, lam1, ball_volume(p.N, p.R)
 
 
 def hypothesis_gate(p, explore):
@@ -347,11 +376,7 @@ def _outdir(cfg, args):
 def cmd_regions(cfg, args):
     p = problem_from(cfg)
     validate_numerics(cfg)
-    g = build_grid(p.N, p.R, cfg["M"])
-    S = g.sobolev
-    lam1, _ = g.eigenpair
-    vol = ball_volume(p.N, p.R)
-    rep = region_membership(p, S, lam1, vol)
+    rep = region_membership(p, *_geometry(p, cfg["M"]))
     out = _outdir(cfg, args)
     write_text(os.path.join(out, "regions.json"), canonical_json(asdict(rep)))
     return EXIT_OK if rep.any_membership() else EXIT_GATE
@@ -364,6 +389,8 @@ def cmd_solve(cfg, args):
     out = _outdir(cfg, args)
     try:
         report, path, g = solvers.solve_problem(p, **solve_args(cfg))
+    except EigenRangeError as e:
+        raise _eigen_range_error(p.R) from e
     except SOLVE_FAILURE_TYPES as e:
         _, prefix, code, _ = _solve_failure(e)
         print(f"{prefix}: {e}", file=sys.stderr)
@@ -522,51 +549,64 @@ def _sweep_instance(p, row, geometry, solve_kw):
     row["gap_ok"] = "true" if report.gap_ok else "false"
 
 
-def _sweep_rows(cfg, ranges):
-    """Each row's config, and its problem (None if its parameters do not validate)."""
-    keys = sorted(ranges)  # lexicographic in parameter names, then values
-    for combo in product(*(ranges[k] for k in keys)):
-        sub = dict(cfg, **dict(zip(keys, combo)))
-        try:
-            p = problem_from(sub)
-        except ConfigError:
+def _sweep_rows(cfg):
+    """Each row's five parameter texts, and its problem (None if its parameters
+    do not validate).
+
+    Each SWEEP_PARAMS column is a list of (value, fmt_float(value)) pairs,
+    formatted once per sweep: a swept column holds its sorted range, one not
+    swept its one config value.  The pairs are kept by position, so -0.0 and
+    0.0 stay two rows that print as -0 and 0.  SWEEP_PARAMS is alphabetical,
+    so the product runs the swept names in lexicographic order, then values.
+    """
+    columns = [
+        [(v, fmt_float(v)) for v in sorted(cfg["sweep_" + k]) or [cfg[k]]]
+        for k in SWEEP_PARAMS
+    ]
+    N, R = cfg["N"], cfg["R"]
+    for combo in product(*columns):
+        (lam, _), (mu, _), (nu, _), (q, _), (theta, _) = combo
+        try:  # positional, in field order: keywords cost about 1 us a row
+            p = ProblemParams(N, q, mu, nu, lam, theta, R)
+        except ValueError:
             p = None
-        yield sub, p
+        yield [text for _, text in combo], p
 
 
 def cmd_sweep(cfg, args):
     validate_numerics(cfg)
-    ranges = {k: sorted(cfg["sweep_" + k]) for k in SWEEP_PARAMS if cfg["sweep_" + k]}
-    if not ranges:
+    if not any(cfg["sweep_" + k] for k in SWEEP_PARAMS):
         raise ConfigError("sweep: at least one sweep_* range must be nonempty")
+    rows = list(_sweep_rows(cfg))
+    problems = [p for _, p in rows if p is not None]
     solve_kw = solve_args(cfg) if cfg["sweep_solve"] else None
     if solve_kw is not None:  # every row to solve passes solve's gate before any runs
-        for _, p in _sweep_rows(cfg, ranges):
-            if p is not None:
-                hypothesis_gate(p, args.explore_open_problem)
+        for p in problems:
+            hypothesis_gate(p, args.explore_open_problem)
+    # N, R and M are not swept, so every row shares one grid, built from the
+    # first row whose parameters validate (a config with N < 3 or R <= 0 has
+    # none, and yields invalid-params rows only)
+    geometry = _geometry(problems[0], cfg["M"]) if problems else None
     out = _outdir(cfg, args)
 
-    # N, R and M are not swept, so every row shares one grid; it is built
-    # at the first row whose parameters validate (a config with N < 3 or
-    # R <= 0 has none, and yields invalid-params rows only)
-    geometry = None
+    blank = dict.fromkeys(SWEEP_COLUMNS, "")
+    blank["status"] = "ok"
     lines = [",".join(SWEEP_COLUMNS)]
-    for sub, p in _sweep_rows(cfg, ranges):
-        row = dict.fromkeys(SWEEP_COLUMNS, "")
-        row.update({k: fmt_float(sub[k]) for k in SWEEP_PARAMS}, status="ok")
+    for texts, p in rows:
+        row = blank.copy()
+        row.update(zip(SWEEP_PARAMS, texts))
         if p is None:
             row["status"] = "invalid-params"
         else:
-            if geometry is None:
-                g = build_grid(p.N, p.R, cfg["M"])
-                geometry = (g.sobolev, g.eigenpair[0], ball_volume(p.N, p.R))
             _sweep_instance(p, row, geometry, solve_kw)
-        lines.append(",".join(row[c] for c in SWEEP_COLUMNS))
+        lines.append(",".join(row.values()))
     write_text(os.path.join(out, "sweep.csv"), "\n".join(lines))
     return EXIT_OK
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser of main, built once per process."""
     parser = argparse.ArgumentParser(
         prog="logcrit",
         description="radial two-solution solver and verification suite",
@@ -581,7 +621,11 @@ def main(argv=None):
         action="store_true",
         help="unlock N >= 6 with nu <= 0 (exploratory; outside proven range)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         handler = {

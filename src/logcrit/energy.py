@@ -149,7 +149,7 @@ def energy_terms(p, g, u):
         terms = tuple(map(float, terms))
         finite = all(map(math.isfinite, terms))
     else:
-        finite = all(np.all(np.isfinite(t)) for t in terms)
+        finite = all(np.isfinite(t).all() for t in terms)
     if not finite:
         raise ValueError("non-finite values in grid function")
     return terms
@@ -288,7 +288,7 @@ def g_profile(p, g, u, t_max=2.0, samples=256):
     fib = fiber_map(p, g, u)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = fib(ts)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("non-finite values in the fiber profile")
     dv = np.diff(vals)
     signs = np.sign(dv)

@@ -17,7 +17,7 @@ call of LAPACK gtsv.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gamma, pi
+from math import gamma, isfinite, pi
 
 import mpmath
 import numpy as np
@@ -88,11 +88,12 @@ class RadialGrid:
         return float(np.dot(self.w, vals))
 
     def dot(self, u, v):
-        """Weighted L^2 inner product <u, v>."""
+        """Weighted L^2 inner product <u, v>; dot(u, u) checks u once."""
         u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
         self._check_shape(u)
-        self._check_shape(v)
+        if v is not u:
+            v = np.asarray(v, dtype=float)
+            self._check_shape(v)
         return float(np.dot(self.w, u * v))
 
     def l2_norm_sq(self, u):
@@ -107,7 +108,7 @@ class RadialGrid:
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != self.M:
             self._check_shape(u)
-        elif not np.all(np.isfinite(u)):
+        elif not np.isfinite(u).all():
             raise ValueError("non-finite values in grid function")
         d = np.empty_like(u)
         d[..., :-1] = u[..., 1:] - u[..., :-1]
@@ -118,7 +119,7 @@ class RadialGrid:
     def _check_shape(self, u):
         if u.shape != (self.M,):
             raise ValueError(f"expected array of shape ({self.M},), got {u.shape}")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValueError("non-finite values in grid function")
 
     # -- the operator -------------------------------------------------
@@ -151,7 +152,7 @@ class RadialGrid:
         not scan it on every solve.
         """
         band = self.neg_laplacian_banded()
-        if not np.all(np.isfinite(band)):
+        if not np.isfinite(band).all():
             raise ValueError("non-finite entries in the grid operator")
         band.setflags(write=False)
         return band
@@ -193,7 +194,7 @@ def solve_tridiagonal(band, rhs):
     ValueError on a non-finite rhs and LinAlgError on a singular matrix.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
     _, _, _, x, info = _GTSV(band[2, :-1], band[1], band[0, 1:], rhs)
     if info > 0:
@@ -239,6 +240,11 @@ def bessel_lambda1(N, R):
 _EIGEN_TOL, _EIGEN_ITMAX = 1e-10, 200  # convergence floor, iteration cap
 
 
+class EigenRangeError(OverflowError):
+    """The eigen-iteration's Rayleigh quotient left double range: the ball is
+    too small for its unit-norm iterate (about R < 4e-62 at N = 3)."""
+
+
 def principal_eigenpair(grid):
     """Smallest eigenvalue and positive unit-L^2 eigenfunction of -Laplacian.
 
@@ -246,6 +252,7 @@ def principal_eigenpair(grid):
     eigenvalue increment drops below max(1e-10, 1e-11 lam): the roundoff of
     the Rayleigh quotient grows with lam, and on fine grids of a small
     ball (lam1 in the hundreds) it exceeds 1e-10.  Returns (lam1, phi1).
+    Raises EigenRangeError when the Rayleigh quotient is not finite.
     Solvers read the grid's cached copy, grid.eigenpair.
     """
     band = grid.band
@@ -256,7 +263,13 @@ def principal_eigenpair(grid):
         y = solve_tridiagonal(band, x)
         ny = np.sqrt(grid.l2_norm_sq(y))
         x = y / ny
-        lam = grid.dot(x, grid.apply_neg_laplacian(x))
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            lam = grid.dot(x, grid.apply_neg_laplacian(x))
+        if not isfinite(lam):
+            raise EigenRangeError(
+                f"the Rayleigh quotient of the eigen-iteration on B(0, {grid.R:g}) "
+                "leaves double range"
+            )
         if abs(lam - lam_old) < max(_EIGEN_TOL, 1e-11 * lam):
             break
         lam_old = lam
@@ -298,14 +311,14 @@ def best_sobolev_constant(N):
 def save_grid_function(path, grid, vals):
     """Write nodes and values as CSV with header 'r,value'.
 
-    Floats use repr-faithful %.17g so a read-back is bit exact.
+    Floats use repr-faithful %.17g so a read-back is bit exact.  The rows
+    are formatted from Python floats and written in one call.
     """
     vals = np.asarray(vals, dtype=float)
     grid._check_shape(vals)
+    rows = "".join("%.17g,%.17g\n" % rv for rv in zip(grid.r.tolist(), vals.tolist()))
     with open(path, "w") as f:
-        f.write("r,value\n")
-        for ri, vi in zip(grid.r, vals):
-            f.write("%.17g,%.17g\n" % (ri, vi))
+        f.write("r,value\n" + rows)
 
 
 def load_grid_function(path, grid=None):

@@ -240,7 +240,7 @@ def _jacobian(p, g, u):
     """Band of the Hessian A - f'(u), in solve_banded((1, 1), ...) layout."""
     J = g.band.copy()
     J[1] -= source_derivative(p, u)
-    if not np.all(np.isfinite(J[1])):
+    if not np.isfinite(J[1]).all():
         raise ValueError("array must not contain infs or NaNs")
     return J
 

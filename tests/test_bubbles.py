@@ -243,6 +243,10 @@ def test_fit_input_validation():
         lc.fit_norm_exponent(3, (2, 4, 8, 16, 32), 6.0, 0.25)
     with pytest.raises(ValueError, match="p must lie"):
         lc.fit_norm_exponent(3, (2, 4, 8, 16, 32), 0.5, 0.25)
+    # the ln-corrected fit divides by ln n, which is 0 at n = 1
+    with pytest.raises(ValueError, match="exceed 1"):
+        lc.fit_norm_exponent(4, (1, 2, 4, 8, 16), 2.0, 0.25)
+    assert np.isfinite(lc.fit_norm_exponent(4, (1, 2, 4, 8, 16), 1.5, 0.25)[0])
     with pytest.raises(ValueError, match="degenerate"):
         lc.fit_loglog([3.0, 3.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="positive"):

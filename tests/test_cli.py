@@ -453,6 +453,17 @@ def test_bad_r0_is_a_config_error(tmp_path, capsys, command, r0, why):
         (dict(fit_p=[]), "fit_p: need at least one exponent"),
         (dict(fit_p=[2.0, "abc"]), "fit_p: need a number"),
         (dict(N=4, q=3.0, fit_p=[7.0]), "fit_p: need exponents in [1, 4)"),
+        # the fit at p = N/(N-2) divides by ln n, which is 0 at n = 1
+        (
+            dict(N=4, q=3.0, n_list=[1, 2, 4, 8, 16]),
+            "n_list: every scale must exceed 1 when fit_p holds the ln-corrected "
+            "exponent 2, whose fit divides by ln n",
+        ),
+        (
+            dict(N=3, q=2.5, n_list=[1, 3, 9, 27, 81], fit_p=[2.0, 3.0]),
+            "n_list: every scale must exceed 1 when fit_p holds the ln-corrected "
+            "exponent 3, whose fit divides by ln n",
+        ),
         (dict(sweep_solve="false"), "sweep_solve: need true or false"),
         (dict(n_list=[16, 32, True, 128, 256]), "n_list: need an integer"),
         (dict(fit_p=[True]), "fit_p: need a number"),
@@ -643,6 +654,85 @@ def test_sweep_grid_rows_and_determinism(tmp_path, monkeypatch):
     assert thetas == [-1.0, -0.5, -0.1, -1.0, -0.5, -0.1]
     statuses = {r.split(",")[-1] for r in rows[1:]}
     assert statuses <= {"ok", "no-membership"}
+
+
+# sweep.csv bytes as written when each row copied the config:
+# one swept list holding both -0.0 and 0.0 (kept by position, printed -0 and
+# 0), invalid-params rows (mu <= 0, theta >= 0, q outside (2, 2*)), and
+# N < 3, where no grid is built and every row is invalid
+SWEEP_HEADER = "lambda,mu,nu,q,theta,in_M1,in_M2,in_M3,in_M4,alpha,rho,c_rho,c_M,gap_ok,status"
+SWEEP_MEMBER = "true,true,false,false,0.084873863536651939,3.5806413119676099,,,,ok"
+SWEEP_GOLDEN = [
+    (
+        dict(sweep_nu=[0.5, 0.0, -0.0, -0.5], sweep_lambda=[0.0, -0.0]),
+        [
+            f"0,1,-0.5,2.5,-2,{SWEEP_MEMBER}",
+            f"0,1,0,2.5,-2,{SWEEP_MEMBER}",
+            f"0,1,-0,2.5,-2,{SWEEP_MEMBER}",
+            "0,1,0.5,2.5,-2,false,false,false,false,,,,,,no-membership",
+            f"-0,1,-0.5,2.5,-2,{SWEEP_MEMBER}",
+            f"-0,1,0,2.5,-2,{SWEEP_MEMBER}",
+            f"-0,1,-0,2.5,-2,{SWEEP_MEMBER}",
+            "-0,1,0.5,2.5,-2,false,false,false,false,,,,,,no-membership",
+        ],
+    ),
+    (
+        dict(sweep_mu=[1.0, 0.0], sweep_theta=[-1.0, 0.0], sweep_q=[2.0, 2.5, 6.0]),
+        [f"0,0,-0.5,{q},{t},,,,,,,,,,invalid-params" for q in (2, 2.5, 6) for t in (-1, 0)]
+        + ["0,1,-0.5,2,-1,,,,,,,,,,invalid-params", "0,1,-0.5,2,0,,,,,,,,,,invalid-params"]
+        + ["0,1,-0.5,2.5,-1,true,true,false,false,2.1792689659298472,3.5806413119676099,,,,ok"]
+        + ["0,1,-0.5,2.5,0,,,,,,,,,,invalid-params"]
+        + [f"0,1,-0.5,6,{t},,,,,,,,,,invalid-params" for t in (-1, 0)],
+    ),
+    (
+        dict(N=2, sweep_theta=[-1.0, -0.5], sweep_nu=[-0.0, 0.0]),
+        [f"0,1,{nu},2.5,{t},,,,,,,,,,invalid-params" for nu in ("-0", "0") for t in (-1, -0.5)],
+    ),
+]
+
+
+@pytest.mark.parametrize("over, lines", SWEEP_GOLDEN)
+def test_sweep_writes_the_pinned_bytes(tmp_path, over, lines):
+    tmp = str(tmp_path)
+    cfg = write_config(tmp, **instance_a_config(M=64, **over))
+    assert main(["sweep", "--config", cfg, "--out", tmp]) == 0
+    with open(os.path.join(tmp, "sweep.csv")) as f:
+        assert f.read() == "\n".join([SWEEP_HEADER] + lines) + "\n"
+
+
+def test_sweep_formats_each_list_value_once(tmp_path, monkeypatch):
+    # one fmt_float call per position of the five columns (a column not
+    # swept holds its one config value), plus alpha and rho of each member
+    # row; a sweep used to format all five parameters on every row
+    calls = []
+    fmt_float = lc.cli.fmt_float
+    monkeypatch.setattr(lc.cli, "fmt_float", lambda x: calls.append(x) or fmt_float(x))
+    tmp = str(tmp_path)
+    over = dict(sweep_nu=[0.5, 0.0, -0.0, -0.5], sweep_theta=[-2.0, -1.0, 0.0])
+    cfg = write_config(tmp, **instance_a_config(M=64, **over))
+    assert main(["sweep", "--config", cfg, "--out", tmp]) == 0
+    with open(os.path.join(tmp, "sweep.csv")) as f:
+        statuses = [line.rsplit(",", 1)[1] for line in f.read().splitlines()[1:]]
+    assert len(statuses) == 12 and statuses.count("ok") == 6
+    assert len(calls) == (4 + 3 + 1 + 1 + 1) + 2 * statuses.count("ok")
+
+
+@pytest.mark.parametrize("command", ["regions", "sweep", "solve"])
+def test_a_ball_too_small_for_the_eigen_iteration_is_a_config_error(tmp_path, capsys, command):
+    # validate_numerics' a-priori bound refuses R below about 2e-62 at N = 3;
+    # up to about 3.9e-62 the Rayleigh quotient still overflowed, and regions
+    # and sweep ended in a "did not converge" traceback while solve reported
+    # "solve stage saddle" with exit 3
+    for R in (2e-62, 3e-62):
+        out = str(tmp_path / f"{command}-{R:g}")
+        cfg = write_config(str(tmp_path), N=3, q=2.5, R=R, sweep_theta=[-0.01])
+        assert main([command, "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: R = {R:g}: the eigen-iteration on B(0, {R:g}) sums "
+            "Rayleigh-quotient terms outside double range\n"
+        )
+        if command != "solve":  # solve makes its output directory before it solves
+            assert not os.path.exists(out)
 
 
 def test_sweep_with_invalid_dimension_writes_invalid_rows(tmp_path):

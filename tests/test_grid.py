@@ -129,6 +129,37 @@ def test_eigen_iteration_stops_relative_to_lambda(N, R, M, solves, monkeypatch):
     assert np.all(phi > 0)
 
 
+def test_eigen_iteration_refuses_a_rayleigh_quotient_outside_double_range(monkeypatch):
+    # at N = 3 and R in about [2e-62, 3.9e-62] the unit-norm iterate times
+    # its image overflows; the iteration used to run its 200 steps on an
+    # infinite quotient and end in "did not converge"
+    solve = lc.grid.solve_tridiagonal
+    calls = []
+    monkeypatch.setattr(lc.grid, "solve_tridiagonal", lambda b, x: calls.append(1) or solve(b, x))
+    for R in (2e-62, 3e-62):
+        g = lc.build_grid(3, R, 400)
+        with pytest.raises(lc.grid.EigenRangeError, match=f"B\\(0, {R:g}\\) leaves double range"):
+            g.eigenpair
+    assert len(calls) == 2 and issubclass(lc.grid.EigenRangeError, OverflowError)
+    lam, phi = lc.principal_eigenpair(lc.build_grid(3, 4e-62, 400))
+    assert math.isfinite(lam) and np.all(phi > 0)
+
+
+def test_dot_of_a_function_with_itself_checks_it_once(monkeypatch):
+    g = lc.build_grid(3, 1.0, 64)
+    checked = []
+    check = lc.RadialGrid._check_shape
+    monkeypatch.setattr(lc.RadialGrid, "_check_shape", lambda self, u: checked.append(1) or check(self, u))
+    u = np.linspace(1.0, 2.0, 64)
+    assert g.l2_norm_sq(u) == g.dot(u, u.copy())
+    assert len(checked) == 1 + 2
+    bad = u.copy()
+    bad[3] = np.nan
+    for args in ((bad, bad), (u, bad), (bad, u)):
+        with pytest.raises(ValueError, match="non-finite"):
+            g.dot(*args)
+
+
 def test_eigenvalue_scales_with_radius():
     lam_1, _ = lc.principal_eigenpair(lc.build_grid(3, 1.0, 400))
     lam_2, _ = lc.principal_eigenpair(lc.build_grid(3, 2.0, 400))
@@ -184,6 +215,18 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back, vals)
     r, v = lc.load_grid_function(path)
     assert np.array_equal(r, g.r) and np.array_equal(v, vals)
+
+
+def test_csv_bytes_match_the_row_by_row_reference(tmp_path):
+    g = lc.build_grid(4, 0.7, 64)
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(g.M) * 10.0 ** rng.integers(-320, 300, g.M)
+    vals[:4] = (-0.0, 0.0, 5e-324, -1.7976931348623157e308)
+    path = tmp_path / "profile.csv"
+    lc.save_grid_function(path, g, vals)
+    reference = "r,value\n" + "".join("%.17g,%.17g\n" % (ri, vi) for ri, vi in zip(g.r, vals))
+    assert path.read_text() == reference
+    assert reference.splitlines()[1:3] == ["0,-0", "%.17g,0" % g.h]
 
 
 def test_csv_rejects_mismatched_grid(tmp_path):
