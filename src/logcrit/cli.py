@@ -1,20 +1,20 @@
 """Batch front end: regions / solve / verify / sweep over flat JSON configs.
 
 load_config parses each config key once, by its kind in CONFIG_KEYS, so the
-subcommands read typed values; validate_numerics makes the range checks.
-Exit codes: 0 success; 1 config error (a bad key or value, an integer
-beyond 2^53 in magnitude, a mesh over MAX_CELLS cells, a mesh, a bubble
-norm or a bubble norm gap that leaves double range at large N, a mesh
-operator or an eigen-iteration that leaves it at extreme R, whether
-validate_numerics' bound or the eigen-iteration itself finds it, a ridge
-check over MAX_PATH_CELLS ray-sample cells, a bad certificate box, a scale
-of 1 in an ln-corrected fit, or the N >= 6, nu <= 0 hypothesis gate, which
-a solving sweep applies to every row it solves); 2 solve precondition
-failed at run time (no region membership, unusable region, a
-failed ridge check of the saddle); 3 verification failure (structure
-check, gap bound, certificate margin, a non-finite scan supremum, or a
-slope fit off its band or not finite) or a saddle failure (no saddle
-found, or one at or below its level floor or at the minimizer).
+subcommands read typed values; validate_numerics makes the range checks of
+the keys, and the grid those of its own mesh.  Exit codes: 0 success;
+1 config error (a bad key or value, an integer beyond 2^53 in magnitude, a
+mesh over MAX_CELLS cells, a grid whose mesh or eigen-iteration leaves
+double range (a GridRangeError, which names N or R), a bubble norm or a
+bubble norm gap that leaves double range at large N, a ridge check over
+MAX_PATH_CELLS ray-sample cells, a bad certificate box, a scale of 1 in an
+ln-corrected fit, or the N >= 6, nu <= 0 hypothesis gate, which a solving
+sweep applies to every row it solves); 2 solve precondition failed at run
+time (no region membership, unusable region, a failed ridge check of the
+saddle); 3 verification failure (structure check, gap bound, certificate
+margin, a non-finite scan supremum, or a slope fit off its band or not
+finite) or a saddle failure (no saddle found, or one at or below its level
+floor or at the minimizer).
 SOLVE_FAILURES maps each solve failure to its stderr prefix, its exit code
 and its sweep row status.  Outputs use fixed 17-significant-digit floats
 and fixed orderings, so identical configs produce byte-identical outputs.
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import bubbles, inequalities, solvers
 from .energy import ProblemParams
-from .grid import EigenRangeError, ball_volume, build_grid, save_grid_function, sphere_area
+from .grid import GridRangeError, ball_volume, build_grid, save_grid_function
 from .regions import region_membership
 
 EXIT_OK = 0
@@ -254,10 +254,7 @@ def _solve_failure(e):
 def validate_numerics(cfg, p=None):
     """Reject out-of-range numeric and list keys; returns the certificate scan box.
 
-    Rejects an (N, R, M) mesh whose origin cell volume is not a normal
-    double, which at M = 400 on the unit ball means N >= 94, one whose
-    operator divides by a cell weight times h^2 outside (0, inf), and a
-    ball so small that the eigen-iteration's Rayleigh quotient overflows.
+    The mesh is range-checked by the grid that builds it (RadialGrid).
     With the problem p, also reject fit_p exponents outside [1, 2*), a scale
     of 1 in n_list when a fit_p exponent is ln-corrected (ln 1 = 0), a box
     whose f_abs constant (2*^2/2) C2^(2*-2) overflows a double, and a box
@@ -277,41 +274,6 @@ def validate_numerics(cfg, p=None):
         )
     if cfg["r0"] is not None and not (0.0 < 4.0 * cfg["r0"] <= cfg["R"]):
         raise ConfigError("r0: need 0 < 4*r0 <= R")
-    N, R, M = cfg["N"], cfg["R"], cfg["M"]
-    if N >= 3 and R > 0:
-        # the grid's smallest weight, its origin cell |B(0, R / 2M)|: the
-        # operator divides by it, so it must be a normal double
-        try:
-            cell = ball_volume(N, R / M / 2.0)
-        except OverflowError:  # |S^{N-1}| or (R / 2M)^N leaves double range
-            cell = math.nan
-        if not (sys.float_info.min <= cell < math.inf):
-            raise ConfigError(
-                f"N = {N}: the origin cell of the {M}-cell mesh on B(0, {R:g}) "
-                "has a volume outside the normal doubles"
-            )
-        # the operator divides by w_i h^2: from cell h^2 at the origin up to
-        # about (3/2) |S^{N-1}| R^{N-1} h^3 at the boundary, which the factor
-        # 2 bounds with room for rounding
-        h = R / M
-        try:
-            edge = 2.0 * sphere_area(N) * R ** (N - 1) * h**3
-        except OverflowError:
-            edge = math.inf
-        if not (0.0 < cell * h * h and edge < math.inf):
-            raise ConfigError(
-                f"R = {R:g}: the {M}-cell mesh on B(0, {R:g}) divides by "
-                "cell weights times h^2 outside double range"
-            )
-        # the eigen-iteration keeps its iterate at unit weighted L^2 norm, so
-        # its largest Rayleigh-quotient term is about lambda1 / |B(0, R)| or
-        # more, where lambda1 = (j_{N/2-1,1} / R)^2 exceeds (N / 2R)^2
-        try:
-            terms = (N / (2.0 * R)) ** 2 / ball_volume(N, R)
-        except OverflowError:  # R^N leaves double range: the terms are tiny
-            terms = 0.0
-        if not terms < math.inf:
-            raise _eigen_range_error(R)
     try:
         bubbles.scale_ladder(cfg["n_list"])
     except ValueError as e:
@@ -336,23 +298,10 @@ def validate_numerics(cfg, p=None):
     return box
 
 
-def _eigen_range_error(R):
-    """The config error of a ball on which the eigen-iteration leaves double range."""
-    return ConfigError(
-        f"R = {R:g}: the eigen-iteration on B(0, {R:g}) sums "
-        "Rayleigh-quotient terms outside double range"
-    )
-
-
 def _geometry(p, M):
     """(S, lambda1, volume) of the M-cell grid on p's ball, for region_membership."""
     g = build_grid(p.N, p.R, M)
-    S = g.sobolev
-    try:
-        lam1, _ = g.eigenpair
-    except EigenRangeError as e:
-        raise _eigen_range_error(p.R) from e
-    return S, lam1, ball_volume(p.N, p.R)
+    return g.sobolev, g.eigenpair[0], ball_volume(p.N, p.R)
 
 
 def hypothesis_gate(p, explore):
@@ -386,16 +335,14 @@ def cmd_solve(cfg, args):
     p = problem_from(cfg)
     validate_numerics(cfg)
     hypothesis_gate(p, args.explore_open_problem)
-    out = _outdir(cfg, args)
     try:
         report, path, g = solvers.solve_problem(p, **solve_args(cfg))
-    except EigenRangeError as e:
-        raise _eigen_range_error(p.R) from e
     except SOLVE_FAILURE_TYPES as e:
         _, prefix, code, _ = _solve_failure(e)
         print(f"{prefix}: {e}", file=sys.stderr)
         return code
 
+    out = _outdir(cfg, args)
     verdict = solvers.verify_two_level_structure(
         p, g, report.v0, report.u_mp, report, s0=report.s0
     )
@@ -635,7 +582,7 @@ def main(argv=None):
             "sweep": cmd_sweep,
         }[args.command]
         return handler(cfg, args)
-    except (ConfigError, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, GridRangeError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -13,11 +13,17 @@ its closed form rounded once to a double; all three are cached on the
 instance, read-only, and shared by every solver stage that works on the
 grid.  Every tridiagonal system goes through solve_tridiagonal, a direct
 call of LAPACK gtsv.
+
+A grid range-checks the arrays it builds: it raises GridRangeError, naming
+N, when its origin cell is not a normal double, and naming R, when a
+divisor w_i h^2 of its operator lies outside (0, inf).  The eigen-iteration
+raises the same error, naming R, when its Rayleigh quotient is not finite.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gamma, isfinite, pi
+from math import gamma, inf, isfinite, nan, pi
+from sys import float_info
 
 import mpmath
 import numpy as np
@@ -31,6 +37,11 @@ def sphere_area(N):
 
 def ball_volume(N, R):
     return sphere_area(N) * R**N / N
+
+
+class GridRangeError(OverflowError):
+    """A mesh, or the eigen-iteration on it, leaves double range; the message
+    names the N or the R that takes it there."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,22 +69,43 @@ class RadialGrid:
     fw: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.N < 3:
+        N, R, M = self.N, self.R, self.M
+        if N < 3:
             raise ValueError("dimension N must be >= 3")
-        if not (self.R > 0):
+        if not (R > 0):
             raise ValueError("radius R must be positive")
-        if self.M < 8:
+        if M < 8:
             raise ValueError("need at least 8 mesh cells")
-        h = self.R / self.M
-        sig = sphere_area(self.N)
-        r = h * np.arange(self.M)
-        w = sig * r ** (self.N - 1) * h
-        w[0] = ball_volume(self.N, h / 2.0)  # exact ball of radius h/2
-        # trapezoid half-weight of the boundary node, folded into the last
-        # stored node so the weight sum reproduces the ball volume to O(h^2)
-        w[-1] += sig * self.R ** (self.N - 1) * h / 2.0
-        faces = h * (np.arange(self.M) + 0.5)
-        fw = sig * faces ** (self.N - 1) * h
+        h = R / M
+        try:
+            sig = sphere_area(N)
+            origin = ball_volume(N, h / 2.0)  # exact ball of radius h/2
+        except OverflowError:  # |S^{N-1}| or (h/2)^N leaves double range
+            origin = nan
+        if not (float_info.min <= origin < inf):
+            raise GridRangeError(
+                f"N = {N}: the origin cell of the {M}-cell mesh on B(0, {R:g}) "
+                "has a volume outside the normal doubles"
+            )
+        with np.errstate(over="ignore"):  # a weight that overflows is refused below
+            r = h * np.arange(M)
+            w = sig * r ** (N - 1) * h
+            w[0] = origin
+            # trapezoid half-weight of the boundary node, folded into the last
+            # stored node so the weight sum reproduces the ball volume to O(h^2)
+            try:
+                w[-1] += sig * R ** (N - 1) * h / 2.0
+            except OverflowError:
+                w[-1] = inf
+            faces = h * (np.arange(M) + 0.5)
+            fw = sig * faces ** (N - 1) * h
+            # the operator divides by these, as neg_laplacian_banded forms them
+            divisors = w * h * h
+        if not ((divisors > 0.0) & (divisors < inf)).all():
+            raise GridRangeError(
+                f"R = {R:g}: the {M}-cell mesh on B(0, {R:g}) divides by "
+                "cell weights times h^2 outside double range"
+            )
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "w", w)
@@ -237,25 +269,22 @@ def bessel_lambda1(N, R):
     return (z / R) ** 2
 
 
-_EIGEN_TOL, _EIGEN_ITMAX = 1e-10, 200  # convergence floor, iteration cap
-
-
-class EigenRangeError(OverflowError):
-    """The eigen-iteration's Rayleigh quotient left double range: the ball is
-    too small for its unit-norm iterate (about R < 4e-62 at N = 3)."""
+_EIGEN_TOL, _EIGEN_ITMAX = 1e-10, 200  # convergence floor on the unit ball, iteration cap
 
 
 def principal_eigenpair(grid):
     """Smallest eigenvalue and positive unit-L^2 eigenfunction of -Laplacian.
 
     Inverse power iteration with the tridiagonal solver.  Converged when the
-    eigenvalue increment drops below max(1e-10, 1e-11 lam): the roundoff of
-    the Rayleigh quotient grows with lam, and on fine grids of a small
-    ball (lam1 in the hundreds) it exceeds 1e-10.  Returns (lam1, phi1).
-    Raises EigenRangeError when the Rayleigh quotient is not finite.
-    Solvers read the grid's cached copy, grid.eigenpair.
+    eigenvalue increment drops below max(1e-10 / R^2, 1e-11 lam): lam1
+    scales as 1/R^2, so the floor does too, and the roundoff of the
+    Rayleigh quotient grows with lam, so on fine grids of a small ball
+    (lam1 in the hundreds) the relative term takes over.  Returns
+    (lam1, phi1).  Raises GridRangeError when the Rayleigh quotient is not
+    finite.  Solvers read the grid's cached copy, grid.eigenpair.
     """
     band = grid.band
+    floor = _EIGEN_TOL / grid.R**2
     x = np.ones(grid.M)
     x /= np.sqrt(grid.l2_norm_sq(x))
     lam_old = np.inf
@@ -266,11 +295,11 @@ def principal_eigenpair(grid):
         with np.errstate(over="ignore"):  # an overflow is refused just below
             lam = grid.dot(x, grid.apply_neg_laplacian(x))
         if not isfinite(lam):
-            raise EigenRangeError(
-                f"the Rayleigh quotient of the eigen-iteration on B(0, {grid.R:g}) "
-                "leaves double range"
+            raise GridRangeError(
+                f"R = {grid.R:g}: the eigen-iteration on B(0, {grid.R:g}) sums "
+                "Rayleigh-quotient terms outside double range"
             )
-        if abs(lam - lam_old) < max(_EIGEN_TOL, 1e-11 * lam):
+        if abs(lam - lam_old) < max(floor, 1e-11 * lam):
             break
         lam_old = lam
     else:

@@ -190,6 +190,17 @@ def test_lp_norms_match_a_30_digit_quadrature():
                 assert norm == pytest.approx(ref, rel=1e-6), (N, p, n)
 
 
+@pytest.mark.parametrize("N", [4, 40])
+@pytest.mark.parametrize("b", [1e-9, -1e-9, 1e-12, -1e-12])
+def test_core_near_the_ln_corrected_exponent_matches_a_40_digit_quadrature(N, b):
+    # just below b = 0 the 2F1 form of the core lost digits: 1.7e-8 (N = 4)
+    # and 5.0e-7 (N = 40) relative at b = -1e-9, 7.2e-4 and 1.1e-3 at -1e-12
+    X, a = 64.0, N / 2.0 + b
+    with mpmath.workdps(40):
+        ref = mpmath.quad(lambda x: x ** (N - 1) * (1 + x * x) ** -mpmath.mpf(a), [0, 1, 8, X])
+    assert lc.bubbles._core(N, a, np.array([X]))[0] == pytest.approx(float(ref), rel=1e-13)
+
+
 def test_lp_norms_outside_the_normal_doubles_raise():
     # at p = 1 the norm falls like n^{1 - N/2}: at N = 80 it underflows by
     # n = 2^30; at p = 2, amp^2 = (N (N - 2))^{N/2 - 1} overflows from N = 145

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -718,12 +719,18 @@ def test_sweep_formats_each_list_value_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["regions", "sweep", "solve"])
-def test_a_ball_too_small_for_the_eigen_iteration_is_a_config_error(tmp_path, capsys, command):
-    # validate_numerics' a-priori bound refuses R below about 2e-62 at N = 3;
-    # up to about 3.9e-62 the Rayleigh quotient still overflowed, and regions
-    # and sweep ended in a "did not converge" traceback while solve reported
-    # "solve stage saddle" with exit 3
-    for R in (2e-62, 3e-62):
+def test_a_ball_too_small_for_the_eigen_iteration_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command
+):
+    # at N = 3 and R up to about 3.9e-62 the Rayleigh quotient overflows:
+    # regions and sweep ended in a "did not converge" traceback while solve
+    # reported "solve stage saddle" with exit 3.  The eigen-iteration itself
+    # refuses it, also at R = 1e-62, which an a-priori bound in the CLI
+    # refused before, and no command makes its output directory first
+    ran = []
+    eigenpair = lc.grid.principal_eigenpair
+    monkeypatch.setattr(lc.grid, "principal_eigenpair", lambda g: ran.append(g.R) or eigenpair(g))
+    for R in (1e-62, 2e-62, 3e-62):
         out = str(tmp_path / f"{command}-{R:g}")
         cfg = write_config(str(tmp_path), N=3, q=2.5, R=R, sweep_theta=[-0.01])
         assert main([command, "--config", cfg, "--out", out]) == 1
@@ -731,8 +738,8 @@ def test_a_ball_too_small_for_the_eigen_iteration_is_a_config_error(tmp_path, ca
             f"config error: R = {R:g}: the eigen-iteration on B(0, {R:g}) sums "
             "Rayleigh-quotient terms outside double range\n"
         )
-        if command != "solve":  # solve makes its output directory before it solves
-            assert not os.path.exists(out)
+        assert ran[-1] == R
+        assert not os.path.exists(out)
 
 
 def test_sweep_with_invalid_dimension_writes_invalid_rows(tmp_path):
@@ -910,7 +917,6 @@ MESH_RANGE = (
         ("regions", dict(N=200)),  # S(200) overflowed in the old quadrature
         ("solve", dict(N=100, nu=0.5)),  # nu > 0: past the N >= 6 gate
         ("sweep", dict(N=100, sweep_lambda=[0.0])),
-        ("verify", dict(N=100)),
     ],
 )
 def test_large_dimension_mesh_is_a_config_error(tmp_path, capsys, command, over):
@@ -923,14 +929,40 @@ def test_large_dimension_mesh_is_a_config_error(tmp_path, capsys, command, over)
     assert not os.path.exists(out)
 
 
-def test_mesh_range_boundary(tmp_path):
-    # at M = 400 on the unit ball the origin cell |B(0, 1/800)| is a
-    # normal double up to N = 93
-    validate_numerics(load_config(write_config(str(tmp_path), N=93, q=2.01)))
-    with pytest.raises(ConfigError, match="^N = 94: "):
-        validate_numerics(load_config(write_config(str(tmp_path), N=94, q=2.01)))
-    # a coarser mesh holds N = 94
-    validate_numerics(load_config(write_config(str(tmp_path), N=94, q=2.01, M=64)))
+@pytest.mark.parametrize(
+    "over", [dict(N=100, q=2.01), dict(N=4, q=3.0, R=1e-62, r0=1e-63)]
+)
+def test_verify_is_not_refused_for_a_mesh_it_never_builds(tmp_path, capsys, over):
+    # verify builds no grid; it was a config error about the 400-cell mesh
+    # at N = 100 and about the divisors w_i h^2 at R = 1e-62.  Both now run
+    # to their certificates (the critical-norm gap fit misses its margin)
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), **over)
+    assert main(["verify", "--config", cfg, "--out", out]) == 3
+    assert "config error" not in capsys.readouterr().err
+    for name in ("certificates.json", "slopes.csv"):
+        assert os.path.exists(os.path.join(out, name))
+
+
+def test_mesh_range_boundary():
+    # at M = 400 on the unit ball the origin cell |B(0, 1/800)| is a normal
+    # double up to N = 93; a coarser mesh holds N = 94
+    lc.build_grid(93, 1.0, 400)
+    with pytest.raises(lc.grid.GridRangeError, match=f"^N = 94: {re.escape(MESH_RANGE)}$"):
+        lc.build_grid(94, 1.0, 400)
+    lc.build_grid(94, 1.0, 64)
+    # at N = 3 the divisors w_i h^2 leave double range at R = 1e80 (the
+    # boundary cell's overflows) and at R = 1e-80 (the origin cell's
+    # underflows to 0); R = 1e-61 and R = 1e50 are in range
+    for R in (1e80, 1e-80):
+        why = (
+            f"R = {R:g}: the 400-cell mesh on B(0, {R:g}) divides by "
+            "cell weights times h^2 outside double range"
+        )
+        with pytest.raises(lc.grid.GridRangeError, match=f"^{re.escape(why)}$"):
+            lc.build_grid(3, R, 400)
+    for R in (1e-61, 1e50):
+        assert lc.build_grid(3, R, 400).R == R
 
 
 # the deepest scales of the fit below: at p = 1, |U_n|_p^p falls like n^{1 - N/2}
@@ -1039,6 +1071,11 @@ def test_regions_at_a_radius_past_the_operator_range_is_a_config_error(tmp_path,
         if code == 1:
             what = why.format(R=f"{R:g}")
             assert err == f"config error: R = {R:g}: {what} outside double range\n"
+            assert not os.path.exists(out)
+            # solve refuses the same ball with the same line, before it
+            # writes anything
+            assert main(["solve", "--config", cfg, "--out", out]) == 1
+            assert capsys.readouterr().err == err
             assert not os.path.exists(out)
         else:
             assert err == "" and os.path.exists(os.path.join(out, "regions.json"))

@@ -130,19 +130,36 @@ def test_eigen_iteration_stops_relative_to_lambda(N, R, M, solves, monkeypatch):
 
 
 def test_eigen_iteration_refuses_a_rayleigh_quotient_outside_double_range(monkeypatch):
-    # at N = 3 and R in about [2e-62, 3.9e-62] the unit-norm iterate times
-    # its image overflows; the iteration used to run its 200 steps on an
-    # infinite quotient and end in "did not converge"
+    # at N = 3 and R below about 3.9e-62, down to where the grid refuses
+    # the mesh, the unit-norm iterate times its image overflows; the
+    # iteration used to run its 200 steps on an infinite quotient and end
+    # in "did not converge"
     solve = lc.grid.solve_tridiagonal
     calls = []
     monkeypatch.setattr(lc.grid, "solve_tridiagonal", lambda b, x: calls.append(1) or solve(b, x))
     for R in (2e-62, 3e-62):
         g = lc.build_grid(3, R, 400)
-        with pytest.raises(lc.grid.EigenRangeError, match=f"B\\(0, {R:g}\\) leaves double range"):
+        with pytest.raises(
+            lc.grid.GridRangeError,
+            match=f"^R = {R:g}: the eigen-iteration on B\\(0, {R:g}\\) sums "
+            "Rayleigh-quotient terms outside double range$",
+        ):
             g.eigenpair
-    assert len(calls) == 2 and issubclass(lc.grid.EigenRangeError, OverflowError)
+    assert len(calls) == 2 and issubclass(lc.grid.GridRangeError, OverflowError)
     lam, phi = lc.principal_eigenpair(lc.build_grid(3, 4e-62, 400))
     assert math.isfinite(lam) and np.all(phi > 0)
+
+
+@pytest.mark.parametrize("N, M", [(3, 400), (4, 1024)])
+def test_eigen_iteration_stop_scales_with_the_ball(N, M):
+    # lambda1 R^2 does not depend on R; with an absolute stop at 1e-10 the
+    # iteration stopped early on a large ball, off by 4.5e-8 (N = 3, R = 1e3)
+    # up to 5.9e-3 (N = 4, R = 1e10)
+    lam_unit, _ = lc.principal_eigenpair(lc.build_grid(N, 1.0, M))
+    for R in (1e3, 1e5, 1e10):
+        lam, phi = lc.principal_eigenpair(lc.build_grid(N, R, M))
+        assert lam * R * R == pytest.approx(lam_unit, rel=1e-10), R
+        assert np.all(phi > 0)
 
 
 def test_dot_of_a_function_with_itself_checks_it_once(monkeypatch):
@@ -385,13 +402,15 @@ def test_solve_tridiagonal_rejects_nonfinite_and_singular_systems():
 
 
 def test_nonfinite_operator_is_rejected_when_cached():
-    # h^2 underflows to 0 on this radius, so the band has inf and NaN entries
-    g = lc.build_grid(3, 1e-200, 8)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert not np.all(np.isfinite(g.neg_laplacian_banded()))
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
-        ValueError, match="non-finite"
-    ):
+    # the grid refuses a radius whose origin cell underflows to 0, on which
+    # the band held inf and NaN; the band's own check stays, for a face
+    # weight that is not finite
+    with pytest.raises(lc.grid.GridRangeError, match="^N = 3: the origin cell "):
+        lc.build_grid(3, 1e-200, 8)
+    g = lc.build_grid(3, 1.0, 8)
+    g.fw[3] = np.inf
+    assert not np.all(np.isfinite(g.neg_laplacian_banded()))
+    with pytest.raises(ValueError, match="non-finite"):
         g.band
 
 

@@ -551,7 +551,7 @@ class TestStageOneHandOff:
         v, s, c, stats = solvers._minimize_with_stats(p, g, rho)
         assert s == 0.0
         assert stats["iters_minimize"] == 1 and stats["iters_newton0"] == 7
-        assert c == -24.83935160012831
+        assert c == -24.839351600128396
         assert solvers._morse_index(ps, g, v) == 0
 
     # each acceptance check on Newton's limit raises on its own: every test
