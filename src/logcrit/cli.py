@@ -4,10 +4,10 @@ load_config parses each config key once, by its kind in CONFIG_KEYS, so the
 subcommands read typed values; validate_numerics makes the range checks of
 the keys, and the grid those of its own mesh.  Exit codes: 0 success;
 1 config error (a bad key or value, an integer beyond 2^53 in magnitude, a
-mesh over MAX_CELLS cells, a grid whose mesh or eigen-iteration leaves
-double range (a GridRangeError, which names N or R), a bubble norm or a
-bubble norm gap that leaves double range at large N, a ridge check over
-MAX_PATH_CELLS ray-sample cells, a bad certificate box, a scale of 1 in an
+mesh over MAX_CELLS cells, a grid whose mesh leaves double range (a
+GridRangeError, which names N or R), a bubble norm or a bubble norm gap
+that leaves double range at large N, a ridge check over MAX_PATH_CELLS
+ray-sample cells, a bad certificate box, a scale of 1 in an
 ln-corrected fit, or the N >= 6, nu <= 0 hypothesis gate, which a solving
 sweep applies to every row it solves); 2 solve precondition failed at run
 time (no region membership, unusable region, a failed ridge check of the

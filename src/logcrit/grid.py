@@ -7,27 +7,27 @@ the Dirichlet energy reduces to a weighted sum of squared differences at
 cell faces.
 
 Each grid builds its banded operator -Laplacian once (RadialGrid.band),
-runs the principal eigen-iteration once (RadialGrid.eigenpair) and
-evaluates the sharp Sobolev constant S(N) once (RadialGrid.sobolev), as
-its closed form rounded once to a double; all three are cached on the
+computes its principal eigenpair once (RadialGrid.eigenpair, one LAPACK
+eigh_tridiagonal call on the symmetric tridiagonal similar to the band)
+and evaluates the sharp Sobolev constant S(N) once (RadialGrid.sobolev),
+as its closed form rounded once to a double; all three are cached on the
 instance, read-only, and shared by every solver stage that works on the
 grid.  Every tridiagonal system goes through solve_tridiagonal, a direct
 call of LAPACK gtsv.
 
-A grid range-checks the arrays it builds: it raises GridRangeError, naming
-N, when its origin cell is not a normal double, and naming R, when a
-divisor w_i h^2 of its operator lies outside (0, inf).  The eigen-iteration
-raises the same error, naming R, when its Rayleigh quotient is not finite.
+A grid range-checks the arrays it builds, and nothing else raises
+GridRangeError: it names N when the origin cell is not a normal double,
+and R when a divisor w_i h^2 of the operator lies outside (0, inf).
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gamma, inf, isfinite, nan, pi
+from math import gamma, inf, nan, pi
 from sys import float_info
 
 import mpmath
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
 
 
 def sphere_area(N):
@@ -40,8 +40,8 @@ def ball_volume(N, R):
 
 
 class GridRangeError(OverflowError):
-    """A mesh, or the eigen-iteration on it, leaves double range; the message
-    names the N or the R that takes it there."""
+    """A mesh leaves double range; the message names the N or the R that
+    takes it there.  Raised only by RadialGrid, as it builds its arrays."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +191,7 @@ class RadialGrid:
 
     @cached_property
     def eigenpair(self):
-        """(lambda1, phi1) of principal_eigenpair, computed once per grid; phi1 is read-only."""
+        """(lambda1, phi1) of principal_eigenpair, one LAPACK call per grid; phi1 is read-only."""
         lam1, phi1 = principal_eigenpair(self)
         phi1.setflags(write=False)
         return lam1, phi1
@@ -269,46 +269,37 @@ def bessel_lambda1(N, R):
     return (z / R) ** 2
 
 
-_EIGEN_TOL, _EIGEN_ITMAX = 1e-10, 200  # convergence floor on the unit ball, iteration cap
+def symmetric_tridiagonal(band):
+    """(diag, off) of the symmetric tridiagonal similar to a w-self-adjoint band.
+
+    band is in solve_banded((1, 1), ...) layout and self-adjoint in the w
+    inner product, as RadialGrid.band and the Jacobian A - f'(u) are:
+    conjugated by W^{1/2}, it keeps its diagonal and has the off-diagonal
+    -sqrt(upper * lower), negative as the operator's own.
+    """
+    return band[1], -np.sqrt(band[0, 1:] * band[2, :-1])
 
 
 def principal_eigenpair(grid):
     """Smallest eigenvalue and positive unit-L^2 eigenfunction of -Laplacian.
 
-    Inverse power iteration with the tridiagonal solver.  Converged when the
-    eigenvalue increment drops below max(1e-10 / R^2, 1e-11 lam): lam1
-    scales as 1/R^2, so the floor does too, and the roundoff of the
-    Rayleigh quotient grows with lam, so on fine grids of a small ball
-    (lam1 in the hundreds) the relative term takes over.  Returns
-    (lam1, phi1).  Raises GridRangeError when the Rayleigh quotient is not
-    finite.  Solvers read the grid's cached copy, grid.eigenpair.
+    One LAPACK call (eigh_tridiagonal, by bisection and inverse iteration)
+    gives the eigenvector y of the smallest eigenvalue of the symmetric
+    tridiagonal of symmetric_tridiagonal(grid.band); phi1 = y / sqrt(w),
+    signed positive, has unit weighted L^2 norm.  lam1 is its Rayleigh
+    quotient <phi1, A phi1>_w, summed as (w phi1) . (A phi1) so that no
+    product leaves double range; it is more accurate than the eigenvalue
+    LAPACK returns at its default tolerance.  Returns (lam1, phi1).
+    Solvers read the grid's cached copy, grid.eigenpair.
     """
-    band = grid.band
-    floor = _EIGEN_TOL / grid.R**2
-    x = np.ones(grid.M)
-    x /= np.sqrt(grid.l2_norm_sq(x))
-    lam_old = np.inf
-    for _ in range(_EIGEN_ITMAX):
-        y = solve_tridiagonal(band, x)
-        ny = np.sqrt(grid.l2_norm_sq(y))
-        x = y / ny
-        with np.errstate(over="ignore"):  # an overflow is refused just below
-            lam = grid.dot(x, grid.apply_neg_laplacian(x))
-        if not isfinite(lam):
-            raise GridRangeError(
-                f"R = {grid.R:g}: the eigen-iteration on B(0, {grid.R:g}) sums "
-                "Rayleigh-quotient terms outside double range"
-            )
-        if abs(lam - lam_old) < max(floor, 1e-11 * lam):
-            break
-        lam_old = lam
-    else:
-        raise RuntimeError("eigenpair iteration did not converge")
-    if x[0] < 0:
-        x = -x
-    if np.any(x <= 0):
+    d, off = symmetric_tridiagonal(grid.band)
+    _, y = eigh_tridiagonal(d, off, select="i", select_range=(0, 0))
+    phi = y[:, 0] / np.sqrt(grid.w)
+    if phi[0] < 0:
+        phi = -phi
+    if np.any(phi <= 0):
         raise RuntimeError("principal eigenfunction not positive on the mesh")
-    return float(lam), x
+    return float((grid.w * phi) @ grid.apply_neg_laplacian(phi)), phi
 
 
 # -- sharp Sobolev constant -------------------------------------------

@@ -52,7 +52,7 @@ from .energy import (
     source_derivative,
     source_term,
 )
-from .grid import ball_volume, build_grid, solve_tridiagonal
+from .grid import ball_volume, build_grid, solve_tridiagonal, symmetric_tridiagonal
 from .regions import region_membership
 
 BALL_MARGIN = 1e-3  # constraint radius rho*(1 - BALL_MARGIN)
@@ -134,21 +134,23 @@ def _dilation_exponent(p, lam1):
 
 
 def _fiber_start(p, g, radius):
-    """Stage one's start: (s0, p_s0, ball radius for v, start t* phi1).
+    """Stage one's start: (s0, p_s0, ball radius for v, start t* phi).
 
     s is the dilation exponent.  s0 = 0 when e^{2s}, the scale of u^2 at
     a minimizer of amplitude e^s, is a normal double; otherwise s0 = s and
-    stage one solves the dilated problem p_s0 for v = e^{-s0} u.  t* is
-    the first local minimum of the fiber t -> I(t phi1; p_s0), which
+    stage one solves the dilated problem p_s0 for v = e^{-s0} u.  phi is
+    phi1 scaled to unit maximum, so t is the amplitude on every ball, and
+    t* is the first local minimum of the fiber t -> I(t phi; p_s0), which
     fiber_map gives in closed form.  The search samples log t on
     [hi - 2 FIBER_WINDOW, hi], with hi = s - s0 + FIBER_WINDOW unless the
-    ball (t ||phi1|| <= radius for v) caps it lower, floored where
-    (t max phi1)^2 leaves the normal range.  The first sampled minimum is
-    refined by bisection on the slope.  Raises UsableRegionError, naming
-    the t-range and s0, when the range is empty or the fiber's first
-    minimum on it is not negative.
+    ball (t ||phi|| <= radius for v) caps it lower, floored where t^2
+    leaves the normal range.  The first sampled minimum is refined by
+    bisection on the slope.  Raises UsableRegionError, naming the t-range
+    and s0, when the range is empty or the fiber's first minimum on it is
+    not negative.
     """
     lam1, phi1 = g.eigenpair
+    phi = phi1 / float(np.max(phi1))
     s = _dilation_exponent(p, lam1)
     if 2.0 * s >= LOG_TINY:
         s0, ps, radius_v = 0.0, p, radius
@@ -157,9 +159,9 @@ def _fiber_start(p, g, radius):
         # the ball for v has radius e^{-s} radius; past double range it
         # cannot bind an O(1) profile
         radius_v = radius * math.exp(-s) if -s < 700.0 else math.inf
-    hi = min(s - s0 + FIBER_WINDOW, math.log(radius_v / _h1_norm(g, phi1)))
-    lo = max(hi - 2.0 * FIBER_WINDOW, 0.5 * LOG_TINY - math.log(float(np.max(phi1))))
-    fib = fiber_map(ps, g, phi1)
+    hi = min(s - s0 + FIBER_WINDOW, math.log(radius_v / _h1_norm(g, phi)))
+    lo = max(hi - 2.0 * FIBER_WINDOW, 0.5 * LOG_TINY)
+    fib = fiber_map(ps, g, phi)
     t0 = None
     if lo < hi:
         tau = np.linspace(lo, hi, FIBER_SAMPLES)
@@ -185,12 +187,12 @@ def _fiber_start(p, g, radius):
             if t0 is None else "its first minimum there is not negative"
         )
         raise UsableRegionError(
-            "stage one: the fiber t -> I(t phi1) of the principal mode was "
+            "stage one: the fiber t -> I(t phi) of the principal mode phi was "
             f"searched for t in [{math.exp(lo):.6e}, {math.exp(hi):.6e}] "
             f"(s0 = {s0:.6g}), and {why}; parameters lie outside the usable "
             "region of this grid"
         )
-    return s0, ps, radius_v, t0 * phi1
+    return s0, ps, radius_v, t0 * phi
 
 
 def _scaled_level(c, s):
@@ -285,16 +287,11 @@ def _morse_index(p, g, u):
     """Number of negative eigenvalues of the Hessian A - f'(u) at u.
 
     The Jacobian that _newton factors is self-adjoint in the w inner
-    product; the similar symmetric tridiagonal matrix keeps its diagonal
-    and has off-diagonal -sqrt(upper * lower).  Its eigenvalues in
-    (-inf, 0] are counted by bisection, in O(M).
+    product; the eigenvalues in (-inf, 0] of its similar symmetric
+    tridiagonal (symmetric_tridiagonal) are counted by bisection, in O(M).
     """
-    J = _jacobian(p, g, u)
-    off = -np.sqrt(J[0, 1:] * J[2, :-1])
-    neg = eigvalsh_tridiagonal(
-        J[1], off, select="v", select_range=(-np.inf, 0.0)
-    )
-    return len(neg)
+    d, off = symmetric_tridiagonal(_jacobian(p, g, u))
+    return len(eigvalsh_tridiagonal(d, off, select="v", select_range=(-np.inf, 0.0)))
 
 
 def find_ball_minimizer(p, g, rho):

@@ -718,28 +718,46 @@ def test_sweep_formats_each_list_value_once(tmp_path, monkeypatch):
     assert len(calls) == (4 + 3 + 1 + 1 + 1) + 2 * statuses.count("ok")
 
 
-@pytest.mark.parametrize("command", ["regions", "sweep", "solve"])
-def test_a_ball_too_small_for_the_eigen_iteration_is_a_config_error(
-    tmp_path, capsys, monkeypatch, command
-):
-    # at N = 3 and R up to about 3.9e-62 the Rayleigh quotient overflows:
-    # regions and sweep ended in a "did not converge" traceback while solve
-    # reported "solve stage saddle" with exit 3.  The eigen-iteration itself
-    # refuses it, also at R = 1e-62, which an a-priori bound in the CLI
-    # refused before, and no command makes its output directory first
-    ran = []
-    eigenpair = lc.grid.principal_eigenpair
-    monkeypatch.setattr(lc.grid, "principal_eigenpair", lambda g: ran.append(g.R) or eigenpair(g))
+@pytest.mark.parametrize("command", ["regions", "sweep"])
+def test_a_ball_at_the_edge_of_the_mesh_range_gets_its_eigenpair(tmp_path, capsys, command):
+    # at N = 3 and R up to about 3.9e-62 the Rayleigh quotient of the old
+    # inverse power iteration overflowed, and these radii were refused; one
+    # LAPACK call gets lambda1 there.  The mesh's divisors w_i h^2 are
+    # subnormal near R = 1e-62, which moves lambda1 R^2 by about 1.3e-6.
+    # R = 1e-70 is refused by the mesh, before any output directory is made
+    lam_unit = lc.build_grid(3, 1.0, 400).eigenpair[0]
     for R in (1e-62, 2e-62, 3e-62):
         out = str(tmp_path / f"{command}-{R:g}")
         cfg = write_config(str(tmp_path), N=3, q=2.5, R=R, sweep_theta=[-0.01])
-        assert main([command, "--config", cfg, "--out", out]) == 1
-        assert capsys.readouterr().err == (
-            f"config error: R = {R:g}: the eigen-iteration on B(0, {R:g}) sums "
-            "Rayleigh-quotient terms outside double range\n"
-        )
-        assert ran[-1] == R
-        assert not os.path.exists(out)
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        if command == "regions":
+            with open(os.path.join(out, "regions.json")) as f:
+                assert json.load(f)["lambda1"] * R * R == pytest.approx(lam_unit, rel=1e-5)
+    out = str(tmp_path / f"{command}-1e-70")
+    cfg = write_config(str(tmp_path), N=3, q=2.5, R=1e-70, sweep_theta=[-0.01])
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "config error: R = 1e-70: the 400-cell mesh on B(0, 1e-70) divides by "
+        "cell weights times h^2 outside double range\n"
+    )
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("R", [1e-30, 1e-61, 1e-62, 2e-62, 3e-62])
+def test_solve_on_a_tiny_ball_names_its_stage(tmp_path, capsys, R):
+    # phi1 grows like R^{-N/2}, and stage one's fiber search used to sample
+    # multiples of phi1 whose powers overflow: solve ended in a RuntimeWarning
+    # or a "solve gate: array must not contain infs or NaNs" line.  The search
+    # reads phi1 scaled to unit maximum, and a failure names its stage
+    out = str(tmp_path / "out")
+    cfg = write_config(str(tmp_path), N=3, q=2.5, R=R)
+    code = main(["solve", "--config", cfg, "--out", out])
+    err = capsys.readouterr().err
+    assert code in (2, 3)
+    assert err.startswith(("solve stage minimize: ", "solve stage saddle: "))
+    assert err.count("\n") == 1 and "solve gate" not in err
+    assert not os.path.exists(out)
 
 
 def test_sweep_with_invalid_dimension_writes_invalid_rows(tmp_path):
@@ -1054,15 +1072,12 @@ def test_regions_at_a_radius_past_the_operator_range_is_a_config_error(tmp_path,
     # at R = 1e80 the boundary cell weight times h^2 overflows, the operator
     # row divides by inf, and the eigen solve ended in a LinAlgError
     # traceback; at R = 1e-80 the origin cell's underflows to 0, and the
-    # operator held inf.  At R = 1e-62 the eigen-iteration's Rayleigh-quotient
-    # terms, about lambda1 / |B(0, R)| ~ R^{-(N+2)}, overflowed, and it ended
-    # in a "did not converge" RuntimeError traceback.  R = 1e50 and 1e-61 are
-    # in range; at R = 1e50 the default parameters lie in no region (exit 2)
+    # operator held inf.  R = 1e50, 1e-61 and 1e-62 are in range; at R = 1e50
+    # the default parameters lie in no region (exit 2)
     divisors = "the 400-cell mesh on B(0, {R}) divides by cell weights times h^2"
-    eigen = "the eigen-iteration on B(0, {R}) sums Rayleigh-quotient terms"
     for R, code, why in (
-        (1e50, 2, None), (1e-61, 0, None),
-        (1e80, 1, divisors), (1e-80, 1, divisors), (1e-62, 1, eigen),
+        (1e50, 2, None), (1e-61, 0, None), (1e-62, 0, None),
+        (1e80, 1, divisors), (1e-80, 1, divisors),
     ):
         out = str(tmp_path / f"R{R:g}")
         cfg = write_config(str(tmp_path), N=3, q=2.5, R=R)

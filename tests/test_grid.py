@@ -107,54 +107,59 @@ def test_principal_eigenpair_matches_bessel(N):
     assert np.sqrt(g.l2_norm_sq(res)) < 1e-5 * lam
 
 
-@pytest.mark.parametrize(
-    "N, R, M, solves",
-    [(3, 1.0, 1024, 11), (4, 1.0, 512, 12), (4, 1.0, 200, 12), (5, 1.0, 400, 13),
-     # lam1 = 340.8: the Rayleigh quotient's increments cycle between 2.6e-10
-     # and 6.9e-10 here, so an absolute stop at 1e-10 never fires
-     (5, 0.24340247239823118, 4096, 13)],
-)
-def test_eigen_iteration_stops_relative_to_lambda(N, R, M, solves, monkeypatch):
-    solve = lc.grid.solve_tridiagonal
-    calls = []
+def mp_principal_eigenpair(g, iterations=24):
+    """(lambda1, phi1) of g.band to 40 digits, as mpf values.
 
-    def counting(band, x):
-        calls.append(1)
-        return solve(band, x)
+    Inverse iteration on the symmetric tridiagonal W^{1/2} A W^{-1/2},
+    formed in 40-digit arithmetic from the band's doubles, so it is exactly
+    similar to the double operator.  The shift 0.99 times the continuum
+    lambda1 lies below the discrete one and leaves a contraction of about
+    4e-3 per step; 24 steps reach 40 digits.
+    """
+    with mpmath.workdps(40):
+        mpf, M = mpmath.mpf, g.M
+        upper, diag, lower = ([mpf(x) for x in row] for row in g.band.tolist())
+        off = [-mpmath.sqrt(u * l) for u, l in zip(upper[1:], lower[:-1])]
+        a = [d - mpf(0.99 * lc.bessel_lambda1(g.N, g.R)) for d in diag]
+        y = [mpf(1)] * M
+        for _ in range(iterations):
+            # Thomas algorithm; the shifted matrix is positive definite
+            c, x = [mpf(0)] * M, [mpf(0)] * M
+            c[0], x[0] = off[0] / a[0], y[0] / a[0]
+            for i in range(1, M):
+                m = a[i] - off[i - 1] * c[i - 1]
+                if i < M - 1:
+                    c[i] = off[i] / m
+                x[i] = (y[i] - off[i - 1] * x[i - 1]) / m
+            for i in range(M - 2, -1, -1):
+                x[i] -= c[i] * x[i + 1]
+            nrm = mpmath.sqrt(mpmath.fsum(v * v for v in x))
+            y = [v / nrm for v in x]
+        Sy = [diag[i] * y[i] for i in range(M)]
+        for i in range(M - 1):
+            Sy[i] += off[i] * y[i + 1]
+            Sy[i + 1] += off[i] * y[i]
+        lam = mpmath.fsum(u * v for u, v in zip(y, Sy))
+        return lam, [v / mpmath.sqrt(w) for v, w in zip(y, g.w.tolist())]
 
-    monkeypatch.setattr(lc.grid, "solve_tridiagonal", counting)
-    lam, phi = lc.principal_eigenpair(lc.build_grid(N, R, M))
-    assert len(calls) == solves
-    assert lam == pytest.approx(lc.bessel_lambda1(N, R), rel=1e-5)
-    assert np.all(phi > 0)
 
-
-def test_eigen_iteration_refuses_a_rayleigh_quotient_outside_double_range(monkeypatch):
-    # at N = 3 and R below about 3.9e-62, down to where the grid refuses
-    # the mesh, the unit-norm iterate times its image overflows; the
-    # iteration used to run its 200 steps on an infinite quotient and end
-    # in "did not converge"
-    solve = lc.grid.solve_tridiagonal
-    calls = []
-    monkeypatch.setattr(lc.grid, "solve_tridiagonal", lambda b, x: calls.append(1) or solve(b, x))
-    for R in (2e-62, 3e-62):
-        g = lc.build_grid(3, R, 400)
-        with pytest.raises(
-            lc.grid.GridRangeError,
-            match=f"^R = {R:g}: the eigen-iteration on B\\(0, {R:g}\\) sums "
-            "Rayleigh-quotient terms outside double range$",
-        ):
-            g.eigenpair
-    assert len(calls) == 2 and issubclass(lc.grid.GridRangeError, OverflowError)
-    lam, phi = lc.principal_eigenpair(lc.build_grid(3, 4e-62, 400))
-    assert math.isfinite(lam) and np.all(phi > 0)
+@pytest.mark.parametrize("N, M", [(4, 200), (3, 1024)])
+def test_principal_eigenpair_matches_a_40_digit_reference(N, M):
+    # the inverse power iteration this replaced stopped on the eigenvalue
+    # increment, so its phi1 was off by 6.7e-7 and 2.4e-7 here
+    g = lc.build_grid(N, 1.0, M)
+    lam_ref, phi_ref = mp_principal_eigenpair(g)
+    lam, phi = lc.principal_eigenpair(g)
+    assert abs(lam - lam_ref) < 1e-12 * lam_ref
+    phi_ref = np.array([float(v) for v in phi_ref])
+    assert np.max(np.abs(phi - phi_ref)) < 1e-10 * np.max(phi_ref)
 
 
 @pytest.mark.parametrize("N, M", [(3, 400), (4, 1024)])
-def test_eigen_iteration_stop_scales_with_the_ball(N, M):
-    # lambda1 R^2 does not depend on R; with an absolute stop at 1e-10 the
-    # iteration stopped early on a large ball, off by 4.5e-8 (N = 3, R = 1e3)
-    # up to 5.9e-3 (N = 4, R = 1e10)
+def test_eigenvalue_times_r_squared_is_the_unit_balls(N, M):
+    # lambda1 R^2 does not depend on R; an eigen-iteration with an absolute
+    # stop at 1e-10 once stopped early on a large ball, off by 4.5e-8
+    # (N = 3, R = 1e3) up to 5.9e-3 (N = 4, R = 1e10)
     lam_unit, _ = lc.principal_eigenpair(lc.build_grid(N, 1.0, M))
     for R in (1e3, 1e5, 1e10):
         lam, phi = lc.principal_eigenpair(lc.build_grid(N, R, M))

@@ -542,7 +542,7 @@ class TestStageOneHandOff:
 
     def test_index_one_start_descends_one_step(self):
         # the fiber minimum of phi1 is a saddle of index 1 here: one
-        # projected descent step reaches index 0, and Newton takes 7
+        # projected descent step reaches index 0, and Newton takes 8
         p = lc.ProblemParams(N=4, q=2.4, mu=0.25, nu=-0.5, lam=-30.0, theta=-6.0, R=4.5)
         g = lc.build_grid(p.N, p.R, 256)
         rho = region_report(p, g).rho
@@ -550,7 +550,7 @@ class TestStageOneHandOff:
         assert solvers._morse_index(ps, g, start) == 1
         v, s, c, stats = solvers._minimize_with_stats(p, g, rho)
         assert s == 0.0
-        assert stats["iters_minimize"] == 1 and stats["iters_newton0"] == 7
+        assert stats["iters_minimize"] == 1 and stats["iters_newton0"] == 8
         assert c == -24.839351600128396
         assert solvers._morse_index(ps, g, v) == 0
 
